@@ -30,7 +30,7 @@ from .distances import (
     strlendist,
 )
 from .sampling import SamplerConfig, TypeDomain, compatible_types, sample_input, sample_value
-from .summarization import ClusterReport, kmeans, select_model, silhouette, summarize, validity_of
+from .summarization import ClusterReport, kmeans, select_model, silhouette, summarize
 from .suts import BUILTIN_SUTS, SutDescriptor, execute, get_sut, make_external_sut
 from .values import ExecutionOutcome, render_value
 
@@ -43,6 +43,6 @@ __all__ = [
     "input_distance", "jaccard_ngram", "levenshtein", "parse_distance", "pdq",
     "strlendist", "SamplerConfig", "TypeDomain", "compatible_types",
     "sample_input", "sample_value", "ClusterReport", "kmeans", "select_model",
-    "silhouette", "summarize", "validity_of", "BUILTIN_SUTS", "SutDescriptor",
+    "silhouette", "summarize", "BUILTIN_SUTS", "SutDescriptor",
     "execute", "get_sut", "make_external_sut", "ExecutionOutcome", "render_value",
 ]

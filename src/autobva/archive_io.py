@@ -28,7 +28,12 @@ class DataError(Exception):
     """Malformed archive content; carries the offending file and line."""
 
     def __init__(self, message: str, path=None, line: Optional[int] = None):
-        where = f"{path}:{line}: " if path is not None and line is not None else ""
+        if path is None:
+            where = ""
+        elif line is None:
+            where = f"{path}: "
+        else:
+            where = f"{path}:{line}: "
         super().__init__(f"{where}{message}")
         self.path = path
         self.line = line
@@ -175,6 +180,8 @@ def read_archive_json(path) -> tuple:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path, exc.lineno) from exc
+    if not isinstance(doc, dict):
+        raise DataError("expected a JSON object with a candidates list", path)
     candidates = []
     strategies = {}
     for i, entry in enumerate(doc.get("candidates", [])):
@@ -186,7 +193,7 @@ def read_archive_json(path) -> tuple:
                 _outcome_from_json(entry["output2"]),
                 Fraction(entry["score"]["num"], entry["score"]["den"]),
             )
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DataError(f"candidate #{i}: {exc}", path) from exc
         candidates.append(c)
         if entry.get("strategies"):
@@ -198,21 +205,25 @@ def load_archives(paths, threshold: Optional[Fraction] = None) -> Archive:
     """Merge archive files (CSV or JSON by extension), re-deduplicating.
 
     No re-filtering by default: rows are kept as stored, even at score zero,
-    so ranking can list them last.
+    so ranking can list them last.  An unreadable file is a DataError.
     """
     merged = Archive(Fraction(-1) if threshold is None else threshold)
     for path in paths:
         path = Path(path)
-        if path.suffix == ".json":
-            candidates, strategies, _ = read_archive_json(path)
-            for c in candidates:
-                merged.add(c)
-                for tag in strategies.get(c.key, ()):
-                    if c.key in merged:
-                        merged.strategies.setdefault(c.key, set()).add(tag)
-        else:
-            for c in read_archive_csv(path):
-                merged.add(c)
+        try:
+            if path.suffix == ".json":
+                candidates, strategies, _ = read_archive_json(path)
+            else:
+                candidates, strategies = read_archive_csv(path), {}
+        except OSError as exc:
+            raise DataError(exc.strerror or str(exc), path) from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 text: {exc}", path) from exc
+        for c in candidates:
+            merged.add(c)
+            for tag in strategies.get(c.key, ()):
+                if c.key in merged:
+                    merged.strategies.setdefault(c.key, set()).add(tag)
     return merged
 
 

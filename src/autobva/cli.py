@@ -35,16 +35,12 @@ from .oracle import WindowTooLarge, scan_adjacent
 from .experiment import run_experiment
 from .sampling import SamplerConfig
 from .summarization import summarize
-from .suts import get_sut
+from .suts import UsageError, get_sut
 from .values import parse_value, render_tuple
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,12 +149,20 @@ def cmd_rank(args) -> int:
     distance = parse_distance(args.distance)
     cluster_ids = {}
     if args.report:
-        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-        for group in doc["groups"]:
-            for cluster in group["clusters"]:
-                label = f"{group['validity']}/{cluster['id']}"
-                for key in cluster["members"]:
-                    cluster_ids[tuple(key)] = label
+        try:
+            doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+            for group in doc["groups"]:
+                for cluster in group["clusters"]:
+                    label = f"{group['validity']}/{cluster['id']}"
+                    for key in cluster["members"]:
+                        cluster_ids[tuple(key)] = label
+        except OSError as exc:
+            raise DataError(exc.strerror or str(exc), args.report) from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON: {exc}", args.report, exc.lineno) from exc
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"not a cluster report ({type(exc).__name__}: {exc})",
+                            args.report) from exc
     scored = []
     for c in archive:
         score = pdq(c.input1, c.output1.text, c.input2, c.output2.text, distance)
@@ -289,7 +293,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, ValueError, WindowTooLarge) as exc:
+    except (ValueError, WindowTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

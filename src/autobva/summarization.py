@@ -12,6 +12,7 @@ selection then yields clusters, each summarized by its shortest member.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -28,8 +29,30 @@ KMEANS_RESTARTS = 100
 K_MAX = 10
 
 
-def validity_of(candidate: BoundaryCandidate) -> str:
-    return candidate.validity
+class TextDistances:
+    """2-gram Jaccard distances between the distinct output texts of a group.
+
+    Texts are indexed in first-appearance order over both sides of every
+    candidate.  All intersections come from one product of the 0/1 gram
+    incidence matrix; its counts are exact integers in float64, so each entry
+    equals ``float(jaccard_ngram(2, s, t))``.
+    """
+
+    def __init__(self, candidates: Sequence[BoundaryCandidate]):
+        self.index: dict = {}
+        for c in candidates:
+            self.index.setdefault(c.output1.text, len(self.index))
+            self.index.setdefault(c.output2.text, len(self.index))
+        gram_ids: dict = {}
+        cells = np.array([(row, gram_ids.setdefault(g, len(gram_ids)))
+                          for text, row in self.index.items() for g in ngrams(text, 2)],
+                         dtype=np.intp).reshape(-1, 2)
+        incidence = np.zeros((len(self.index), len(gram_ids)))
+        incidence[cells[:, 0], cells[:, 1]] = 1.0
+        inter = incidence @ incidence.T
+        sizes = incidence.sum(axis=1)
+        union = sizes[:, None] + sizes[None, :] - inter   # >= 1: no text has zero grams
+        self.matrix = (union - inter) / union
 
 
 class FeatureSpace:
@@ -37,89 +60,81 @@ class FeatureSpace:
 
     The uniqueness attributes depend on the whole reference set, so vectors
     for candidates outside it (diversity-dropped ones) are computed against
-    the same set and the same strlendist normalization.
+    the same set and the same strlendist normalization.  ``distances`` must
+    index the texts of every candidate that gets a vector; by default it
+    covers the reference set alone.
     """
 
-    def __init__(self, reference: Sequence[BoundaryCandidate]):
+    def __init__(self, reference: Sequence[BoundaryCandidate],
+                 distances: Optional[TextDistances] = None):
         if not reference:
             raise ValueError("feature space needs a nonempty reference group")
         self.reference = list(reference)
-        self._grams: dict = {}
-        self._dist: dict = {}
-        self._counts1 = self._text_counts(c.output1.text for c in self.reference)
-        self._counts2 = self._text_counts(c.output2.text for c in self.reference)
+        self.distances = distances or TextDistances(self.reference)
+        self._columns = [self._weighted_columns(c.output1.text for c in self.reference),
+                         self._weighted_columns(c.output2.text for c in self.reference)]
         raw_wd = [strlendist(c.output1.text, c.output2.text) for c in self.reference]
         self._wd_min = min(raw_wd)
         self._wd_max = max(raw_wd)
-        self.matrix = np.column_stack([self.vector(c) for c in self.reference])
+        self.matrix = self._vectors(self.reference)
 
-    @staticmethod
-    def _text_counts(texts: Iterable[str]) -> dict:
-        counts: dict = {}
-        for t in texts:
-            counts[t] = counts.get(t, 0) + 1
-        return counts
+    def _weighted_columns(self, texts: Iterable[str]) -> tuple:
+        """Matrix columns of the distinct texts in first-appearance order, and
+        how often each occurs."""
+        counts = Counter(texts)
+        return ([self.distances.index[t] for t in counts],
+                np.array(list(counts.values()), dtype=float))
 
-    def _gram_set(self, text: str) -> frozenset:
-        g = self._grams.get(text)
-        if g is None:
-            g = ngrams(text, 2)
-            self._grams[text] = g
-        return g
+    def _uniqueness(self, rows: list, side: int) -> np.ndarray:
+        # mean distance to the reference outputs keeps the attribute in [0, 1];
+        # cumsum adds left to right, so each mean rounds as a plain loop would
+        cols, weights = self._columns[side]
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        weighted = self.distances.matrix[np.ix_(distinct, cols)] * weights
+        return (np.cumsum(weighted, axis=1)[:, -1] / len(self.reference))[inverse]
 
-    def _jaccard2(self, t1: str, t2: str) -> float:
-        if t1 == t2:
-            return 0.0
-        key = (t1, t2) if t1 <= t2 else (t2, t1)
-        d = self._dist.get(key)
-        if d is None:
-            a, b = self._gram_set(t1), self._gram_set(t2)
-            union = len(a | b)
-            d = (union - len(a & b)) / union if union else 0.0
-            self._dist[key] = d
-        return d
-
-    def _uniqueness(self, text: str, counts: dict) -> float:
-        # mean distance to the reference outputs keeps the attribute in [0, 1]
-        total = sum(n * self._jaccard2(text, other) for other, n in counts.items())
-        return total / len(self.reference)
-
-    def _normalized_wd(self, value: int) -> float:
-        if self._wd_max == self._wd_min:
-            return 0.0
-        return (value - self._wd_min) / (self._wd_max - self._wd_min)
-
-    def vector(self, c: BoundaryCandidate) -> np.ndarray:
-        t1, t2 = c.output1.text, c.output2.text
-        wd = min(max(self._normalized_wd(strlendist(t1, t2)), 0.0), 1.0)
+    def _vectors(self, candidates: Sequence[BoundaryCandidate]) -> np.ndarray:
+        """Feature vectors as the columns of a (4, len(candidates)) matrix."""
+        index = self.distances.index
+        rows1 = [index[c.output1.text] for c in candidates]
+        rows2 = [index[c.output2.text] for c in candidates]
+        wd = np.array([strlendist(c.output1.text, c.output2.text) for c in candidates])
+        span = self._wd_max - self._wd_min
+        wd = np.clip((wd - self._wd_min) / span, 0.0, 1.0) if span else np.zeros(len(wd))
         return np.array([
             wd,
-            self._jaccard2(t1, t2),
-            self._uniqueness(t1, self._counts1),
-            self._uniqueness(t2, self._counts2),
+            self.distances.matrix[rows1, rows2],
+            self._uniqueness(rows1, 0),
+            self._uniqueness(rows2, 1),
         ])
+
+    def vector(self, c: BoundaryCandidate) -> np.ndarray:
+        return self._vectors([c])[:, 0]
 
 
 def diversity_subset(candidates: Sequence[BoundaryCandidate], rng: random.Random,
                      block: int = DIVERSITY_BLOCK,
-                     window: int = DIVERSITY_WINDOW) -> tuple:
+                     window: int = DIVERSITY_WINDOW,
+                     distances: Optional[TextDistances] = None) -> tuple:
     """Select a diverse working set for clustering; returns (subset, dropped).
 
     Groups within the window size pass through untouched.  Otherwise a random
     window is scored by the sum of its feature attributes, the lowest `block`
     are dropped (ties kept in insertion order) and replaced with unseen
-    candidates, until the unseen pool is exhausted.
+    candidates, until the unseen pool is exhausted.  ``distances`` must index
+    every candidate's texts; by default it is built here.
     """
     candidates = list(candidates)
     if len(candidates) <= window:
         return candidates, []
+    distances = distances or TextDistances(candidates)
     picked = sorted(rng.sample(range(len(candidates)), window))
     chosen = set(picked)
     working = [candidates[i] for i in picked]
     pool = [c for i, c in enumerate(candidates) if i not in chosen]
     dropped: list = []
     while pool:
-        matrix = FeatureSpace(working).matrix
+        matrix = FeatureSpace(working, distances).matrix
         scores = matrix.sum(axis=0)
         order = sorted(range(len(working)), key=lambda j: (scores[j], j))
         cut = set(order[:block])
@@ -141,11 +156,14 @@ class ClusteringModel:
 
 
 def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
-           max_iter: int = KMEANS_MAX_ITER) -> ClusteringModel:
+           max_iter: int = KMEANS_MAX_ITER,
+           distances: Optional[np.ndarray] = None) -> ClusteringModel:
     """Lloyd's algorithm on the feature matrix columns, Euclidean metric.
 
     Initial centroids are k distinct random data points; an emptied cluster
     is reseeded with the point farthest from its assigned centroid.
+    ``distances`` is the matrix's ``point_distances``, passed on to
+    ``silhouette`` so restarts on one matrix can share it.
     """
     points = matrix.T
     n = points.shape[0]
@@ -183,29 +201,43 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
         for cluster in range(k):
             centroids[cluster] = points[assignment == cluster].mean(axis=0)
     return ClusteringModel(k, centroids, assignment,
-                           silhouette(matrix, assignment), history, reseeded)
+                           silhouette(matrix, assignment, distances), history, reseeded)
 
 
-def silhouette(matrix: np.ndarray, assignment: np.ndarray) -> float:
-    """Mean silhouette score over all points; singleton clusters contribute 0."""
-    labels = np.unique(assignment)
+def point_distances(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all pairs of feature matrix columns."""
+    points = matrix.T
+    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+
+
+def silhouette(matrix: np.ndarray, assignment: np.ndarray,
+               distances: Optional[np.ndarray] = None) -> float:
+    """Mean silhouette score over all points; singleton clusters contribute 0.
+
+    ``distances`` defaults to ``point_distances(matrix)``.  Each per-cluster
+    row sum runs over a C-contiguous copy, which numpy sums in the same order
+    as one point's masked row; the per-point scores then add left to right.
+    """
+    labels, sizes = np.unique(assignment, return_counts=True)
     if len(labels) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    points = matrix.T
-    n = points.shape[0]
-    distances = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    total = 0.0
-    for i in range(n):
-        own = assignment == assignment[i]
-        if own.sum() == 1:
-            continue  # contributes 0
-        a = distances[i][own].sum() / (own.sum() - 1)
-        b = min(distances[i][assignment == other].mean()
-                for other in labels if other != assignment[i])
-        denom = max(a, b)
-        if denom > 0:
-            total += (b - a) / denom
-    return total / n
+    if distances is None:
+        distances = point_distances(matrix)
+    n = len(assignment)
+    sums = np.column_stack([np.ascontiguousarray(distances[:, assignment == label]).sum(axis=1)
+                            for label in labels])
+    own = np.searchsorted(labels, assignment)
+    points = np.arange(n)
+    own_size = sizes[own]
+    a = sums[points, own] / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[points, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(n)
+    counted = (own_size > 1) & (denom > 0)   # singletons contribute 0
+    scores[counted] = (b[counted] - a[counted]) / denom[counted]
+    return float(np.cumsum(scores)[-1]) / n
 
 
 def select_model(models: Sequence[ClusteringModel]) -> ClusteringModel:
@@ -308,11 +340,13 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
                                        _strategy_counts(group, archive.strategies))]
             groups.append(GroupSummary(validity, clusters, silhouette=None))
             continue
-        subset, dropped = diversity_subset(group, rng, block, window)
-        space = FeatureSpace(subset)
+        distances = TextDistances(group)
+        subset, dropped = diversity_subset(group, rng, block, window, distances)
+        space = FeatureSpace(subset, distances)
+        pairwise = point_distances(space.matrix)
         ks = list(range(2, min(k_max, len(subset)) + 1))
         models = [kmeans(space.matrix, ks[i % len(ks)],
-                         random.Random(rng.getrandbits(64)))
+                         random.Random(rng.getrandbits(64)), distances=pairwise)
                   for i in range(restarts)]
         best = select_model(models)
         member_lists: list = [[] for _ in range(best.k)]

@@ -310,6 +310,10 @@ BUILTIN_SUTS = {
 }
 
 
+class UsageError(Exception):
+    """A request the command line cannot carry out as given."""
+
+
 def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0) -> SutDescriptor:
     """Look up a built-in by name, or build an ``external:<cmd>`` adapter."""
     if name in BUILTIN_SUTS:
@@ -317,6 +321,6 @@ def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0) -
     if name.startswith("external:"):
         command = name[len("external:"):]
         if not command:
-            raise KeyError("external SUT needs a command: external:<cmd>")
+            raise UsageError("external SUT needs a command: external:<cmd>")
         return make_external_sut(command, arity=external_arity, timeout=external_timeout)
-    raise KeyError(f"unknown SUT {name!r} (expected one of {sorted(BUILTIN_SUTS)} or external:<cmd>)")
+    raise UsageError(f"unknown SUT {name!r} (expected one of {sorted(BUILTIN_SUTS)} or external:<cmd>)")

@@ -38,7 +38,11 @@ def test_detect_zero_iterations_is_ok(tmp_path):
 
 def test_detect_unknown_sut_is_usage_error(capsys):
     assert run_cli("detect", "--sut", "nope", "--iterations", "1") == 1
-    assert "unknown SUT" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "usage error: unknown SUT 'nope' (expected one of "
+        "['bmi', 'bmi-class', 'bytecount', 'date'] or external:<cmd>)\n")
+    assert run_cli("detect", "--sut", "external:", "--iterations", "1") == 1
+    assert capsys.readouterr().err == "usage error: external SUT needs a command: external:<cmd>\n"
 
 
 def test_detect_unknown_flag_is_usage_error():
@@ -157,6 +161,32 @@ def test_summarize_malformed_csv_is_data_error(tmp_path, capsys):
                    "1,2,a,b,VV,not_a_number,1\n")
     assert run_cli("summarize", str(bad)) == 2
     assert ":2:" in capsys.readouterr().err
+
+
+def test_summarize_missing_archive_is_data_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    assert run_cli("summarize", str(missing), "--out", str(tmp_path / "rep")) == 2
+    assert capsys.readouterr().err == f"data error: {missing}: No such file or directory\n"
+    for suffix in (".csv", ".json"):
+        binary = tmp_path / f"binary{suffix}"
+        binary.write_bytes(b"\xff\xfe")
+        assert run_cli("summarize", str(binary), "--out", str(tmp_path / "rep")) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {binary}: not UTF-8 text")
+
+
+def test_rank_malformed_report_is_data_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("detect", "--sut", "bytecount", "--iterations", "50", "--out", str(out))
+    report = tmp_path / "report.json"
+    report.write_text("{\"groups\": [\n")
+    assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
+                   "--out", str(tmp_path / "ranked.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {report}:2: invalid JSON: Expecting value")
+    report.write_text("[]")
+    assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
+                   "--out", str(tmp_path / "ranked.csv")) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {report}: not a cluster report")
 
 
 def test_oracle_bytecount_window(tmp_path):

@@ -1,28 +1,33 @@
 """Feature extraction, diversity subsetting, k-means, silhouette, model
 selection, and the full summarize pipeline."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
 
-from autobva.detection import Archive, BoundaryCandidate, make_candidate
-from autobva.distances import STRLEN
+from autobva.archive_io import write_report_json
+from autobva.detection import Archive, BoundaryCandidate, DetectionConfig, detect, make_candidate
+from autobva.distances import STRLEN, jaccard_ngram, strlendist
+from autobva.sampling import SamplerConfig
 from autobva.summarization import (
     ClusteringModel,
     FeatureSpace,
+    TextDistances,
     diversity_subset,
     kmeans,
+    point_distances,
     select_model,
     silhouette,
     summarize,
-    validity_of,
 )
 from autobva.suts import execute, get_sut
 from autobva.values import ExecutionOutcome
 
 BC = get_sut("bytecount")
+DATE = get_sut("date")
 
 
 def bc_cand(a, b):
@@ -40,11 +45,21 @@ def text_cand(i1, t1, i2, t2, err1=False, err2=False):
 
 
 def test_validity_groups():
-    assert validity_of(bc_cand(999, 1000)) == "VV"
-    assert validity_of(bc_cand(999999999999994822656, 999999999999994822657)) == "VE"
-    assert validity_of(bc_cand(999999999999990520104160854016,
-                               999999999999990520104160854017)) == "EE"
-    assert validity_of(text_cand(1, "x", 2, "y", err1=True, err2=False)) == "VE"
+    assert bc_cand(999, 1000).validity == "VV"
+    assert bc_cand(999999999999994822656, 999999999999994822657).validity == "VE"
+    assert bc_cand(999999999999990520104160854016,
+                   999999999999990520104160854017).validity == "EE"
+    assert text_cand(1, "x", 2, "y", err1=True, err2=False).validity == "VE"
+
+
+def _date_archive():
+    """A seeded date archive: EE 143, VE 28, VV 2 candidates."""
+    archive = Archive()
+    for strategy, iterations in (("lns", 400), ("bcs", 200)):
+        cfg = DetectionConfig(strategy=strategy, budget_iterations=iterations,
+                              sampler=SamplerConfig(seed=0))
+        archive.merge(detect(DATE, cfg).archive)
+    return archive
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +86,54 @@ def test_features_shared_first_output():
     m = FeatureSpace([a, b]).matrix
     assert m[2, 0] == m[2, 1] == 0          # identical first outputs
     assert m[3, 0] == m[3, 1] == 0.5        # d("yy","zz")=1 over group size 2
+
+
+def test_text_distances_equal_exact_jaccard_on_date_outputs():
+    group = list(_date_archive())
+    distances = TextDistances(group)
+    texts = list(distances.index)
+    assert len(texts) > 100 and len(texts) == len(set(texts))
+    assert {c.output1.text for c in group} | {c.output2.text for c in group} == set(texts)
+    for s, i in distances.index.items():
+        for t, j in distances.index.items():
+            assert distances.matrix[i, j] == float(jaccard_ngram(2, s, t)), (s, t)
+
+
+def _reference_vector(c, reference):
+    """Feature vector by direct evaluation: exact Jaccard fractions rounded
+    once, then added left to right over the reference's distinct texts."""
+    raw = [strlendist(r.output1.text, r.output2.text) for r in reference]
+    lo, hi = min(raw), max(raw)
+    wd = 0.0 if hi == lo else (strlendist(c.output1.text, c.output2.text) - lo) / (hi - lo)
+
+    def uniqueness(text, side):
+        counts = {}
+        for r in reference:
+            other = (r.output1 if side == 1 else r.output2).text
+            counts[other] = counts.get(other, 0) + 1
+        total = 0.0
+        for other, n in counts.items():
+            total += n * float(jaccard_ngram(2, text, other))
+        return total / len(reference)
+
+    return [min(max(wd, 0.0), 1.0), float(jaccard_ngram(2, c.output1.text, c.output2.text)),
+            uniqueness(c.output1.text, 1), uniqueness(c.output2.text, 2)]
+
+
+def test_feature_vector_outside_reference_set():
+    # the diversity-dropped path: texts indexed for the group, absent from the subset
+    ve = [c for c in _date_archive() if c.validity == "VE"]
+    reference, outside = ve[:10], ve[10:]
+    reference_texts = {r.output1.text for r in reference} | {r.output2.text for r in reference}
+    strangers = [c for c in outside if c.output1.text not in reference_texts
+                 and c.output2.text not in reference_texts]
+    assert strangers
+    space = FeatureSpace(reference, TextDistances(ve))
+    for c in strangers + reference:
+        assert space.vector(c).tolist() == _reference_vector(c, reference)
+    assert space.matrix.T.tolist() == [_reference_vector(c, reference) for c in reference]
+    with pytest.raises(KeyError):
+        FeatureSpace(reference).vector(strangers[0])   # its texts were never indexed
 
 
 def test_feature_wd_min_max_normalization():
@@ -183,6 +246,45 @@ def test_kmeans_wcss_monotone_and_silhouette_bounded():
                 assert later <= earlier + 1e-9
 
 
+def _naive_silhouette(matrix, assignment):
+    """Point-by-point reference: a over the own cluster, b the nearest other
+    cluster's mean distance, singletons contributing 0."""
+    points = matrix.T
+    n = points.shape[0]
+    distances = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    labels = np.unique(assignment)
+    total = 0.0
+    for i in range(n):
+        own = assignment == assignment[i]
+        if own.sum() == 1:
+            continue
+        a = distances[i][own].sum() / (own.sum() - 1)
+        b = min(distances[i][assignment == other].mean()
+                for other in labels if other != assignment[i])
+        denom = max(a, b)
+        if denom > 0:
+            total += (b - a) / denom
+    return total / n
+
+
+def test_silhouette_equals_naive_loop_bit_for_bit():
+    rng = np.random.RandomState(7)
+    singletons = 0
+    for trial in range(60):
+        k = 2 + trial % 9
+        n = int(rng.randint(k, 160))
+        matrix = rng.rand(4, n)
+        assignment = rng.randint(0, k, size=n)
+        assignment[:k] = np.arange(k)        # every label occurs
+        if trial % 3 == 0:
+            assignment[k:] = np.where(assignment[k:] == 0, 1, assignment[k:])  # 0 is a singleton
+        singletons += int((np.bincount(assignment) == 1).any())
+        expected = _naive_silhouette(matrix, assignment)
+        assert silhouette(matrix, assignment) == expected
+        assert silhouette(matrix, assignment, point_distances(matrix)) == expected
+    assert singletons >= 20
+
+
 def test_silhouette_two_tight_far_clusters():
     m = _four_point_matrix()
     assert silhouette(m, np.array([0, 0, 1, 1])) > 0.9
@@ -274,6 +376,19 @@ def test_summarize_representative_is_shortest():
         for cluster in group.clusters:
             rep_len = total_len(cluster.representative)
             assert all(total_len(m) >= rep_len for m in cluster.members)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "2779a2ee519e19a441c41c919e561b84eb02deb662fd7bcf6da2759adf2c102c"),
+    (1, "4858508e3cebe9bf78dcef82bb35aac0b8a2e7872bde41898ea7a3986737551b"),
+])
+def test_summarize_golden_report(tmp_path, seed, digest):
+    # window 20 / block 6 runs diversity rounds on both VE (28) and EE (143),
+    # so dropped candidates are attached; the digests pin report.json bytes
+    report = summarize(_date_archive(), Random(seed), restarts=20, block=6, window=20)
+    path = tmp_path / "report.json"
+    write_report_json(path, report)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_summarize_fixed_seed_reproducible():

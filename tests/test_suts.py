@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from autobva.suts import (
+    UsageError,
     civil_from_rata_die,
     days_in_month,
     execute,
@@ -353,7 +354,7 @@ def test_external_timeout(tmp_path):
 
 
 def test_get_sut_rejects_unknown():
-    with pytest.raises(KeyError):
+    with pytest.raises(UsageError):
         get_sut("quicksort")
-    with pytest.raises(KeyError):
+    with pytest.raises(UsageError):
         get_sut("external:")
