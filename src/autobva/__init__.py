@@ -11,6 +11,7 @@ from .detection import (
     DetectionConfig,
     DetectionResult,
     MutationOperator,
+    Runner,
     bcs_search,
     detect,
     lns_search,
@@ -38,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archive", "BoundaryCandidate", "DetectionConfig", "DetectionResult",
-    "MutationOperator", "bcs_search", "detect", "lns_search", "mutate",
+    "MutationOperator", "Runner", "bcs_search", "detect", "lns_search", "mutate",
     "JACCARD1", "JACCARD2", "LEVENSHTEIN", "STRLEN", "OutputDistance",
     "input_distance", "jaccard_ngram", "levenshtein", "parse_distance", "pdq",
     "strlendist", "SamplerConfig", "TypeDomain", "compatible_types",

@@ -57,9 +57,7 @@ class RunManifest:
             sut=sut_name,
             strategy=config.strategy,
             seed=config.sampler.seed,
-            budget=({"iterations": config.budget_iterations}
-                    if config.budget_iterations is not None
-                    else {"seconds": config.budget_seconds}),
+            budget=config.budget,
             sampling={
                 "sampling.method": config.sampler.method,
                 "sampling.cts": config.sampler.cts,

@@ -10,11 +10,12 @@ the change.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .distances import STRLEN, OutputDistance, pdq
 from .sampling import SamplerConfig, sample_arguments
@@ -103,13 +104,20 @@ class Archive:
     keyed by the rendered input pair in its canonical orientation."""
 
     def __init__(self, threshold: Fraction = Fraction(0)):
-        self.threshold = Fraction(threshold)
+        self._threshold = Fraction(threshold)
+        self._num, self._den = self._threshold.numerator, self._threshold.denominator
         self._entries: dict = {}
         self.strategies: dict = {}    # key -> set of strategy names that found it
 
+    @property
+    def threshold(self) -> Fraction:
+        return self._threshold
+
     def add(self, candidate: BoundaryCandidate, strategy: Optional[str] = None) -> bool:
         """Insert if above threshold and unseen; returns True on insertion."""
-        if candidate.score <= self.threshold:
+        score = candidate.score
+        # score <= threshold, compared exactly (denominators are positive)
+        if score.numerator * self._den <= self._num * score.denominator:
             return False
         key = candidate.key
         fresh = key not in self._entries
@@ -140,35 +148,51 @@ class Archive:
         return list(self._entries.values())
 
 
-Executor = Callable[[InputTuple], ExecutionOutcome]
+class Runner:
+    """The one execution path of a search: runs a SUT and counts every
+    requested execution.
+
+    Executions go through this module's ``execute``, looked up at call time,
+    so anything that wraps that function sees every call.
+    """
+
+    __slots__ = ("sut", "executions")
+
+    def __init__(self, sut: SutDescriptor):
+        self.sut = sut
+        self.executions = 0
+
+    def run(self, inputs: InputTuple) -> ExecutionOutcome:
+        self.executions += 1
+        return execute(self.sut, inputs)
 
 
-def lns_search(sut: SutDescriptor, inputs: InputTuple,
-               output_distance: OutputDistance = STRLEN,
-               executor: Optional[Executor] = None) -> list:
+def _neighbors(inputs: InputTuple) -> Iterator[InputTuple]:
+    """Every applicable one-step mutation of ``inputs``, in ``mutate`` terms:
+    argument by argument, the increment before the decrement.  A boolean has
+    exactly one, its flip."""
+    for index, v in enumerate(inputs):
+        head, tail = inputs[:index], inputs[index + 1:]
+        if isinstance(v, bool):
+            yield head + (not v,) + tail
+        else:
+            yield head + (v + 1,) + tail
+            yield head + (v - 1,) + tail
+
+
+def lns_search(runner: Runner, inputs: InputTuple,
+               output_distance: OutputDistance = STRLEN) -> list:
     """All applicable one-step neighbors of the starting point, unfiltered."""
-    run = executor or (lambda i: execute(sut, i))
+    run = runner.run
     base_outcome = run(inputs)
-    found = []
-    for arg in range(sut.arity):
-        for direction in ("increment", "decrement"):
-            neighbor = mutate(inputs, MutationOperator(direction, arg))
-            if neighbor is None:
-                continue
-            found.append(make_candidate(inputs, base_outcome, neighbor, run(neighbor),
-                                        output_distance))
-    return found
+    return [make_candidate(inputs, base_outcome, neighbor, run(neighbor), output_distance)
+            for neighbor in _neighbors(inputs)]
 
 
-def _with_value(inputs: InputTuple, index: int, value) -> InputTuple:
-    return inputs[:index] + (value,) + inputs[index + 1:]
-
-
-def bcs_search(sut: SutDescriptor, output_distance: OutputDistance,
+def bcs_search(runner: Runner, output_distance: OutputDistance,
                inputs: InputTuple, rng: random.Random,
                max_doublings: int = 96,
-               domains: Optional[tuple] = None,
-               executor: Optional[Executor] = None) -> list:
+               domains: Optional[tuple] = None) -> list:
     """Boundary Crossing Search from one starting point.
 
     Returns the initial one-step pair when it already crosses (or when no
@@ -177,8 +201,8 @@ def bcs_search(sut: SutDescriptor, output_distance: OutputDistance,
     output partition changes, then squeezes the bracket down to the adjacent
     pair right at the change.  Probes never leave the sampled value domain.
     """
-    run = executor or (lambda i: execute(sut, i))
-    arg = rng.randrange(sut.arity)
+    run = runner.run
+    arg = rng.randrange(runner.sut.arity)
     op = MutationOperator(rng.choice(("increment", "decrement")), arg)
     first = mutate(inputs, op)
     if first is None:
@@ -194,35 +218,34 @@ def bcs_search(sut: SutDescriptor, output_distance: OutputDistance,
         # chained mutations leave {false, true} immediately; nothing to expand
         return [initial]
     domain = domains[arg] if domains else None
-
-    def probe(step: int) -> Optional[ExecutionOutcome]:
-        value = start + op.delta * step
-        if domain is not None and not domain.contains(value):
-            return None
-        return run(_with_value(inputs, arg, value))
+    lowest, highest = domain.bounds() if domain is not None else (-math.inf, math.inf)
+    head, tail = inputs[:arg], inputs[arg + 1:]
+    delta = op.delta
+    distance = output_distance.function
+    base_text = base_outcome.text
 
     crossing = None
     for k in range(1, max_doublings + 1):
-        outcome = probe(1 << k)
-        if outcome is None:
+        value = start + delta * (1 << k)
+        if not lowest <= value <= highest:
             break  # left the sampled domain: truncate the expansion
-        if output_distance(base_outcome.text, outcome.text) > 0:
+        if distance(base_text, run(head + (value,) + tail).text) > 0:
             crossing = k
             break
     if crossing is None:
         return [initial]
 
-    # smallest step in (2^(k-1), 2^k] whose output differs from the start's
+    # smallest step in (2^(k-1), 2^k] whose output differs from the start's;
+    # every step probed here lies between two probes that stayed in the domain
     low, high = 1 << (crossing - 1), 1 << crossing
     while high - low > 1:
         mid = (low + high) // 2
-        outcome = probe(mid)
-        if outcome is not None and output_distance(base_outcome.text, outcome.text) > 0:
+        if distance(base_text, run(head + (start + delta * mid,) + tail).text) > 0:
             high = mid
         else:
             low = mid
-    i1 = _with_value(inputs, arg, start + op.delta * (high - 1))
-    i2 = _with_value(inputs, arg, start + op.delta * high)
+    i1 = head + (start + delta * (high - 1),) + tail
+    i2 = head + (start + delta * high,) + tail
     return [make_candidate(i1, run(i1), i2, run(i2), output_distance)]
 
 
@@ -241,6 +264,13 @@ class DetectionConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget_seconds is None and self.budget_iterations is None:
             raise ValueError("a budget (seconds or iterations) is required")
+
+    @property
+    def budget(self) -> dict:
+        """The budget as manifests and reports record it."""
+        if self.budget_iterations is not None:
+            return {"iterations": self.budget_iterations}
+        return {"seconds": self.budget_seconds}
 
 
 @dataclass
@@ -261,29 +291,25 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
     """
     rng = rng or random.Random(config.sampler.seed)
     archive = Archive(config.threshold)
-    result = DetectionResult(archive)
-
-    def counted(i: InputTuple) -> ExecutionOutcome:
-        result.executions += 1
-        return execute(sut, i)
-
+    runner = Runner(sut)
+    samples = 0
     start = time.monotonic()
     while True:
         if config.budget_iterations is not None:
-            if result.samples >= config.budget_iterations:
+            if samples >= config.budget_iterations:
                 break
         elif time.monotonic() - start >= config.budget_seconds:
             break
         pairs = sample_arguments(sut, config.sampler, rng)
         inputs = tuple(v for v, _ in pairs)
-        domains = tuple(d for _, d in pairs)
-        result.samples += 1
+        samples += 1
         if config.strategy == "lns":
-            found = lns_search(sut, inputs, config.output_distance, executor=counted)
+            found = lns_search(runner, inputs, config.output_distance)
         else:
-            found = bcs_search(sut, config.output_distance, inputs, rng,
-                               config.bcs_max_doublings, domains, executor=counted)
+            domains = tuple(d for _, d in pairs)
+            found = bcs_search(runner, config.output_distance, inputs, rng,
+                               config.bcs_max_doublings, domains)
         for candidate in found:
             archive.add(candidate, strategy=config.strategy)
-    result.elapsed = time.monotonic() - start
-    return result
+    return DetectionResult(archive, samples=samples, executions=runner.executions,
+                           elapsed=time.monotonic() - start)

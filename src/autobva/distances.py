@@ -7,9 +7,10 @@ reproducible across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
 from .values import InputTuple
 
@@ -67,21 +68,36 @@ def input_distance(i1: InputTuple, i2: InputTuple) -> int:
     return sum(abs(int(a) - int(b)) for a, b in zip(i1, i2))
 
 
+# kind -> the distance for a given n-gram size (only jaccard uses the size)
+_KINDS = {
+    "strlendist": lambda ngram: strlendist,
+    "jaccard": lambda ngram: partial(jaccard_ngram, ngram),
+    "levenshtein": lambda ngram: levenshtein,
+}
+
+
 @dataclass(frozen=True)
 class OutputDistance:
-    """A named output distance usable as a callable on two strings."""
+    """A named output distance usable as a callable on two strings.
+
+    ``function`` is the distance itself, resolved once from ``kind`` and
+    ``ngram``; hot loops call it directly instead of going through
+    ``__call__``.
+    """
 
     kind: str          # strlendist | jaccard | levenshtein
     ngram: int = 1     # only meaningful for jaccard
+    function: Callable[[str, str], Distance] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            resolve = _KINDS[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown output distance kind {self.kind!r}") from None
+        object.__setattr__(self, "function", resolve(self.ngram))
 
     def __call__(self, s1: str, s2: str) -> Distance:
-        if self.kind == "strlendist":
-            return strlendist(s1, s2)
-        if self.kind == "jaccard":
-            return jaccard_ngram(self.ngram, s1, s2)
-        if self.kind == "levenshtein":
-            return levenshtein(s1, s2)
-        raise ValueError(f"unknown output distance kind {self.kind!r}")
+        return self.function(s1, s2)
 
     @property
     def name(self) -> str:
@@ -110,6 +126,9 @@ def parse_distance(name: str) -> OutputDistance:
         raise ValueError(f"unknown distance {name!r} (expected one of {sorted(set(_BY_NAME))})") from None
 
 
+_ZERO = Fraction(0)
+
+
 def pdq(i1: InputTuple, text1: str, i2: InputTuple, text2: str,
         output_distance: OutputDistance = STRLEN) -> Fraction:
     """Program difference quotient d_o(P(a), P(b)) / d_i(a, b), exact.
@@ -122,8 +141,8 @@ def pdq(i1: InputTuple, text1: str, i2: InputTuple, text2: str,
         # zero input distance means elementwise-equal tuples (bools compare as 0/1)
         if i1 == i2:
             raise ValueError("boundariness needs two distinct inputs (zero input distance)")
-        return Fraction(0)
+        return _ZERO
     d_i = input_distance(i1, i2)
     if d_i == 0:
         raise ValueError("boundariness needs two distinct inputs (zero input distance)")
-    return Fraction(d_o) / d_i
+    return Fraction(d_o, d_i)

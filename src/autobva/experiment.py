@@ -117,10 +117,7 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
         unique_clusters[s.strategy] = s.all_covered - others
 
     return ExperimentResult(
-        sut=sut.name, repetitions=repetitions, budget=(
-            {"iterations": base_config.budget_iterations}
-            if base_config.budget_iterations is not None
-            else {"seconds": base_config.budget_seconds}),
+        sut=sut.name, repetitions=repetitions, budget=base_config.budget,
         stats=stats, union_total=union_total, unique_counts=unique_counts,
         report=report, unique_clusters=unique_clusters, total_clusters=total_clusters,
     )

@@ -62,7 +62,7 @@ def display_tuple(values: InputTuple) -> str:
     return "(" + ",".join(render_value(v) for v in values) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExecutionOutcome:
     """The observed result of one execution: a rendered output or a captured error.
 
@@ -75,6 +75,15 @@ class ExecutionOutcome:
     error_kind: Optional[str] = None   # None for valid outcomes
     payload: dict = field(default_factory=dict, compare=False)
 
+    def __init__(self, text: str, error_kind: Optional[str] = None,
+                 payload: Optional[dict] = None):
+        # One outcome per execution: filling the instance dict directly is
+        # cheaper than the frozen dataclass's object.__setattr__ per field.
+        d = self.__dict__
+        d["text"] = text
+        d["error_kind"] = error_kind
+        d["payload"] = {} if payload is None else payload
+
     @property
     def is_valid(self) -> bool:
         return self.error_kind is None
@@ -85,13 +94,14 @@ class ExecutionOutcome:
 
 
 def valid_outcome(text: str) -> ExecutionOutcome:
-    return ExecutionOutcome(text=text)
+    return ExecutionOutcome(text)
 
 
 def error_outcome(kind: str, message: str, **payload) -> ExecutionOutcome:
     """Build an error outcome with the canonical ``Kind("message")`` text."""
     label = _ERROR_LABELS.get(kind, "Error")
-    return ExecutionOutcome(text=f'{label}("{message}")', error_kind=kind, payload=dict(payload))
+    # ``**payload`` already collected into a fresh dict
+    return ExecutionOutcome(f'{label}("{message}")', kind, payload)
 
 
 def bounds_error(accessed: str, index: int) -> ExecutionOutcome:

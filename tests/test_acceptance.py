@@ -17,6 +17,7 @@ from autobva.archive_io import write_archive_csv, write_archive_json, write_repo
 from autobva.detection import (
     Archive,
     DetectionConfig,
+    Runner,
     bcs_search,
     detect,
 )
@@ -261,7 +262,7 @@ def test_criterion_5_oracle_equivalence():
         rng = Random(123)
         for _ in range(100):
             start = (rng.randint(1, 10**6),)
-            found = bcs_search(BC, STRLEN, start, rng)
+            found = bcs_search(Runner(BC), STRLEN, start, rng)
             if not found:
                 continue
             (c,) = found
@@ -361,7 +362,7 @@ def test_criterion_7_property_suites(tmp_path):
         search_rng = Random(7)
         for _ in range(1000):
             start = (search_rng.randint(-10**9, 10**9),)
-            found = bcs_search(BC, STRLEN, start, search_rng)
+            found = bcs_search(Runner(BC), STRLEN, start, search_rng)
             for c in found:
                 diffs = [abs(int(x) - int(y)) for x, y in zip(c.input1, c.input2)]
                 assert sum(diffs) == 1

@@ -1,14 +1,21 @@
 """Mutation operators, the two local strategies, the archive, and the loop."""
 
+import hashlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import autobva.cli as cli
+import autobva.detection as detection
+import autobva.summarization as summarization
+import autobva.suts as suts
+from autobva.archive_io import write_archive_csv
 from autobva.detection import (
     Archive,
     DetectionConfig,
     MutationOperator,
+    Runner,
     bcs_search,
     canonical_candidate,
     detect,
@@ -16,10 +23,10 @@ from autobva.detection import (
     make_candidate,
     mutate,
 )
-from autobva.distances import STRLEN
+from autobva.distances import STRLEN, OutputDistance, parse_distance
 from autobva.oracle import boundary_pairs, is_boundary_pair
 from autobva.sampling import SamplerConfig, TypeDomain
-from autobva.suts import execute, get_sut
+from autobva.suts import SutDescriptor, execute, get_sut
 from autobva.values import valid_outcome
 
 BC = get_sut("bytecount")
@@ -97,12 +104,63 @@ def test_archive_threshold_is_strict():
     assert not archive2.add(half)
 
 
+def scored(score, at: int):
+    """A candidate with the given score on the key (at, at + 1)."""
+    return canonical_candidate((at,), valid_outcome("a"), (at + 1,), valid_outcome("b"),
+                               Fraction(score))
+
+
+@pytest.mark.parametrize("threshold", ["-1/2", "0", "1/2"])
+def test_archive_threshold_is_exact(threshold):
+    t = Fraction(threshold)
+    tiny = Fraction(1, 3 ** 60)    # far below float resolution around t
+    archive = Archive(threshold=t)
+    assert archive.threshold == t
+    assert not archive.add(scored(t - tiny, 1))
+    assert not archive.add(scored(t, 2))
+    assert archive.add(scored(t + tiny, 3))
+    assert [c.key for c in archive] == [("3", "4")]
+
+
+def test_archive_negative_threshold_admits_zero_scores():
+    archive = Archive(threshold=Fraction(-1, 2))
+    assert archive.add(scored(0, 1))
+    assert archive.add(scored(Fraction(-1, 3), 5))
+    assert not archive.add(scored(Fraction(-2, 3), 7))
+    assert len(archive) == 2
+
+
+def test_archive_merge_applies_own_threshold_and_unions_strategies():
+    target, source = Archive(threshold=Fraction(1, 2)), Archive()
+    low, high, shared = scored(Fraction(1, 4), 1), scored(1, 3), scored(2, 5)
+    assert target.add(shared, strategy="lns")
+    for candidate, strategy in ((low, "lns"), (high, "lns"), (shared, "bcs")):
+        assert source.add(candidate, strategy=strategy)
+    target.merge(source)
+    assert [c.key for c in target] == [shared.key, high.key]
+    assert target.strategies == {shared.key: {"lns", "bcs"}, high.key: {"lns"}}
+    assert low.key not in target
+
+
+# ---------------------------------------------------------------------------
+# Runner
+
+
+def test_runner_counts_every_requested_execution():
+    runner = Runner(BC)
+    assert runner.run((999,)).text == "999B"
+    assert runner.run((999,)).text == "999B"    # repeats are executed and counted
+    assert runner.executions == 2
+    lns_search(runner, (10,), STRLEN)
+    assert runner.executions == 2 + 3
+
+
 # ---------------------------------------------------------------------------
 # LNS
 
 
 def test_lns_probes_all_neighbors():
-    found = lns_search(BC, (10,), STRLEN)
+    found = lns_search(Runner(BC), (10,), STRLEN)
     assert len(found) == 2
     scores = {(c.input1[0], c.input2[0]): c.score for c in found}
     assert scores[(10, 11)] == 0
@@ -110,14 +168,27 @@ def test_lns_probes_all_neighbors():
 
 
 def test_lns_on_date_emits_up_to_six():
-    found = lns_search(DATE, (0, 2, 1), STRLEN)
+    found = lns_search(Runner(DATE), (0, 2, 1), STRLEN)
     assert len(found) == 6
     crossing = [c for c in found if c.validity == "VE"]
     assert any(c.input1 == (0, 2, 0) for c in crossing)
 
 
+def test_lns_neighbors_follow_mutation_operator_order():
+    flat = SutDescriptor("flat", 3, lambda inputs: valid_outcome("x"))
+    for inputs in [(0, 2, 1), (True, -5, False), (False, True, 10 ** 30)]:
+        expected = [mutate(inputs, op)
+                    for arg in range(3) for op in (inc(arg), dec(arg))
+                    if mutate(inputs, op) is not None]
+        found = [c.input2 if c.input1 == inputs else c.input1
+                 for c in lns_search(Runner(flat), inputs, STRLEN)]
+        assert found == expected
+        assert [tuple(map(type, n)) for n in found] == \
+            [tuple(map(type, n)) for n in expected]
+
+
 def test_lns_boolean_saturation():
-    found = lns_search(BC, (True,), STRLEN)
+    found = lns_search(Runner(BC), (True,), STRLEN)
     assert len(found) == 1
     assert found[0].input1 == (False,) and found[0].input2 == (True,)
 
@@ -128,7 +199,7 @@ def test_lns_boolean_saturation():
 
 def test_bcs_initial_pair_already_crossing():
     rng = Random(1)
-    found = bcs_search(BC, STRLEN, (999949,), rng)
+    found = bcs_search(Runner(BC), STRLEN, (999949,), rng)
     assert len(found) == 1
     c = found[0]
     # whichever direction was drawn, the emitted pair is a real boundary
@@ -141,7 +212,7 @@ def test_bcs_squeezes_to_first_length_change():
     assert boundary_pairs(BC, 500_000, 10**6) == [(999949, 999950)]
     hits = 0
     for seed in range(40):  # both directions get drawn across seeds
-        found = bcs_search(BC, STRLEN, (500_000,), Random(seed))
+        found = bcs_search(Runner(BC), STRLEN, (500_000,), Random(seed))
         assert len(found) == 1
         c = found[0]
         if c.input1 == (999949,):   # increment direction
@@ -157,7 +228,7 @@ def test_bcs_squeezes_to_first_length_change():
 def test_bcs_no_crossing_returns_filtered_initial():
     # a flat plateau: uniform huge negative, nothing reachable in 2^k steps
     rng = Random(3)
-    found = bcs_search(BC, STRLEN, (-(10**30) + 10**9,), rng, max_doublings=8)
+    found = bcs_search(Runner(BC), STRLEN, (-(10**30) + 10**9,), rng, max_doublings=8)
     assert len(found) == 1
     assert found[0].score == 0
 
@@ -166,7 +237,7 @@ def test_bcs_respects_value_domain():
     rng = Random(5)
     domain = TypeDomain("Int8", "signed", 8)
     for _ in range(100):
-        found = bcs_search(BC, STRLEN, (100,), rng, domains=(domain,))
+        found = bcs_search(Runner(BC), STRLEN, (100,), rng, domains=(domain,))
         for c in found:
             assert -128 <= c.input1[0] <= 127
             assert -128 <= c.input2[0] <= 127
@@ -176,7 +247,7 @@ def test_bcs_postcondition_on_seeded_searches():
     rng = Random(11)
     for _ in range(300):
         start = (rng.randint(-10**6, 10**6),)
-        found = bcs_search(BC, STRLEN, start, rng)
+        found = bcs_search(Runner(BC), STRLEN, start, rng)
         if not found:
             continue
         c = found[0]
@@ -189,7 +260,7 @@ def test_bcs_postcondition_on_seeded_searches():
 def test_bcs_boolean_start_has_no_expansion():
     rng = Random(2)
     for _ in range(20):
-        found = bcs_search(BC, STRLEN, (True,), rng)
+        found = bcs_search(Runner(BC), STRLEN, (True,), rng)
         if found:
             assert found[0].input1 == (False,)
             assert found[0].input2 == (True,)
@@ -240,8 +311,93 @@ def test_detect_archives_known_boundary():
     assert ("999", "1000") in keys
 
 
+def test_detection_config_budget():
+    assert DetectionConfig(budget_iterations=5).budget == {"iterations": 5}
+    assert DetectionConfig(budget_seconds=1.5).budget == {"seconds": 1.5}
+    assert DetectionConfig(budget_iterations=0, budget_seconds=2.0).budget == {"iterations": 0}
+
+
 def test_detect_config_validation():
     with pytest.raises(ValueError):
         DetectionConfig(strategy="tabu", budget_iterations=1)
     with pytest.raises(ValueError):
         DetectionConfig(strategy="bcs")
+
+
+# Seeded runs pinned byte for byte: sha256 of ``write_archive_csv`` output plus
+# the sample and execution counts.  Any change to the search, the scoring or
+# the RNG draws shows up here.
+GOLDEN_ARCHIVES = [
+    # sut, strategy, distance, threshold, iterations, seed,
+    # samples, executions, candidates, archive.csv sha256
+    ("bytecount", "lns", "strlen", "0", 1500, 11, 1500, 4389, 5,
+     "92d0fd2548ccb3a34db010cb6416bc0e9e3c35d4d8894ee9e8aa71c66bcf5834"),
+    ("bytecount", "bcs", "strlen", "0", 1500, 11, 1500, 65699, 52,
+     "de9835117821576f6ea8454de18cfbeb2e36dcd0aa6604972494aa6c20b90acd"),
+    ("date", "lns", "strlen", "0", 1500, 11, 1500, 10139, 319,
+     "2bbbb02bf0f69cece550240db4a60cb78a4a1cfa757d7e50ea837b0b8bd904ee"),
+    ("date", "bcs", "strlen", "0", 1500, 11, 1500, 62558, 491,
+     "d82e2fc9e6e8415ca56a42282e116130c25393db8cb61773b7832b2f082d7a8c"),
+    ("bmi", "bcs", "jaccard2", "0", 300, 11, 300, 11217, 124,
+     "3930d2a68e166322190d93875bdb9b1e07741af2920b5bd188973db2f5efbcbe"),
+    ("date", "lns", "levenshtein", "0", 100, 11, 100, 682, 236,
+     "6ca182960c10532ef9227fb6630bf1997d31cf3b7b738921a009eebc0a8866e6"),
+    ("bmi-class", "lns", "jaccard1", "1/2", 300, 11, 300, 1462, 26,
+     "6e7e4784516fdb34f9f81c93f56d0c5e1a5a7b6259eb7da0b8a7da20ba23b922"),
+]
+
+
+@pytest.mark.parametrize(
+    "sut, strategy, distance, threshold, iterations, seed, samples, executions, candidates, digest",
+    GOLDEN_ARCHIVES)
+def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, iterations,
+                               seed, samples, executions, candidates, digest):
+    cfg = DetectionConfig(strategy=strategy, budget_iterations=iterations,
+                          threshold=Fraction(threshold),
+                          output_distance=parse_distance(distance),
+                          sampler=SamplerConfig(seed=seed))
+    result = detect(get_sut(sut), cfg)
+    path = tmp_path / "archive.csv"
+    write_archive_csv(path, result.archive)
+    assert (result.samples, result.executions, len(result.archive)) == \
+        (samples, executions, candidates)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the tracing seam: bench/tracing.py wraps these names for its traced run
+
+
+TRACED_NAMES = [
+    (detection, ("execute", "sample_arguments", "pdq", "make_candidate", "render_tuple",
+                 "lns_search", "bcs_search")),
+    (detection.Archive, ("add",)),
+    (OutputDistance, ("__call__",)),
+    (suts, ("BUILTIN_SUTS", "make_external_sut")),
+    (cli, ("detect", "summarize", "load_archives", "write_archive_csv", "write_archive_json",
+           "write_manifest", "write_report_json", "write_report_markdown")),
+    (summarization, ("diversity_subset", "kmeans", "silhouette", "select_model")),
+    (summarization.FeatureSpace, ("__init__", "vector")),
+]
+
+
+def test_traced_names_exist():
+    for owner, names in TRACED_NAMES:
+        for name in names:
+            # patched on the owner itself, so it must be defined there
+            assert name in vars(owner), f"{owner.__name__}.{name}"
+
+
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_every_execution_goes_through_detection_execute(monkeypatch, strategy):
+    calls = []
+    original = detection.execute
+
+    def counting(sut, inputs):
+        calls.append(inputs)
+        return original(sut, inputs)
+
+    monkeypatch.setattr(detection, "execute", counting)
+    result = detect(DATE, DetectionConfig(strategy=strategy, budget_iterations=200,
+                                          sampler=SamplerConfig(seed=3)))
+    assert len(calls) == result.executions > 200

@@ -10,6 +10,7 @@ from autobva.distances import (
     JACCARD2,
     LEVENSHTEIN,
     STRLEN,
+    OutputDistance,
     input_distance,
     jaccard_ngram,
     levenshtein,
@@ -129,3 +130,18 @@ def test_parse_distance():
     assert parse_distance("levenshtein") is LEVENSHTEIN
     with pytest.raises(ValueError):
         parse_distance("cosine")
+
+
+def test_output_distance_resolves_its_function():
+    pairs = [("9B", "10B"), ("99.9 kB", "100.0 kB"), ("", "abc"), ("same", "same")]
+    expected = {STRLEN: strlendist, LEVENSHTEIN: levenshtein,
+                JACCARD1: lambda a, b: jaccard_ngram(1, a, b),
+                JACCARD2: lambda a, b: jaccard_ngram(2, a, b)}
+    for dist, reference in expected.items():
+        for a, b in pairs:
+            assert dist(a, b) == dist.function(a, b) == reference(a, b)
+    assert OutputDistance("jaccard", 2) == JACCARD2
+    assert hash(OutputDistance("jaccard", 2)) == hash(JACCARD2)
+    assert repr(JACCARD2) == "OutputDistance(kind='jaccard', ngram=2)"
+    with pytest.raises(ValueError):
+        OutputDistance("cosine")

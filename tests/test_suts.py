@@ -1,6 +1,8 @@
 """Golden fixtures and behavioral properties of the built-in subject programs."""
 
 import calendar
+import dataclasses
+import pickle
 import stat
 from datetime import date as pydate
 from decimal import Decimal, getcontext
@@ -19,7 +21,7 @@ from autobva.suts import (
     rata_die,
     render_float,
 )
-from autobva.values import render_value
+from autobva.values import ExecutionOutcome, render_value, valid_outcome
 
 BC = get_sut("bytecount")
 BMI = get_sut("bmi")
@@ -50,6 +52,26 @@ def test_render_value(value, text):
 ])
 def test_render_float(x, text):
     assert render_float(x) == text
+
+
+def test_execution_outcome_contract():
+    outcome = ExecutionOutcome("E", "argument_error", {"exit_code": 1})
+    for field_name in ("text", "error_kind", "payload"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(outcome, field_name, None)
+    twin = ExecutionOutcome(text="E", error_kind="argument_error", payload={"exit_code": 2})
+    assert outcome == twin and hash(outcome) == hash(twin)      # payload is not compared
+    assert outcome != ExecutionOutcome("E") == valid_outcome("E")
+    first, second = valid_outcome("x"), valid_outcome("x")
+    assert first.payload == {} and first.payload is not second.payload
+    assert repr(first) == "ExecutionOutcome(text='x', error_kind=None, payload={})"
+    assert [f.name for f in dataclasses.fields(ExecutionOutcome)] == \
+        ["text", "error_kind", "payload"]
+    changed = dataclasses.replace(outcome, text="F")
+    assert (changed.text, changed.error_kind, changed.payload) == \
+        ("F", "argument_error", {"exit_code": 1})
+    assert pickle.loads(pickle.dumps(outcome)).payload == {"exit_code": 1}
+
 
 
 # ---------------------------------------------------------------------------
