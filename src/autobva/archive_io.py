@@ -219,9 +219,10 @@ def load_archives(paths, threshold: Optional[Fraction] = None) -> Archive:
             raise DataError(f"not UTF-8 text: {exc}", path) from exc
         for c in candidates:
             merged.add(c)
-            for tag in strategies.get(c.key, ()):
-                if c.key in merged:
-                    merged.strategies.setdefault(c.key, set()).add(tag)
+            key = c.key
+            tags = strategies.get(key)
+            if tags and key in merged:
+                merged.strategies.setdefault(key, set()).update(tags)
     return merged
 
 

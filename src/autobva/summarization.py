@@ -27,6 +27,7 @@ DIVERSITY_WINDOW = 1000
 KMEANS_MAX_ITER = 200
 KMEANS_RESTARTS = 100
 K_MAX = 10
+SILHOUETTE_ROWS = 128   # a 128 x 1000 block of distances is 1 MiB
 
 
 class TextDistances:
@@ -76,7 +77,7 @@ class FeatureSpace:
         raw_wd = [strlendist(c.output1.text, c.output2.text) for c in self.reference]
         self._wd_min = min(raw_wd)
         self._wd_max = max(raw_wd)
-        self.matrix = self._vectors(self.reference)
+        self.matrix = self.vectors(self.reference)
 
     def _weighted_columns(self, texts: Iterable[str]) -> tuple:
         """Matrix columns of the distinct texts in first-appearance order, and
@@ -93,7 +94,7 @@ class FeatureSpace:
         weighted = self.distances.matrix[np.ix_(distinct, cols)] * weights
         return (np.cumsum(weighted, axis=1)[:, -1] / len(self.reference))[inverse]
 
-    def _vectors(self, candidates: Sequence[BoundaryCandidate]) -> np.ndarray:
+    def vectors(self, candidates: Sequence[BoundaryCandidate]) -> np.ndarray:
         """Feature vectors as the columns of a (4, len(candidates)) matrix."""
         index = self.distances.index
         rows1 = [index[c.output1.text] for c in candidates]
@@ -109,7 +110,7 @@ class FeatureSpace:
         ])
 
     def vector(self, c: BoundaryCandidate) -> np.ndarray:
-        return self._vectors([c])[:, 0]
+        return self.vectors([c])[:, 0]
 
 
 def diversity_subset(candidates: Sequence[BoundaryCandidate], rng: random.Random,
@@ -155,6 +156,19 @@ class ClusteringModel:
     reseeded: bool = False
 
 
+def _squared_distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (k, n), from each centroid to each column
+    of a (4, n) feature matrix.  The features are added one at a time, in the
+    order numpy's length-4 ``sum(axis=...)`` adds them, so every entry keeps
+    its bits."""
+    diff = centroids.T[:, :, None] - matrix[:, None, :]
+    diff *= diff
+    sq = diff[0]
+    for feature in diff[1:]:
+        sq += feature
+    return sq
+
+
 def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
            max_iter: int = KMEANS_MAX_ITER,
            distances: Optional[np.ndarray] = None) -> ClusteringModel:
@@ -163,43 +177,48 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     Initial centroids are k distinct random data points; an emptied cluster
     is reseeded with the point farthest from its assigned centroid.
     ``distances`` is the matrix's ``point_distances``, passed on to
-    ``silhouette`` so restarts on one matrix can share it.
+    ``silhouette`` so restarts on one matrix can share it.  Centroids are
+    per-cluster bincount sums, which add each cluster's points in index
+    order exactly as a masked mean does.
     """
-    points = matrix.T
-    n = points.shape[0]
+    features, n = matrix.shape
     if not 2 <= k <= n:
         raise ValueError(f"k={k} must be between 2 and the number of points ({n})")
-    centroids = points[rng.sample(range(n), k)].copy()
+    centroids = matrix.T[rng.sample(range(n), k)]
     assignment = np.full(n, -1)
+    everyone = np.arange(n)
+    bins = k * np.arange(features)[:, None]   # feature f of cluster c -> bin f * k + c
     history: list = []
     reseeded = False
     for _ in range(max_iter):
-        sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignment = sq.argmin(axis=1)
+        sq = _squared_distances(matrix, centroids)
+        new_assignment = sq.argmin(axis=0)
         # an emptied cluster steals the point farthest from its own centroid;
         # repeat in case the theft empties a singleton donor
         claimed: set = set()
         while True:
-            empty = [c for c in range(k) if not (new_assignment == c).any()]
-            if not empty:
+            counts = np.bincount(new_assignment, minlength=k)
+            empty = np.flatnonzero(counts == 0)
+            if not len(empty):
                 break
             reseeded = True
             for cluster in empty:
-                own_dist = sq[np.arange(n), new_assignment].copy()
+                own_dist = sq[new_assignment, everyone]
                 donors = np.bincount(new_assignment, minlength=k)[new_assignment] > 1
-                eligible = donors & ~np.isin(np.arange(n), list(claimed))
+                eligible = donors & ~np.isin(everyone, list(claimed))
                 if not eligible.any():
-                    eligible = ~np.isin(np.arange(n), list(claimed))
+                    eligible = ~np.isin(everyone, list(claimed))
                 own_dist[~eligible] = -1.0
                 farthest = int(own_dist.argmax())
                 new_assignment[farthest] = cluster
                 claimed.add(farthest)
-        history.append(float(((points - centroids[new_assignment]) ** 2).sum()))
+        history.append(float(sq[new_assignment, everyone].sum()))
         if (new_assignment == assignment).all():
             break
         assignment = new_assignment
-        for cluster in range(k):
-            centroids[cluster] = points[assignment == cluster].mean(axis=0)
+        sums = np.bincount((assignment + bins).ravel(), weights=matrix.ravel(),
+                           minlength=features * k)
+        centroids = (sums.reshape(features, k) / counts).T
     return ClusteringModel(k, centroids, assignment,
                            silhouette(matrix, assignment, distances), history, reseeded)
 
@@ -214,9 +233,11 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
                distances: Optional[np.ndarray] = None) -> float:
     """Mean silhouette score over all points; singleton clusters contribute 0.
 
-    ``distances`` defaults to ``point_distances(matrix)``.  Each per-cluster
-    row sum runs over a C-contiguous copy, which numpy sums in the same order
-    as one point's masked row; the per-point scores then add left to right.
+    ``distances`` defaults to ``point_distances(matrix)``.  The columns are
+    grouped by label with one stable sort, so each per-cluster row sum runs
+    over a contiguous slice in the same order as one point's masked row; the
+    rows are gathered ``SILHOUETTE_ROWS`` at a time, so the sums read a block
+    that is still in cache.  The per-point scores then add left to right.
     """
     labels, sizes = np.unique(assignment, return_counts=True)
     if len(labels) < 2:
@@ -224,8 +245,18 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
     if distances is None:
         distances = point_distances(matrix)
     n = len(assignment)
-    sums = np.column_stack([np.ascontiguousarray(distances[:, assignment == label]).sum(axis=1)
-                            for label in labels])
+    order = np.argsort(assignment, kind="stable")
+    ends = np.cumsum(sizes)
+    columns = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    sums = np.empty((len(labels), n))
+    block = np.empty((min(n, SILHOUETTE_ROWS), n))
+    for top in range(0, n, SILHOUETTE_ROWS):
+        rows = slice(top, min(top + SILHOUETTE_ROWS, n))
+        # mode="clip" lets take write into ``block`` without a temporary
+        grouped = distances[rows].take(order, axis=1, out=block[:rows.stop - top], mode="clip")
+        for label_sums, label_columns in zip(sums, columns):
+            np.add.reduce(grouped[:, label_columns], axis=1, out=label_sums[rows])
+    sums = sums.T
     own = np.searchsorted(labels, assignment)
     points = np.arange(n)
     own_size = sizes[own]
@@ -352,10 +383,10 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
         member_lists: list = [[] for _ in range(best.k)]
         for point, cluster in enumerate(best.assignment):
             member_lists[cluster].append(subset[point])
-        for candidate in dropped:
-            vec = space.vector(candidate)
-            nearest = int(((best.centroids - vec) ** 2).sum(axis=1).argmin())
-            member_lists[nearest].append(candidate)
+        if dropped:
+            nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
+            for candidate, cluster in zip(dropped, nearest):
+                member_lists[cluster].append(candidate)
         ordered = sorted((m for m in member_lists if m),
                          key=lambda ms: (-len(ms), _pick_representative(ms).key))
         clusters = [

@@ -138,6 +138,33 @@ def test_load_archives_merges_and_dedups(tmp_path):
     assert len(again) == len(r1.archive)
 
 
+def test_load_archives_unions_strategies_and_renders_keys_once(tmp_path, monkeypatch):
+    import autobva.detection as detection
+    _, lns = _run(seed=1, strategy="lns")
+    _, bcs = _run(seed=1)
+    p1, p2 = tmp_path / "lns.json", tmp_path / "bcs.json"
+    write_archive_json(p1, lns.archive)
+    write_archive_json(p2, bcs.archive)
+    expected = Archive(Fraction(-1))
+    expected.merge(lns.archive)
+    expected.merge(bcs.archive)
+    assert any(len(tags) == 2 for tags in expected.strategies.values())
+
+    renders = []
+    render = detection.render_tuple
+    monkeypatch.setattr(detection, "render_tuple", lambda values: renders.append(1) or render(values))
+    merged = load_archives([p1, p2])
+    assert merged.strategies == expected.strategies
+    # one key each in read_archive_json, Archive.add and the merge loop
+    assert len(renders) == 2 * 3 * (len(lns.archive) + len(bcs.archive))
+
+    # a candidate below the threshold keeps no strategies
+    high = max(c.score for c in merged)
+    kept = load_archives([p1, p2], threshold=high - Fraction(1, 10**9))
+    assert set(kept.strategies) == {c.key for c in kept}
+    assert len(kept) < len(merged)
+
+
 def test_manifest_file(tmp_path):
     cfg, result = _run(seed=3, iterations=200)
     manifest = RunManifest.from_result("bytecount", cfg, result)

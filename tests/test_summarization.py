@@ -246,6 +246,88 @@ def test_kmeans_wcss_monotone_and_silhouette_bounded():
                 assert later <= earlier + 1e-9
 
 
+def _reference_silhouette(matrix, assignment, distances):
+    """The masked-copy silhouette that ``silhouette`` replaced."""
+    labels, sizes = np.unique(assignment, return_counts=True)
+    n = len(assignment)
+    sums = np.column_stack([np.ascontiguousarray(distances[:, assignment == label]).sum(axis=1)
+                            for label in labels])
+    own = np.searchsorted(labels, assignment)
+    points = np.arange(n)
+    own_size = sizes[own]
+    a = sums[points, own] / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[points, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(n)
+    counted = (own_size > 1) & (denom > 0)
+    scores[counted] = (b[counted] - a[counted]) / denom[counted]
+    return float(np.cumsum(scores)[-1]) / n
+
+
+def _reference_kmeans(matrix, k, rng, distances, max_iter=200):
+    """The masked-mean Lloyd loop that ``kmeans`` replaced: an n x k x 4
+    difference array per iteration and one boolean mask per cluster."""
+    points = matrix.T
+    n = points.shape[0]
+    centroids = points[rng.sample(range(n), k)].copy()
+    assignment = np.full(n, -1)
+    history = []
+    reseeded = False
+    for _ in range(max_iter):
+        sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assignment = sq.argmin(axis=1)
+        claimed = set()
+        while True:
+            empty = [c for c in range(k) if not (new_assignment == c).any()]
+            if not empty:
+                break
+            reseeded = True
+            for cluster in empty:
+                own_dist = sq[np.arange(n), new_assignment].copy()
+                donors = np.bincount(new_assignment, minlength=k)[new_assignment] > 1
+                eligible = donors & ~np.isin(np.arange(n), list(claimed))
+                if not eligible.any():
+                    eligible = ~np.isin(np.arange(n), list(claimed))
+                own_dist[~eligible] = -1.0
+                farthest = int(own_dist.argmax())
+                new_assignment[farthest] = cluster
+                claimed.add(farthest)
+        history.append(float(((points - centroids[new_assignment]) ** 2).sum()))
+        if (new_assignment == assignment).all():
+            break
+        assignment = new_assignment
+        for cluster in range(k):
+            centroids[cluster] = points[assignment == cluster].mean(axis=0)
+    return ClusteringModel(k, centroids, assignment,
+                           _reference_silhouette(matrix, assignment, distances), history, reseeded)
+
+
+def test_kmeans_equals_masked_reference_bit_for_bit():
+    rng = np.random.RandomState(11)
+    reseeded = 0
+    for trial in range(120):
+        k = 2 + trial % 9
+        n = int(rng.randint(k, 1001)) if trial % 4 else int(rng.randint(k, 40))
+        if trial % 3 == 0:
+            # few distinct columns: duplicated initial centroids empty a cluster
+            distinct = rng.rand(4, int(rng.randint(2, k + 3)))
+            matrix = distinct[:, rng.randint(0, distinct.shape[1], size=n)]
+        else:
+            matrix = rng.rand(4, n) * 10.0 ** rng.randint(-3, 4)
+        distances = point_distances(matrix)
+        got = kmeans(matrix, k, Random(trial), distances=distances)
+        expected = _reference_kmeans(matrix, k, Random(trial), distances)
+        assert got.assignment.tolist() == expected.assignment.tolist(), trial
+        assert got.centroids.tolist() == expected.centroids.tolist(), trial
+        assert got.silhouette == expected.silhouette, trial
+        assert got.reseeded == expected.reseeded, trial
+        assert got.wcss_history == pytest.approx(expected.wcss_history, rel=1e-9, abs=0), trial
+        reseeded += got.reseeded
+    assert reseeded >= 10
+
+
 def _naive_silhouette(matrix, assignment):
     """Point-by-point reference: a over the own cluster, b the nearest other
     cluster's mean distance, singletons contributing 0."""
@@ -283,6 +365,20 @@ def test_silhouette_equals_naive_loop_bit_for_bit():
         assert silhouette(matrix, assignment) == expected
         assert silhouette(matrix, assignment, point_distances(matrix)) == expected
     assert singletons >= 20
+
+
+def test_silhouette_equals_naive_loop_at_real_cluster_sizes():
+    # clusters above 128 members make numpy's pairwise row sums recurse
+    rng = np.random.RandomState(8)
+    for trial in range(6):
+        k = 2 + trial % 3
+        n = int(rng.randint(300, 1001))
+        matrix = rng.rand(4, n)
+        assignment = np.minimum(rng.randint(0, k + 2, size=n), k - 1)   # last label is large
+        assert np.bincount(assignment).max() > 128
+        expected = _naive_silhouette(matrix, assignment)
+        assert silhouette(matrix, assignment) == expected
+        assert silhouette(matrix, assignment, point_distances(matrix)) == expected
 
 
 def test_silhouette_two_tight_far_clusters():
@@ -378,14 +474,32 @@ def test_summarize_representative_is_shortest():
             assert all(total_len(m) >= rep_len for m in cluster.members)
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (0, "2779a2ee519e19a441c41c919e561b84eb02deb662fd7bcf6da2759adf2c102c"),
-    (1, "4858508e3cebe9bf78dcef82bb35aac0b8a2e7872bde41898ea7a3986737551b"),
+def _date_lns_archive():
+    """The seeded date LNS archive at bench scale: EE 1831, VE 569, VV 17."""
+    cfg = DetectionConfig(strategy="lns", budget_iterations=10000, sampler=SamplerConfig(seed=0))
+    return detect(DATE, cfg).archive
+
+
+# window 20 / block 6 runs diversity rounds on both VE (28) and EE (143) of
+# the small archive; the default window keeps 1000 of the bench-scale EE
+# group, whose clusters grow past 128 members, and attaches the other 831
+_GOLDEN_SMALL = dict(archive=_date_archive, restarts=20, block=6, window=20)
+_GOLDEN_BENCH = dict(archive=_date_lns_archive, restarts=20)
+
+
+@pytest.mark.parametrize("seed, digest, options", [
+    pytest.param(0, "2779a2ee519e19a441c41c919e561b84eb02deb662fd7bcf6da2759adf2c102c",
+                 _GOLDEN_SMALL, id="0-2779a2ee519e19a441c41c919e561b84eb02deb662fd7bcf6da2759adf2c102c"),
+    pytest.param(1, "4858508e3cebe9bf78dcef82bb35aac0b8a2e7872bde41898ea7a3986737551b",
+                 _GOLDEN_SMALL, id="1-4858508e3cebe9bf78dcef82bb35aac0b8a2e7872bde41898ea7a3986737551b"),
+    pytest.param(0, "76fc420713afe94f6638fe82e5028f27bbe56faa0d88154851bda11b6d279016",
+                 _GOLDEN_BENCH, id="window1000-0"),
 ])
-def test_summarize_golden_report(tmp_path, seed, digest):
-    # window 20 / block 6 runs diversity rounds on both VE (28) and EE (143),
-    # so dropped candidates are attached; the digests pin report.json bytes
-    report = summarize(_date_archive(), Random(seed), restarts=20, block=6, window=20)
+def test_summarize_golden_report(tmp_path, seed, digest, options):
+    # the digests pin report.json bytes; they were computed before the
+    # clustering core moved to bincount centroids and sorted silhouette slices
+    options = dict(options)
+    report = summarize(options.pop("archive")(), Random(seed), **options)
     path = tmp_path / "report.json"
     write_report_json(path, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
