@@ -12,12 +12,13 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .detection import Archive, BoundaryCandidate, DetectionResult, canonical_candidate
 from .summarization import ClusterReport
-from .values import ExecutionOutcome, parse_tuple, render_tuple, display_tuple
+from .values import ExecutionOutcome, parse_tuple, display_tuple
 
 CSV_HEADER = ["input1", "input2", "output1", "output2", "validity", "score_num", "score_den"]
 
@@ -83,12 +84,10 @@ def write_archive_csv(path, candidates: Iterable[BoundaryCandidate]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for c in candidates:
-            writer.writerow([
-                render_tuple(c.input1), render_tuple(c.input2),
-                c.output1.text, c.output2.text,
-                c.validity, c.score.numerator, c.score.denominator,
-            ])
+        writer.writerows(
+            (*c.key, c.output1.text, c.output2.text,
+             c.validity, c.score.numerator, c.score.denominator)
+            for c in candidates)
 
 
 def _outcome_from_text(text: str, is_error: bool) -> ExecutionOutcome:
@@ -136,13 +135,46 @@ def read_archive_csv(path) -> list:
     return out
 
 
-def _outcome_to_json(o: ExecutionOutcome) -> dict:
-    data = {"status": o.status, "text": o.text}
-    if o.error_kind is not None:
-        data["error_kind"] = o.error_kind
-        if o.payload:
-            data["payload"] = o.payload
-    return data
+def _indented_json(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=1)`` writes it nested under a
+    key that sits ``indent`` deep."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + indent)
+
+
+def _payload_json(payload: dict) -> str:
+    """An error payload as it sits under its ``payload`` key."""
+    if all(type(k) is str and type(v) in (str, int) for k, v in payload.items()):
+        # the flat shape every built-in program and the external adapter
+        # write, formatted without json's pure-Python encoder
+        return "{\n     " + ",\n     ".join(
+            f"{_json_str(k)}: {_json_str(v) if type(v) is str else v}"
+            for k, v in payload.items()) + "\n    }"
+    return _indented_json(payload, "    ")
+
+
+def _outcome_json(o: ExecutionOutcome) -> str:
+    """One outcome object as it sits under a candidate's ``outputN`` key."""
+    head = f'{{\n    "status": "{o.status}",\n    "text": {_json_str(o.text)}'
+    if o.error_kind is None:
+        return head + "\n   }"
+    head += f',\n    "error_kind": {_json_str(o.error_kind)}'
+    if o.payload:
+        head += f',\n    "payload": {_payload_json(o.payload)}'
+    return head + "\n   }"
+
+
+def _candidate_json(c: BoundaryCandidate, strategies: dict) -> str:
+    """One entry of the ``candidates`` list, without its trailing separator."""
+    input1, input2 = key = c.key
+    tags = sorted(strategies.get(key, ()))
+    tags_json = "[\n    " + ",\n    ".join(map(_json_str, tags)) + "\n   ]" if tags else "[]"
+    score = c.score
+    return (f'  {{\n   "input1": {_json_str(input1)},\n   "input2": {_json_str(input2)},'
+            f'\n   "output1": {_outcome_json(c.output1)},'
+            f'\n   "output2": {_outcome_json(c.output2)},'
+            f'\n   "validity": "{c.validity}",'
+            f'\n   "score": {{\n    "num": {score.numerator},\n    "den": {score.denominator}\n   }},'
+            f'\n   "strategies": {tags_json}\n  }}')
 
 
 def _outcome_from_json(data: dict) -> ExecutionOutcome:
@@ -154,22 +186,20 @@ def _outcome_from_json(data: dict) -> ExecutionOutcome:
 
 
 def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] = None) -> None:
-    doc = {
-        "manifest": asdict(manifest) if manifest else None,
-        "candidates": [
-            {
-                "input1": render_tuple(c.input1),
-                "input2": render_tuple(c.input2),
-                "output1": _outcome_to_json(c.output1),
-                "output2": _outcome_to_json(c.output2),
-                "validity": c.validity,
-                "score": {"num": c.score.numerator, "den": c.score.denominator},
-                "strategies": sorted(archive.strategies.get(c.key, ())),
-            }
-            for c in archive
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    """Write the bytes ``json.dumps(doc, indent=1)`` writes for the document
+    ``{"manifest": ..., "candidates": [...]}``.
+
+    ``indent`` sends ``json`` through its pure-Python encoder, so candidates,
+    by far the bulk, are formatted here directly; the manifest and error
+    payloads other than flat string-to-string-or-int maps still go through
+    ``json.dumps``.  Texts, error kinds and strategy names are strings.
+    """
+    strategies = archive.strategies
+    entries = [_candidate_json(c, strategies) for c in archive]
+    candidates = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    manifest_json = _indented_json(asdict(manifest) if manifest else None, " ")
+    Path(path).write_text(f'{{\n "manifest": {manifest_json},\n "candidates": {candidates}\n}}',
+                          encoding="utf-8")
 
 
 def read_archive_json(path) -> tuple:
@@ -248,9 +278,9 @@ def report_to_json(report: ClusterReport) -> dict:
                         "size": c.size,
                         "strategy_counts": c.strategy_counts,
                         "representative": {
-                            "input1": render_tuple(c.representative.input1),
+                            "input1": c.representative.key[0],
                             "output1": c.representative.output1.text,
-                            "input2": render_tuple(c.representative.input2),
+                            "input2": c.representative.key[1],
                             "output2": c.representative.output2.text,
                         },
                         "members": [list(m.key) for m in c.members],

@@ -36,7 +36,7 @@ from .experiment import run_experiment
 from .sampling import SamplerConfig
 from .summarization import summarize
 from .suts import UsageError, get_sut
-from .values import parse_value, render_tuple
+from .values import parse_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -167,12 +167,13 @@ def cmd_rank(args) -> int:
     for c in archive:
         score = pdq(c.input1, c.output1.text, c.input2, c.output2.text, distance)
         scored.append((score, c))
-    scored.sort(key=lambda sc: (-sc[0], render_tuple(sc[1].input1), render_tuple(sc[1].input2)))
+    scored.sort(key=lambda sc: (-sc[0], sc[1].key))
 
     rows = []
     per_cluster_count: dict = {}
     for score, c in scored:
-        cluster = cluster_ids.get(c.key, "")
+        key = c.key
+        cluster = cluster_ids.get(key, "")
         if args.top is not None:
             bucket = cluster if args.report else ""
             per_cluster_count[bucket] = per_cluster_count.get(bucket, 0) + 1
@@ -180,7 +181,7 @@ def cmd_rank(args) -> int:
                 continue
         rows.append({
             "rank": len(rows) + 1, "cluster": cluster,
-            "input1": render_tuple(c.input1), "input2": render_tuple(c.input2),
+            "input1": key[0], "input2": key[1],
             "output1": c.output1.text, "output2": c.output2.text,
             "validity": c.validity,
             "score_num": score.numerator, "score_den": score.denominator,

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .distances import STRLEN, OutputDistance, pdq
@@ -52,7 +53,7 @@ def mutate(inputs: InputTuple, op: MutationOperator) -> Optional[InputTuple]:
     return inputs[:op.argument_index] + (new,) + inputs[op.argument_index + 1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundaryCandidate:
     """A pair of nearby inputs with their outputs and exact score.
 
@@ -66,8 +67,22 @@ class BoundaryCandidate:
     output2: ExecutionOutcome
     score: Fraction
 
-    @property
+    def __init__(self, input1: InputTuple, output1: ExecutionOutcome,
+                 input2: InputTuple, output2: ExecutionOutcome, score: Fraction):
+        # One candidate per scored pair: filling the instance dict directly is
+        # cheaper than the frozen dataclass's object.__setattr__ per field.
+        d = self.__dict__
+        d["input1"] = input1
+        d["output1"] = output1
+        d["input2"] = input2
+        d["output2"] = output2
+        d["score"] = score
+
+    @cached_property
     def key(self) -> tuple:
+        """The rendered input pair, the candidate's identity in archives and
+        reports; rendered on first use and kept, so pairs that never reach
+        an archive never pay for it."""
         return (render_tuple(self.input1), render_tuple(self.input2))
 
     @property
@@ -149,8 +164,8 @@ class Archive:
 
 
 class Runner:
-    """The one execution path of a search: runs a SUT and counts every
-    requested execution.
+    """The one execution path of the searches and the oracle: runs a SUT and
+    counts every requested execution.
 
     Executions go through this module's ``execute``, looked up at call time,
     so anything that wraps that function sees every call.

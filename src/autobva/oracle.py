@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .detection import BoundaryCandidate
+from .detection import BoundaryCandidate, Runner
 from .distances import STRLEN, OutputDistance
-from .suts import SutDescriptor, execute
+from .suts import SutDescriptor
 from .values import InputTuple
 
 MAX_UNFORCED_EVALUATIONS = 10 ** 8
@@ -52,14 +52,15 @@ def scan_adjacent(sut: SutDescriptor, start: int, stop: int,
     def at(x: int) -> InputTuple:
         return fixed[:vary] + (x,) + fixed[vary + 1:]
 
+    run = Runner(sut).run
     prev_input = at(start)
-    prev = execute(sut, prev_input)
+    prev = run(prev_input)
     for x in range(start, stop):
         cur_input = at(x + 1)
-        cur = execute(sut, cur_input)
-        if output_distance(prev.text, cur.text) > 0:
-            yield BoundaryCandidate(prev_input, prev, cur_input, cur,
-                                    Fraction(output_distance(prev.text, cur.text)))
+        cur = run(cur_input)
+        distance = output_distance(prev.text, cur.text)
+        if distance > 0:
+            yield BoundaryCandidate(prev_input, prev, cur_input, cur, Fraction(distance))
         prev_input, prev = cur_input, cur
 
 
@@ -77,4 +78,5 @@ def is_boundary_pair(sut: SutDescriptor, i1: InputTuple, i2: InputTuple,
     diffs = [(a, b) for a, b in zip(i1, i2) if a != b]
     if len(diffs) != 1 or abs(int(diffs[0][0]) - int(diffs[0][1])) != 1:
         return False
-    return output_distance(execute(sut, i1).text, execute(sut, i2).text) > 0
+    run = Runner(sut).run
+    return output_distance(run(i1).text, run(i2).text) > 0

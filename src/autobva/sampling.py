@@ -25,6 +25,11 @@ class TypeDomain:
     signedness: str   # unsigned | signed | boolean | big
     bit_width: int
 
+    def __post_init__(self):
+        # a domain holds at least one value; draws below rely on it
+        if self.bit_width < 1:
+            raise ValueError(f"bit_width must be >= 1, got {self.bit_width}")
+
     def bounds(self) -> tuple:
         """Representable range (inclusive)."""
         if self.signedness == "boolean":
@@ -40,6 +45,7 @@ class TypeDomain:
         return lo <= v <= hi
 
 
+@lru_cache(maxsize=None)
 def _big(cap: int) -> TypeDomain:
     return TypeDomain("BigInt", "big", cap)
 
@@ -93,15 +99,20 @@ def sample_value(domain: TypeDomain, config: SamplerConfig, rng: random.Random) 
     [2^(L-1), 2^L), then a uniform sign for signed/big domains.  The
     two's-complement extreme negative is never produced, so every value
     survives a +/-1 mutation inside the domain.
+
+    Draws call ``rng._randbelow`` directly: ``randrange``, ``randint`` and
+    ``choice`` reduce to exactly that call for the non-empty ranges drawn
+    here, so values and the generator's state are the same as through them.
     """
+    below = rng._randbelow
     if domain.signedness == "boolean":
-        return bool(rng.randrange(2))
+        return bool(below(2))
     if config.method == "uniform":
         lo, hi = domain.bounds()
-        return rng.randint(lo, hi)
-    length = rng.randrange(domain.bit_width)
-    magnitude = 0 if length == 0 else rng.randrange(1 << (length - 1), 1 << length)
-    if domain.signedness in ("signed", "big") and rng.randrange(2):
+        return lo + below(hi - lo + 1)
+    length = below(domain.bit_width)
+    magnitude = 0 if length == 0 else (1 << (length - 1)) + below(1 << (length - 1))
+    if domain.signedness in ("signed", "big") and below(2):
         return -magnitude
     return magnitude
 
@@ -112,7 +123,8 @@ def sample_arguments(sut: SutDescriptor, config: SamplerConfig,
     out = []
     for abstract in sut.argument_types:
         if config.cts:
-            domain = rng.choice(compatible_types(abstract, config.big_int_bit_cap))
+            domains = compatible_types(abstract, config.big_int_bit_cap)
+            domain = domains[rng._randbelow(len(domains))]
         else:
             domain = _big(config.big_int_bit_cap)
         out.append((sample_value(domain, config, rng), domain))

@@ -155,8 +155,9 @@ def test_load_archives_unions_strategies_and_renders_keys_once(tmp_path, monkeyp
     monkeypatch.setattr(detection, "render_tuple", lambda values: renders.append(1) or render(values))
     merged = load_archives([p1, p2])
     assert merged.strategies == expected.strategies
-    # one key each in read_archive_json, Archive.add and the merge loop
-    assert len(renders) == 2 * 3 * (len(lns.archive) + len(bcs.archive))
+    # each candidate read renders its key once; Archive.add and the merge
+    # loop read the kept key
+    assert len(renders) == 2 * (len(lns.archive) + len(bcs.archive))
 
     # a candidate below the threshold keeps no strategies
     high = max(c.score for c in merged)
@@ -192,3 +193,109 @@ def test_report_files(tmp_path):
         assert sum(c["size"] for c in group["clusters"]) == group["size"]
         for cluster in group["clusters"]:
             assert len(cluster["members"]) == cluster["size"]
+
+
+# ---------------------------------------------------------------------------
+# write_archive_json against the json module
+
+
+def _reference_archive_json(archive, manifest=None) -> str:
+    """The document ``write_archive_json`` must reproduce byte for byte,
+    built as a dict and encoded by ``json.dumps(doc, indent=1)``."""
+    from dataclasses import asdict
+
+    from autobva.values import render_tuple
+
+    def outcome(o):
+        data = {"status": o.status, "text": o.text}
+        if o.error_kind is not None:
+            data["error_kind"] = o.error_kind
+            if o.payload:
+                data["payload"] = o.payload
+        return data
+
+    doc = {
+        "manifest": asdict(manifest) if manifest else None,
+        "candidates": [
+            {
+                "input1": render_tuple(c.input1),
+                "input2": render_tuple(c.input2),
+                "output1": outcome(c.output1),
+                "output2": outcome(c.output2),
+                "validity": c.validity,
+                "score": {"num": c.score.numerator, "den": c.score.denominator},
+                "strategies": sorted(archive.strategies.get(c.key, ())),
+            }
+            for c in archive
+        ],
+    }
+    return json.dumps(doc, indent=1)
+
+
+@pytest.fixture(scope="module")
+def json_cases():
+    import sys
+
+    from autobva.detection import BoundaryCandidate, make_candidate
+    from autobva.distances import STRLEN
+    from autobva.suts import execute, make_external_sut
+    from autobva.values import ExecutionOutcome
+
+    def pair(sut, i1, i2):
+        return make_candidate(i1, execute(sut, i1), i2, execute(sut, i2), STRLEN)
+
+    cases = {"empty": (Archive(), None)}
+
+    # bytecount BoundsError and date ArgumentError payloads, found by detect
+    big = 999999999999994822657
+    errors = Archive()
+    errors.add(pair(BC, (big - 1,), (big,)), "bcs")
+    errors.add(pair(get_sut("date"), (2021, 2, 28), (2021, 2, 29)), "lns")
+    errors.add(pair(get_sut("date"), (2021, 12, 1), (2021, 13, 1)))
+    exits = make_external_sut(f"{sys.executable} -c 'import sys; sys.exit(int(sys.argv[1]))'")
+    errors.add(pair(exits, (0,), (3,)), "bcs")
+    cases["error payloads"] = (errors, None)
+
+    cfg, result = _run(seed=5, strategy="lns")
+    manifest = RunManifest.from_result("bytecount", cfg, result)
+    merged = Archive()
+    merged.merge(result.archive)
+    _, bcs = _run(seed=5)
+    merged.merge(bcs.archive)
+    bmi = detect(get_sut("bmi"), DetectionConfig(strategy="lns", budget_iterations=100))
+    for c in bmi.archive:
+        merged.add(c)  # no strategy: written as an empty list
+    assert any(len(tags) == 2 for tags in merged.strategies.values())
+    assert any(c.key not in merged.strategies for c in merged)
+    cases["merged with manifest"] = (merged, manifest)
+
+    odd = Archive()
+    texts = ['quote " and back\\slash', "tab\tnew\nline\r\x00\x1f\x7f", "kB éß   \U0001f600",
+             "", "</script>", "\ud800 lone surrogate"]
+    payloads = [
+        lambda text: {"field": text, "value": -(10 ** 30), text: 0},  # flat, as programs write
+        lambda text: {"field": text, "flag": True},                  # a bool is no int here
+        lambda text: {"nested": {"list": [1, text, None, 2.5], "empty": {}}, "n": 1.0},
+    ]
+    for n, text in enumerate(texts):
+        odd.add(BoundaryCandidate(
+            (n, True), ExecutionOutcome(text),
+            (n + 1, True), ExecutionOutcome(text, "argument_error", payloads[n % 3](text)),
+            Fraction(n + 1, 3)), "lns" if n % 2 else None)
+    odd.strategies[next(iter(odd)).key] = {"zé", "a\"b", "lns"}
+    cases["escapes"] = (odd, RunManifest(sut="external:echo é \"x\"", strategy="bcs", seed=-1,
+                                         budget={"seconds": 0.5}, elapsed_seconds=1e-7))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["empty", "error payloads", "merged with manifest", "escapes"])
+def test_write_archive_json_equals_json_dumps(tmp_path, json_cases, case):
+    archive, manifest = json_cases[case]
+    path = tmp_path / "archive.json"
+    write_archive_json(path, archive, manifest)
+    assert path.read_bytes() == _reference_archive_json(archive, manifest).encode("utf-8")
+    if case == "error payloads":
+        kinds = {c.output2.error_kind for c in archive}
+        assert kinds == {"bounds_error", "argument_error"}
+        payloads = [c.output2.payload for c in archive]
+        assert {"exit_code": 3} in payloads and {"accessed": "kMGTPE", "index": 7} in payloads

@@ -1,6 +1,8 @@
 """Mutation operators, the two local strategies, the archive, and the loop."""
 
+import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
@@ -10,9 +12,10 @@ import autobva.cli as cli
 import autobva.detection as detection
 import autobva.summarization as summarization
 import autobva.suts as suts
-from autobva.archive_io import write_archive_csv
+from autobva.archive_io import RunManifest, write_archive_csv, write_archive_json
 from autobva.detection import (
     Archive,
+    BoundaryCandidate,
     DetectionConfig,
     MutationOperator,
     Runner,
@@ -79,6 +82,27 @@ def test_candidate_validity_tags():
     assert cand(999999999999994822656, 999999999999994822657).validity == "VE"
     assert cand(999999999999990520104160854016,
                 999999999999990520104160854017).validity == "EE"
+
+
+def test_candidate_is_a_frozen_value():
+    o1, o2 = valid_outcome("9B"), valid_outcome("10B")
+    c = BoundaryCandidate((9,), o1, (10,), o2, Fraction(1))
+    fresh = BoundaryCandidate((9,), o1, (10,), o2, Fraction(1))
+    assert c.key == ("9", "10")    # kept on c only; identity stays the five fields
+    for name in ("input1", "output1", "input2", "output2", "score", "key"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, None)
+    assert [f.name for f in dataclasses.fields(c)] == \
+        ["input1", "output1", "input2", "output2", "score"]
+    assert c == fresh and fresh == c
+    assert hash(c) == hash(fresh) == hash(((9,), o1, (10,), o2, Fraction(1)))
+    assert c != BoundaryCandidate((9,), o1, (10,), o2, Fraction(2))
+    assert repr(c) == repr(fresh) == (
+        "BoundaryCandidate(input1=(9,), output1=ExecutionOutcome(text='9B', error_kind=None, "
+        "payload={}), input2=(10,), output2=ExecutionOutcome(text='10B', error_kind=None, "
+        "payload={}), score=Fraction(1, 1))")
+    moved = dataclasses.replace(c, score=Fraction(3))
+    assert moved.score == 3 and moved.key == c.key
 
 
 def test_archive_deduplicates_both_orientations():
@@ -347,6 +371,26 @@ GOLDEN_ARCHIVES = [
 ]
 
 
+# sha256 of ``write_archive_json`` for the same runs, with the run's manifest
+# at zero elapsed time
+GOLDEN_ARCHIVE_JSON = {
+    ("bytecount", "lns", "strlen"):
+        "ae86cae282a5a67882b502ea4ca6e3b01a0f960db5956f089102968974713f5e",
+    ("bytecount", "bcs", "strlen"):
+        "5a3fe1ef9df5c50dbaa9d58a5fa322839c1b3ab2fcba22e9954d23e84ef3cf0f",
+    ("date", "lns", "strlen"):
+        "148d082bee11e9f942283f44dd743616bcbc4b184755b34a1deb20555383d0a8",
+    ("date", "bcs", "strlen"):
+        "4d95aff3413cf6d3990fd281c4d080823718966b5e516fdcd499319698ec333e",
+    ("bmi", "bcs", "jaccard2"):
+        "342037550e8798cf6cc86225f6e798e1ac0acb68e9b61a1852be4e8fa8b3274f",
+    ("date", "lns", "levenshtein"):
+        "c8235b9bd358f7ba697879f8532438a58ea5d52cbfce476e39d4a526c53a045a",
+    ("bmi-class", "lns", "jaccard1"):
+        "ccc9d36accef1e71ee1f864d37ba8d908902c61ba4bbb894e4c8b7376ba92f8d",
+}
+
+
 @pytest.mark.parametrize(
     "sut, strategy, distance, threshold, iterations, seed, samples, executions, candidates, digest",
     GOLDEN_ARCHIVES)
@@ -362,6 +406,11 @@ def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, ite
     assert (result.samples, result.executions, len(result.archive)) == \
         (samples, executions, candidates)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    manifest = RunManifest.from_result(sut, cfg, dataclasses.replace(result, elapsed=0.0))
+    path = tmp_path / "archive.json"
+    write_archive_json(path, result.archive, manifest)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_ARCHIVE_JSON[(sut, strategy, distance)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,3 +450,39 @@ def test_every_execution_goes_through_detection_execute(monkeypatch, strategy):
     result = detect(DATE, DetectionConfig(strategy=strategy, budget_iterations=200,
                                           sampler=SamplerConfig(seed=3)))
     assert len(calls) == result.executions > 200
+
+
+@pytest.mark.parametrize("sut", ["bytecount", "date"])
+def test_detect_then_write_renders_each_archived_key_once(tmp_path, monkeypatch, sut):
+    """LNS pairs at or below the threshold render nothing; a pair above it
+    renders its key once, for the archive's dedup, and the writers reuse it."""
+    renders, made, offered = [], [], []
+    render, make, add = detection.render_tuple, detection.make_candidate, detection.Archive.add
+
+    def offer(archive, candidate, strategy=None):
+        if candidate.score > archive.threshold:
+            offered.append(candidate)
+        return add(archive, candidate, strategy)
+
+    monkeypatch.setattr(detection, "render_tuple", lambda values: renders.append(1) or render(values))
+    monkeypatch.setattr(detection, "make_candidate", lambda *args: made.append(1) or make(*args))
+    monkeypatch.setattr(detection.Archive, "add", offer)
+    assert cli.main(["detect", "--sut", sut, "--strategy", "lns", "--iterations", "400",
+                     "--seed", "2", "--out", str(tmp_path)]) == 0
+    archived = json.loads((tmp_path / "archive.json").read_text())["candidates"]
+    assert 0 < len(archived) <= len(offered) < len(made)
+    assert len(renders) == 2 * len(offered)
+
+
+def test_oracle_scan_runs_and_scores_once_per_input(monkeypatch):
+    executed, scored_pairs = [], []
+    execute_, call = detection.execute, OutputDistance.__call__
+    monkeypatch.setattr(detection, "execute",
+                        lambda sut, inputs: executed.append(inputs) or execute_(sut, inputs))
+    monkeypatch.setattr(OutputDistance, "__call__",
+                        lambda self, a, b: scored_pairs.append(1) or call(self, a, b))
+    assert boundary_pairs(BC, 0, 2000) == [(9, 10), (99, 100), (999, 1000)]
+    assert len(executed) == 2001 and len(scored_pairs) == 2000
+    executed.clear()
+    assert is_boundary_pair(BC, (999,), (1000,))
+    assert executed == [(999,), (1000,)]

@@ -127,3 +127,50 @@ def test_fixed_seed_reproduces_stream():
     s1 = [sample_input(sut, cfg, rng1) for _ in range(200)]
     s2 = [sample_input(sut, cfg, rng2) for _ in range(200)]
     assert s1 == s2
+
+
+def _reference_sample_value(domain, config, rng):
+    """``sample_value`` as written with ``randrange``/``randint``."""
+    if domain.signedness == "boolean":
+        return bool(rng.randrange(2))
+    if config.method == "uniform":
+        lo, hi = domain.bounds()
+        return rng.randint(lo, hi)
+    length = rng.randrange(domain.bit_width)
+    magnitude = 0 if length == 0 else rng.randrange(1 << (length - 1), 1 << length)
+    if domain.signedness in ("signed", "big") and rng.randrange(2):
+        return -magnitude
+    return magnitude
+
+
+def _reference_sample_arguments(sut, config, rng):
+    """``sample_arguments`` as written with ``choice``."""
+    out = []
+    for abstract in sut.argument_types:
+        if config.cts:
+            domain = rng.choice(compatible_types(abstract, config.big_int_bit_cap))
+        else:
+            domain = TypeDomain("BigInt", "big", config.big_int_bit_cap)
+        out.append((_reference_sample_value(domain, config, rng), domain))
+    return out
+
+
+@pytest.mark.parametrize("method", ["uniform", "bituniform"])
+@pytest.mark.parametrize("cts", [True, False])
+@pytest.mark.parametrize("sut", ["bytecount", "bmi", "bmi-class", "date"])
+def test_sample_arguments_equals_randrange_reference(method, cts, sut):
+    cfg = SamplerConfig(method=method, cts=cts, big_int_bit_cap=80)
+    desc = get_sut(sut)
+    rng, ref = Random(sut), Random(sut)
+    for _ in range(3000):
+        got = sample_arguments(desc, cfg, rng)
+        want = _reference_sample_arguments(desc, cfg, ref)
+        assert got == want
+        assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_domain_needs_a_bit():
+    # a zero-width range would make the draw loop forever instead of raising
+    with pytest.raises(ValueError):
+        TypeDomain("UInt0", "unsigned", 0)
