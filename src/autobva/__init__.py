@@ -10,12 +10,11 @@ from .detection import (
     BoundaryCandidate,
     DetectionConfig,
     DetectionResult,
-    MutationOperator,
     Runner,
+    bcs_first_step,
     bcs_search,
     detect,
     lns_search,
-    mutate,
 )
 from .distances import (
     JACCARD1,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archive", "BoundaryCandidate", "DetectionConfig", "DetectionResult",
-    "MutationOperator", "Runner", "bcs_search", "detect", "lns_search", "mutate",
+    "Runner", "bcs_first_step", "bcs_search", "detect", "lns_search",
     "JACCARD1", "JACCARD2", "LEVENSHTEIN", "STRLEN", "OutputDistance",
     "input_distance", "jaccard_ngram", "levenshtein", "parse_distance", "pdq",
     "strlendist", "SamplerConfig", "TypeDomain", "compatible_types",

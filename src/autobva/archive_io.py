@@ -177,12 +177,25 @@ def _candidate_json(c: BoundaryCandidate, strategies: dict) -> str:
             f'\n   "strategies": {tags_json}\n  }}')
 
 
-def _outcome_from_json(data: dict) -> ExecutionOutcome:
+def _string(value, what: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _outcome_from_json(data: dict, side: str) -> ExecutionOutcome:
+    error_kind = data.get("error_kind") if data.get("status") == "error" else None
     return ExecutionOutcome(
-        text=data["text"],
-        error_kind=data.get("error_kind") if data.get("status") == "error" else None,
+        text=_string(data["text"], f"{side}.text"),
+        error_kind=None if error_kind is None else _string(error_kind, f"{side}.error_kind"),
         payload=data.get("payload", {}),
     )
+
+
+def _strategies_from_json(tags) -> set:
+    if not isinstance(tags, list):
+        raise ValueError(f"strategies must be a list, got {type(tags).__name__} {tags!r}")
+    return {_string(tag, "strategy name") for tag in tags}
 
 
 def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] = None) -> None:
@@ -216,16 +229,17 @@ def read_archive_json(path) -> tuple:
         try:
             c = canonical_candidate(
                 parse_tuple(entry["input1"]),
-                _outcome_from_json(entry["output1"]),
+                _outcome_from_json(entry["output1"], "output1"),
                 parse_tuple(entry["input2"]),
-                _outcome_from_json(entry["output2"]),
+                _outcome_from_json(entry["output2"], "output2"),
                 Fraction(entry["score"]["num"], entry["score"]["den"]),
             )
+            tags = entry.get("strategies")
+            if tags:
+                strategies[c.key] = _strategies_from_json(tags)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DataError(f"candidate #{i}: {exc}", path) from exc
         candidates.append(c)
-        if entry.get("strategies"):
-            strategies[c.key] = set(entry["strategies"])
     return candidates, strategies, doc.get("manifest")
 
 

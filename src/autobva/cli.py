@@ -42,6 +42,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+# Default concurrent runs of an external SUT per usable CPU: each run is a
+# process, and the parent's share of a spawn overlaps the children's work.
+JOBS_PER_CPU = 2
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
@@ -92,6 +96,20 @@ def _detection_config(args) -> DetectionConfig:
     )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--sut", required=True,
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
@@ -108,12 +126,16 @@ def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--threshold", default="0", help="exact rational, e.g. 0 or 1/2")
     p.add_argument("--arity", type=int, default=1, help="arity of an external SUT")
     p.add_argument("--timeout", type=float, default=5.0, help="external SUT timeout (s)")
+    p.add_argument("--jobs", type=_positive_int, default=JOBS_PER_CPU * _usable_cpus(),
+                   help=f"runs of an external SUT at once (default: {JOBS_PER_CPU} per "
+                        "usable CPU; 1 runs one at a time)")
     p.add_argument("--config", default=None, help="JSON file with sampling.* / seed keys")
     p.add_argument("--out", default=".", help="output directory")
 
 
 def cmd_detect(args) -> int:
-    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout)
+    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
+                  external_jobs=args.jobs)
     if args.seconds is None and args.iterations is None:
         args.seconds = 30.0
     config = _detection_config(args)
@@ -206,7 +228,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout)
+    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
+                  external_jobs=args.jobs)
     if args.seconds is None and args.iterations is None:
         args.iterations = 1000  # iteration budgets keep repetitions deterministic
     config = _detection_config(args)

@@ -1,56 +1,33 @@
 """Boundary detection: the sample-then-search loop with its two local
 strategies, and the deduplicating archive of scored candidates.
 
-Local Neighbor Sampling (LNS) probes every +/-1 mutation of every argument
+Local Neighbor Sampling (LNS) probes every +/-1 step of every argument
 around a sampled point.  Boundary Crossing Search (BCS) picks one random
 direction, expands the step exponentially until the output partition
 changes, then binary-searches down to the adjacent input pair straddling
 the change.
+
+Every random draw of a sample happens before its search starts, so searches
+can run concurrently (on SUTs that allow it) while the archive, counts and
+generator state stay those of a serial run.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .distances import STRLEN, OutputDistance, pdq
 from .sampling import SamplerConfig, sample_arguments
 from .suts import SutDescriptor, execute
 from .values import ExecutionOutcome, InputTuple, render_tuple
-
-
-@dataclass(frozen=True)
-class MutationOperator:
-    direction: str        # increment | decrement
-    argument_index: int
-
-    @property
-    def delta(self) -> int:
-        return 1 if self.direction == "increment" else -1
-
-
-def mutate(inputs: InputTuple, op: MutationOperator) -> Optional[InputTuple]:
-    """Apply +/-1 to one argument; None when the mutation is inapplicable.
-
-    Booleans only support false->true (increment) and true->false
-    (decrement); anything leaving {false, true} is inapplicable.
-    """
-    v = inputs[op.argument_index]
-    if isinstance(v, bool):
-        if op.direction == "increment" and v is False:
-            new = True
-        elif op.direction == "decrement" and v is True:
-            new = False
-        else:
-            return None
-    else:
-        new = v + op.delta
-    return inputs[:op.argument_index] + (new,) + inputs[op.argument_index + 1:]
 
 
 @dataclass(frozen=True, init=False)
@@ -183,9 +160,8 @@ class Runner:
 
 
 def _neighbors(inputs: InputTuple) -> Iterator[InputTuple]:
-    """Every applicable one-step mutation of ``inputs``, in ``mutate`` terms:
-    argument by argument, the increment before the decrement.  A boolean has
-    exactly one, its flip."""
+    """Every one-step neighbor of ``inputs``, argument by argument, the
+    increment before the decrement.  A boolean has exactly one, its flip."""
     for index, v in enumerate(inputs):
         head, tail = inputs[:index], inputs[index + 1:]
         if isinstance(v, bool):
@@ -204,38 +180,46 @@ def lns_search(runner: Runner, inputs: InputTuple,
             for neighbor in _neighbors(inputs)]
 
 
+def bcs_first_step(rng: random.Random, arity: int) -> tuple:
+    """Draw the first step of a BCS search: (argument index, +1 or -1)."""
+    argument = rng.randrange(arity)
+    return argument, rng.choice((1, -1))
+
+
 def bcs_search(runner: Runner, output_distance: OutputDistance,
-               inputs: InputTuple, rng: random.Random,
+               inputs: InputTuple, step: tuple,
                max_doublings: int = 96,
                domains: Optional[tuple] = None) -> list:
-    """Boundary Crossing Search from one starting point.
+    """Boundary Crossing Search from one starting point along ``step``,
+    the (argument index, +1 or -1) pair ``bcs_first_step`` draws.
 
     Returns the initial one-step pair when it already crosses (or when no
     crossing is reachable, leaving the caller's threshold to discard it);
-    otherwise expands along the chosen direction in steps of 2^k until the
+    otherwise expands along the step's direction in steps of 2^k until the
     output partition changes, then squeezes the bracket down to the adjacent
     pair right at the change.  Probes never leave the sampled value domain.
+    A boolean argument steps only from false up or from true down, to its
+    flip; any other step on it returns nothing.
     """
     run = runner.run
-    arg = rng.randrange(runner.sut.arity)
-    op = MutationOperator(rng.choice(("increment", "decrement")), arg)
-    first = mutate(inputs, op)
-    if first is None:
-        return []
+    arg, delta = step
+    start = inputs[arg]
+    head, tail = inputs[:arg], inputs[arg + 1:]
+    if isinstance(start, bool):
+        if start is (delta > 0):
+            return []
+        first = head + (not start,) + tail
+    else:
+        first = head + (start + delta,) + tail
     base_outcome = run(inputs)
     next_outcome = run(first)
     initial = make_candidate(inputs, base_outcome, first, next_outcome, output_distance)
-    if initial.score > 0:
+    # chained steps leave {false, true} at once, so a boolean never expands
+    if initial.score > 0 or isinstance(start, bool):
         return [initial]
 
-    start = inputs[arg]
-    if isinstance(start, bool):
-        # chained mutations leave {false, true} immediately; nothing to expand
-        return [initial]
     domain = domains[arg] if domains else None
     lowest, highest = domain.bounds() if domain is not None else (-math.inf, math.inf)
-    head, tail = inputs[:arg], inputs[arg + 1:]
-    delta = op.delta
     distance = output_distance.function
     base_text = base_outcome.text
 
@@ -262,6 +246,38 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     i1 = head + (start + delta * (high - 1),) + tail
     i2 = head + (start + delta * high,) + tail
     return [make_candidate(i1, run(i1), i2, run(i2), output_distance)]
+
+
+def _ordered_map(fn, items: Iterable, width: int) -> Iterator:
+    """``map(fn, items)`` with up to ``width`` calls of ``fn`` running at once
+    on worker threads.
+
+    ``items`` is advanced, and results are yielded in item order, in the
+    calling thread only; an item is taken only when a result has been
+    consumed or fewer than ``2 * width`` are pending.  Width 1 is plain
+    ``map``: no thread and no per-call cost.
+    """
+    if width == 1:
+        return map(fn, items)
+    return _threaded_map(fn, items, width)
+
+
+def _threaded_map(fn, items: Iterable, width: int) -> Iterator:
+    # imported on first use: concurrent.futures brings in logging, about
+    # 9 ms of start-up that runs on built-in SUTs alone never need
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending: deque = deque()
+    pool = ThreadPoolExecutor(width, thread_name_prefix="autobva-search")
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= 2 * width:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -303,28 +319,56 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
     Each iteration samples a fresh global starting point, runs the configured
     local strategy, and archives every returned candidate whose score exceeds
     the threshold and whose ordered input pair is unseen.
+
+    Samples, with every random draw their searches need, are drawn here in
+    order; up to ``sut.concurrency`` searches run at once, and their results
+    are archived in sample order.  Archive, counts and generator state are
+    therefore those of a serial run.  Under a seconds budget no sample is
+    drawn after the deadline; searches already started finish and count.
     """
     rng = rng or random.Random(config.sampler.seed)
     archive = Archive(config.threshold)
-    runner = Runner(sut)
-    samples = 0
+    strategy, output_distance = config.strategy, config.output_distance
+    iterations, seconds = config.budget_iterations, config.budget_seconds
     start = time.monotonic()
-    while True:
-        if config.budget_iterations is not None:
-            if samples >= config.budget_iterations:
-                break
-        elif time.monotonic() - start >= config.budget_seconds:
-            break
-        pairs = sample_arguments(sut, config.sampler, rng)
-        inputs = tuple(v for v, _ in pairs)
+
+    def draws() -> Iterator[tuple]:
+        drawn = 0
+        while True:
+            if iterations is not None:
+                if drawn >= iterations:
+                    return
+            elif time.monotonic() - start >= seconds:
+                return
+            pairs = sample_arguments(sut, config.sampler, rng)
+            inputs = tuple(v for v, _ in pairs)
+            drawn += 1
+            if strategy == "lns":
+                yield inputs, None, None
+            else:
+                yield inputs, bcs_first_step(rng, sut.arity), tuple(d for _, d in pairs)
+
+    # one Runner per thread, so no count is shared between threads
+    runners: list = []
+    local = threading.local()
+
+    def search(draw: tuple) -> list:
+        try:
+            runner = local.runner
+        except AttributeError:
+            runner = local.runner = Runner(sut)
+            runners.append(runner)
+        inputs, step, domains = draw
+        if step is None:
+            return lns_search(runner, inputs, output_distance)
+        return bcs_search(runner, output_distance, inputs, step,
+                          config.bcs_max_doublings, domains)
+
+    samples = 0
+    for found in _ordered_map(search, draws(), sut.concurrency):
         samples += 1
-        if config.strategy == "lns":
-            found = lns_search(runner, inputs, config.output_distance)
-        else:
-            domains = tuple(d for _, d in pairs)
-            found = bcs_search(runner, config.output_distance, inputs, rng,
-                               config.bcs_max_doublings, domains)
         for candidate in found:
-            archive.add(candidate, strategy=config.strategy)
-    return DetectionResult(archive, samples=samples, executions=runner.executions,
+            archive.add(candidate, strategy=strategy)
+    return DetectionResult(archive, samples=samples,
+                           executions=sum(r.executions for r in runners),
                            elapsed=time.monotonic() - start)

@@ -30,14 +30,22 @@ from .values import (
 
 @dataclass(frozen=True)
 class SutDescriptor:
-    """A black-box program under test: arity, argument types, and an invoker."""
+    """A black-box program under test: arity, argument types, an invoker,
+    and how many invocations may run at once (``concurrency``).
+
+    In-process programs hold the interpreter lock while they run, so only
+    programs in their own processes gain from a concurrency above 1.
+    """
 
     name: str
     arity: int
     invoke: Callable[[InputTuple], ExecutionOutcome] = field(compare=False)
     argument_types: tuple = ()
+    concurrency: int = 1
 
     def __post_init__(self):
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
         if not self.argument_types:
             object.__setattr__(self, "argument_types", ("Integer",) * self.arity)
 
@@ -275,8 +283,15 @@ def date_ctor(inputs: InputTuple) -> ExecutionOutcome:
 # external commands
 
 
-def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0) -> SutDescriptor:
-    """Adapter for user programs: argv in, stdout out, nonzero exit = error."""
+def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
+                      concurrency: int = 1) -> SutDescriptor:
+    """Adapter for user programs: argv in, stdout out, nonzero exit = error.
+
+    Up to ``concurrency`` copies of the program run at once, so it must
+    tolerate concurrent runs when that is above 1.  Each run gets its own
+    pipes, and ``subprocess`` closes every other descriptor in the child, so
+    no child holds another's pipe open.
+    """
     argv_prefix = shlex.split(command)
 
     def invoke(inputs: InputTuple) -> ExecutionOutcome:
@@ -295,7 +310,8 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0) -> Sut
         return ExecutionOutcome(text=message, error_kind=ARGUMENT_ERROR,
                                 payload={"exit_code": proc.returncode})
 
-    return SutDescriptor(name=f"external:{command}", arity=arity, invoke=invoke)
+    return SutDescriptor(name=f"external:{command}", arity=arity, invoke=invoke,
+                         concurrency=concurrency)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +330,16 @@ class UsageError(Exception):
     """A request the command line cannot carry out as given."""
 
 
-def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0) -> SutDescriptor:
-    """Look up a built-in by name, or build an ``external:<cmd>`` adapter."""
+def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0,
+            external_jobs: int = 1) -> SutDescriptor:
+    """Look up a built-in by name, or build an ``external:<cmd>`` adapter
+    that runs up to ``external_jobs`` copies of the program at once."""
     if name in BUILTIN_SUTS:
         return BUILTIN_SUTS[name]
     if name.startswith("external:"):
         command = name[len("external:"):]
         if not command:
             raise UsageError("external SUT needs a command: external:<cmd>")
-        return make_external_sut(command, arity=external_arity, timeout=external_timeout)
+        return make_external_sut(command, arity=external_arity, timeout=external_timeout,
+                                 concurrency=external_jobs)
     raise UsageError(f"unknown SUT {name!r} (expected one of {sorted(BUILTIN_SUTS)} or external:<cmd>)")

@@ -18,6 +18,7 @@ from autobva.detection import (
     Archive,
     DetectionConfig,
     Runner,
+    bcs_first_step,
     bcs_search,
     detect,
 )
@@ -262,7 +263,7 @@ def test_criterion_5_oracle_equivalence():
         rng = Random(123)
         for _ in range(100):
             start = (rng.randint(1, 10**6),)
-            found = bcs_search(Runner(BC), STRLEN, start, rng)
+            found = bcs_search(Runner(BC), STRLEN, start, bcs_first_step(rng, 1))
             if not found:
                 continue
             (c,) = found
@@ -362,7 +363,7 @@ def test_criterion_7_property_suites(tmp_path):
         search_rng = Random(7)
         for _ in range(1000):
             start = (search_rng.randint(-10**9, 10**9),)
-            found = bcs_search(Runner(BC), STRLEN, start, search_rng)
+            found = bcs_search(Runner(BC), STRLEN, start, bcs_first_step(search_rng, 1))
             for c in found:
                 diffs = [abs(int(x) - int(y)) for x, y in zip(c.input1, c.input2)]
                 assert sum(diffs) == 1

@@ -2,9 +2,16 @@
 
 import csv
 import json
+import re
 import stat
+from random import Random
+
+import pytest
 
 from autobva.cli import main
+from autobva.sampling import SamplerConfig, sample_input
+from autobva.suts import get_sut
+from autobva.values import render_value
 
 
 def run_cli(*argv):
@@ -47,6 +54,13 @@ def test_detect_unknown_sut_is_usage_error(capsys):
 
 def test_detect_unknown_flag_is_usage_error():
     assert run_cli("detect", "--sut", "bytecount", "--frobnicate", "1") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_detect_jobs_below_one_is_usage_error(jobs, capsys):
+    assert run_cli("detect", "--sut", "external:/bin/echo", "--iterations", "1",
+                   "--jobs", jobs) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument --jobs: ")
 
 
 def test_detect_env_seed_overrides_flag(tmp_path, monkeypatch):
@@ -189,6 +203,43 @@ def test_rank_malformed_report_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"data error: {report}: not a cluster report")
 
 
+# one candidate of a valid JSON archive; each case below spoils one field
+ARCHIVE_ENTRY = {
+    "input1": "999", "input2": "1000",
+    "output1": {"status": "valid", "text": "999B"},
+    "output2": {"status": "error", "text": "ArgumentError(\"no\")",
+                "error_kind": "argument_error"},
+    "validity": "VE", "score": {"num": 1, "den": 1}, "strategies": ["bcs"],
+}
+SPOILED_ENTRIES = {
+    "numeric text": (("output1", "text"), 5, "output1.text must be a string, got int 5"),
+    "numeric error kind": (("output2", "error_kind"), 7,
+                           "output2.error_kind must be a string, got int 7"),
+    "numeric strategy": (("strategies",), ["bcs", 3], "strategy name must be a string, got int 3"),
+    "strategy string": (("strategies",), "bcs", "strategies must be a list, got str 'bcs'"),
+}
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+@pytest.mark.parametrize("case", SPOILED_ENTRIES)
+def test_archive_json_with_non_string_field_is_data_error(tmp_path, capsys, command, case):
+    keys, value, message = SPOILED_ENTRIES[case]
+    entry = json.loads(json.dumps(ARCHIVE_ENTRY))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"manifest": None, "candidates": [entry, entry]}))
+    target = entry
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"manifest": None, "candidates": [ARCHIVE_ENTRY, entry]}))
+    out = ["--out", str(tmp_path / ("rep" if command == "summarize" else "ranked.csv"))]
+    assert run_cli(command, str(good), *out) == 0
+    capsys.readouterr()
+    assert run_cli(command, str(bad), *out) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: candidate #1: {message}\n"
+
+
 def test_oracle_bytecount_window(tmp_path):
     out = tmp_path / "boundaries.csv"
     assert run_cli("oracle", "--sut", "bytecount", "--from", "0", "--to", "2000",
@@ -247,3 +298,39 @@ def test_external_sut_through_cli(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [(r[0], r[1]) for r in rows] == [("99", "100")]
+
+
+# An external SUT with every kind of outcome: output, errors with and without
+# stderr, and, on the run's first sampled input, a run past the timeout.  The
+# runs below archive every scored pair (threshold -1), so all of them show.
+CONCURRENT_SUT = """#!/bin/sh
+case "$1" in
+  {slow}) exec sleep 1 ;;
+  -*) echo "negative $1" >&2; exit 3 ;;
+  *7) exit 5 ;;
+  true|false) echo flag ;;
+  *) echo "${{#1}} digits" ;;
+esac
+"""
+
+
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_external_detect_is_identical_at_any_jobs(tmp_path, strategy):
+    seed = 3
+    first = sample_input(get_sut("bytecount"), SamplerConfig(seed=seed), Random(seed))
+    script = tmp_path / "sut.sh"
+    script.write_text(CONCURRENT_SUT.format(slow=render_value(first[0])))
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    elapsed = re.compile(rb'"elapsed_seconds": [0-9.e-]+')
+    runs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("detect", "--sut", f"external:{script}", "--strategy", strategy,
+                       "--iterations", "12", "--seed", str(seed), "--timeout", "0.2",
+                       "--threshold", "-1", "--jobs", jobs, "--out", str(out)) == 0
+        runs.append({name: elapsed.sub(b'"elapsed_seconds": 0', (out / name).read_bytes())
+                     for name in ("archive.csv", "archive.json", "manifest.json")})
+    assert runs[0] == runs[1]
+    for text in (b"timeout after 0.2s", b"negative ", b"exit code 5", b" digits"):
+        assert text in runs[0]["archive.json"]
+    assert json.loads(runs[0]["manifest.json"])["counts"]["samples"] == 12

@@ -1,8 +1,11 @@
-"""Mutation operators, the two local strategies, the archive, and the loop."""
+"""The two local strategies, the archive, and the loop."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import sys
+import threading
 from fractions import Fraction
 from random import Random
 
@@ -17,14 +20,13 @@ from autobva.detection import (
     Archive,
     BoundaryCandidate,
     DetectionConfig,
-    MutationOperator,
     Runner,
+    bcs_first_step,
     bcs_search,
     canonical_candidate,
     detect,
     lns_search,
     make_candidate,
-    mutate,
 )
 from autobva.distances import STRLEN, OutputDistance, parse_distance
 from autobva.oracle import boundary_pairs, is_boundary_pair
@@ -36,31 +38,44 @@ BC = get_sut("bytecount")
 DATE = get_sut("date")
 
 
-def inc(i=0):
-    return MutationOperator("increment", i)
-
-
-def dec(i=0):
-    return MutationOperator("decrement", i)
+def flat(arity):
+    """A SUT whose output never changes."""
+    return SutDescriptor("flat", arity, lambda inputs: valid_outcome("x"))
 
 
 # ---------------------------------------------------------------------------
-# mutate
+# BCS's first step
 
 
-def test_mutate_integers():
-    assert mutate((10,), inc()) == (11,)
-    assert mutate((10,), dec()) == (9,)
-    assert mutate((0, 2, 1), dec(2)) == (0, 2, 0)
-    assert mutate((-(10**30),), inc()) == (-(10**30) + 1,)
+def first_pair(inputs, step):
+    """The one-step pair a BCS search starts from, with no expansion."""
+    found = bcs_search(Runner(flat(len(inputs))), STRLEN, inputs, step, max_doublings=0)
+    return [(c.input1, c.input2) for c in found]
 
 
-def test_mutate_booleans():
-    assert mutate((False,), inc()) == (True,)
-    assert mutate((True,), dec()) == (False,)
-    assert mutate((True,), inc()) is None
-    assert mutate((False,), dec()) is None
-    assert isinstance(mutate((False,), inc())[0], bool)
+def test_bcs_first_step_integers():
+    assert first_pair((10,), (0, 1)) == [((10,), (11,))]
+    assert first_pair((10,), (0, -1)) == [((9,), (10,))]
+    assert first_pair((0, 2, 1), (2, -1)) == [((0, 2, 0), (0, 2, 1))]
+    assert first_pair((-(10**30),), (0, 1)) == [((-(10**30),), (-(10**30) + 1,))]
+
+
+def test_bcs_first_step_booleans():
+    assert first_pair((False,), (0, 1)) == [((False,), (True,))]
+    assert first_pair((True,), (0, -1)) == [((False,), (True,))]
+    assert first_pair((True,), (0, 1)) == []
+    assert first_pair((False,), (0, -1)) == []
+    for pair in first_pair((False,), (0, 1)) + first_pair((True,), (0, -1)):
+        assert [type(side[0]) for side in pair] == [bool, bool]
+
+
+def test_bcs_first_step_draws_randrange_then_choice():
+    rng, reference = Random(4), Random(4)
+    for arity in [1, 2, 3] * 200:
+        argument = reference.randrange(arity)
+        direction = reference.choice(("increment", "decrement"))
+        assert bcs_first_step(rng, arity) == (argument, 1 if direction == "increment" else -1)
+    assert rng.getstate() == reference.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +213,18 @@ def test_lns_on_date_emits_up_to_six():
     assert any(c.input1 == (0, 2, 0) for c in crossing)
 
 
-def test_lns_neighbors_follow_mutation_operator_order():
-    flat = SutDescriptor("flat", 3, lambda inputs: valid_outcome("x"))
-    for inputs in [(0, 2, 1), (True, -5, False), (False, True, 10 ** 30)]:
-        expected = [mutate(inputs, op)
-                    for arg in range(3) for op in (inc(arg), dec(arg))
-                    if mutate(inputs, op) is not None]
+def test_lns_neighbor_order():
+    # argument by argument, the increment before the decrement; a boolean flips
+    cases = {
+        (0, 2, 1): [(1, 2, 1), (-1, 2, 1), (0, 3, 1), (0, 1, 1), (0, 2, 2), (0, 2, 0)],
+        (True, -5, False): [(False, -5, False), (True, -4, False), (True, -6, False),
+                            (True, -5, True)],
+        (False, True, 10 ** 30): [(True, True, 10 ** 30), (False, False, 10 ** 30),
+                                  (False, True, 10 ** 30 + 1), (False, True, 10 ** 30 - 1)],
+    }
+    for inputs, expected in cases.items():
         found = [c.input2 if c.input1 == inputs else c.input1
-                 for c in lns_search(Runner(flat), inputs, STRLEN)]
+                 for c in lns_search(Runner(flat(3)), inputs, STRLEN)]
         assert found == expected
         assert [tuple(map(type, n)) for n in found] == \
             [tuple(map(type, n)) for n in expected]
@@ -223,7 +242,7 @@ def test_lns_boolean_saturation():
 
 def test_bcs_initial_pair_already_crossing():
     rng = Random(1)
-    found = bcs_search(Runner(BC), STRLEN, (999949,), rng)
+    found = bcs_search(Runner(BC), STRLEN, (999949,), bcs_first_step(rng, 1))
     assert len(found) == 1
     c = found[0]
     # whichever direction was drawn, the emitted pair is a real boundary
@@ -236,7 +255,7 @@ def test_bcs_squeezes_to_first_length_change():
     assert boundary_pairs(BC, 500_000, 10**6) == [(999949, 999950)]
     hits = 0
     for seed in range(40):  # both directions get drawn across seeds
-        found = bcs_search(Runner(BC), STRLEN, (500_000,), Random(seed))
+        found = bcs_search(Runner(BC), STRLEN, (500_000,), bcs_first_step(Random(seed), 1))
         assert len(found) == 1
         c = found[0]
         if c.input1 == (999949,):   # increment direction
@@ -252,7 +271,8 @@ def test_bcs_squeezes_to_first_length_change():
 def test_bcs_no_crossing_returns_filtered_initial():
     # a flat plateau: uniform huge negative, nothing reachable in 2^k steps
     rng = Random(3)
-    found = bcs_search(Runner(BC), STRLEN, (-(10**30) + 10**9,), rng, max_doublings=8)
+    found = bcs_search(Runner(BC), STRLEN, (-(10**30) + 10**9,), bcs_first_step(rng, 1),
+                       max_doublings=8)
     assert len(found) == 1
     assert found[0].score == 0
 
@@ -261,7 +281,8 @@ def test_bcs_respects_value_domain():
     rng = Random(5)
     domain = TypeDomain("Int8", "signed", 8)
     for _ in range(100):
-        found = bcs_search(Runner(BC), STRLEN, (100,), rng, domains=(domain,))
+        found = bcs_search(Runner(BC), STRLEN, (100,), bcs_first_step(rng, 1),
+                           domains=(domain,))
         for c in found:
             assert -128 <= c.input1[0] <= 127
             assert -128 <= c.input2[0] <= 127
@@ -271,7 +292,7 @@ def test_bcs_postcondition_on_seeded_searches():
     rng = Random(11)
     for _ in range(300):
         start = (rng.randint(-10**6, 10**6),)
-        found = bcs_search(Runner(BC), STRLEN, start, rng)
+        found = bcs_search(Runner(BC), STRLEN, start, bcs_first_step(rng, 1))
         if not found:
             continue
         c = found[0]
@@ -284,7 +305,7 @@ def test_bcs_postcondition_on_seeded_searches():
 def test_bcs_boolean_start_has_no_expansion():
     rng = Random(2)
     for _ in range(20):
-        found = bcs_search(Runner(BC), STRLEN, (True,), rng)
+        found = bcs_search(Runner(BC), STRLEN, (True,), bcs_first_step(rng, 1))
         if found:
             assert found[0].input1 == (False,)
             assert found[0].input2 == (True,)
@@ -411,6 +432,100 @@ def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, ite
     write_archive_json(path, result.archive, manifest)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         GOLDEN_ARCHIVE_JSON[(sut, strategy, distance)]
+
+
+# ---------------------------------------------------------------------------
+# concurrent searches
+
+
+def run_detect(sut, strategy, iterations, seed):
+    """Archive entries, counts and the generator's final state of one run."""
+    rng = Random(seed)
+    result = detect(sut, DetectionConfig(strategy=strategy, budget_iterations=iterations,
+                                         sampler=SamplerConfig(seed=seed)), rng)
+    entries = [(c, c.score, sorted(result.archive.strategies[c.key])) for c in result.archive]
+    return entries, result.samples, result.executions, rng.getstate()
+
+
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_concurrent_detect_equals_serial(monkeypatch, strategy):
+    """More workers than cores and a short switch interval: the archive, its
+    order, the counts and the RNG state are the serial run's, and the
+    execution total is exact."""
+    executed = []
+    execute_ = detection.execute
+    monkeypatch.setattr(detection, "execute",
+                        lambda sut, inputs: executed.append(inputs) or execute_(sut, inputs))
+    serial = run_detect(DATE, strategy, 300, 5)
+    assert len(executed) == serial[2]
+    executed.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = run_detect(dataclasses.replace(DATE, concurrency=8), strategy, 300, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
+    assert len(executed) == concurrent[2]
+
+
+def test_serial_detect_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+    threads = threading.active_count()
+    searched_in = set()
+    lns = detection.lns_search
+
+    def search(*args):
+        searched_in.add(threading.current_thread())
+        return lns(*args)
+
+    monkeypatch.setattr(detection, "lns_search", search)
+    detect(BC, DetectionConfig(strategy="lns", budget_iterations=50))
+    assert searched_in == {threading.current_thread()}
+    assert threading.active_count() == threads
+
+
+def test_concurrent_detect_draws_in_the_calling_thread(monkeypatch):
+    drawn_in = set()
+    sample = detection.sample_arguments
+
+    def sample_arguments(*args):
+        drawn_in.add(threading.current_thread())
+        return sample(*args)
+
+    monkeypatch.setattr(detection, "sample_arguments", sample_arguments)
+    detect(dataclasses.replace(BC, concurrency=4),
+           DetectionConfig(strategy="bcs", budget_iterations=100))
+    assert drawn_in == {threading.current_thread()}
+
+
+def test_concurrent_detect_wall_clock_budget_counts_every_drawn_sample(monkeypatch):
+    drawn = []
+    sample = detection.sample_arguments
+    monkeypatch.setattr(detection, "sample_arguments",
+                        lambda *args: drawn.append(1) or sample(*args))
+    result = detect(dataclasses.replace(BC, concurrency=4),
+                    DetectionConfig(strategy="bcs", budget_seconds=0.1,
+                                    sampler=SamplerConfig(seed=1)))
+    assert result.elapsed >= 0.1
+    assert result.samples == len(drawn) > 0
+
+
+def test_concurrent_detect_raises_a_search_error(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(detection, "bcs_search", broken)
+    with pytest.raises(RuntimeError, match="search failed"):
+        detect(dataclasses.replace(BC, concurrency=2),
+               DetectionConfig(strategy="bcs", budget_iterations=20))
+
+
+def test_concurrency_is_at_least_one():
+    with pytest.raises(ValueError):
+        dataclasses.replace(BC, concurrency=0)
+    assert get_sut("external:/bin/echo", external_jobs=3).concurrency == 3
+    assert BC.concurrency == 1
 
 
 # ---------------------------------------------------------------------------
