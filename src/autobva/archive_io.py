@@ -1,9 +1,12 @@
 """File formats: archives (CSV and JSON), run manifests, cluster reports
 and ranked candidate listings.
 
-The CSV archive is the interchange format; a write-then-read round trip
-reproduces every candidate bit-exactly.  The JSON archive additionally
-carries structured error payloads and the run manifest.
+Both archive formats store one record per candidate: the two inputs, each
+side's status, text and error kind, the validity tag, the exact score and
+the strategies that found it.  Both readers decode records through one
+function that holds every check, so CSV and JSON round trips give the same
+candidates with the same error sides, kinds and strategies.  Error payloads
+and the run manifest are stored in the JSON archive only.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from .detection import Archive, BoundaryCandidate, DetectionResult, canonical_ca
 from .summarization import ClusterReport
 from .values import ExecutionOutcome, parse_tuple, display_tuple
 
-CSV_HEADER = ["input1", "input2", "output1", "output2", "validity", "score_num", "score_den"]
-
-_ERROR_PREFIXES = ("ArgumentError(", "BoundsError(", "DomainError(")
+# An error kind is empty on a valid side; strategies are sorted names joined
+# by ";".  Error payloads are not stored in CSV.
+CSV_HEADER = ["input1", "input2", "output1", "output2", "validity", "score_num", "score_den",
+              "error_kind1", "error_kind2", "strategies"]
 
 
 class DataError(Exception):
@@ -77,62 +81,45 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# archives
+# archives: one record per candidate, a JSON entry or a CSV row mapped to one
 
 
 def write_archive_csv(path, candidates: Iterable[BoundaryCandidate]) -> None:
+    """One row per candidate, with its strategies when given an ``Archive``."""
+    strategies = candidates.strategies if isinstance(candidates, Archive) else {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
+        # csv writes a valid side's error kind, None, as an empty field
         writer.writerows(
             (*c.key, c.output1.text, c.output2.text,
-             c.validity, c.score.numerator, c.score.denominator)
+             c.validity, c.score.numerator, c.score.denominator,
+             c.output1.error_kind, c.output2.error_kind, ";".join(sorted(strategies.get(c.key, ()))))
             for c in candidates)
 
 
-def _outcome_from_text(text: str, is_error: bool) -> ExecutionOutcome:
-    if not is_error:
-        return ExecutionOutcome(text=text)
-    return ExecutionOutcome(text=text, error_kind="argument_error")
+def _record_from_row(row: list) -> dict:
+    if len(row) != len(CSV_HEADER):
+        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+    i1, i2, text1, text2, validity, num, den, kind1, kind2, tags = row
+    return {"input1": i1, "input2": i2,
+            "output1": {"status": "error" if kind1 else "valid", "text": text1, "error_kind": kind1 or None},
+            "output2": {"status": "error" if kind2 else "valid", "text": text2, "error_kind": kind2 or None},
+            "validity": validity, "score": {"num": int(num), "den": int(den)},
+            "strategies": tags.split(";") if tags else []}
 
 
-def _candidate_from_fields(i1, i2, o1, o2, validity, num, den) -> BoundaryCandidate:
-    if validity == "VV":
-        err1 = err2 = False
-    elif validity == "EE":
-        err1 = err2 = True
-    elif validity == "VE":
-        # the tag does not say which side erred; recognize the canonical texts
-        err1 = o1.startswith(_ERROR_PREFIXES)
-        err2 = o2.startswith(_ERROR_PREFIXES)
-        if err1 == err2:
-            err1, err2 = False, True
-    else:
-        raise ValueError(f"unknown validity tag {validity!r}")
-    return canonical_candidate(
-        parse_tuple(i1), _outcome_from_text(o1, err1),
-        parse_tuple(i2), _outcome_from_text(o2, err2),
-        Fraction(num, den),
-    )
-
-
-def read_archive_csv(path) -> list:
-    """Parse a CSV archive; raises DataError with the line number on bad rows."""
-    out = []
+def read_archive_csv(path) -> tuple:
+    """Returns (candidates, strategies-by-key); a bad row is a DataError
+    naming its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
+        if header == CSV_HEADER[:7]:
+            raise DataError("old 7-column format without error sides; use the run's archive.json", path, 1)
         if header != CSV_HEADER:
             raise DataError(f"bad header {header!r}", path, 1)
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(CSV_HEADER):
-                raise DataError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", path, line)
-            try:
-                out.append(_candidate_from_fields(*row[:5], int(row[5]), int(row[6])))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DataError(str(exc), path, line) from exc
-    return out
+        return _decode(map(_record_from_row, reader), path, lambda index: (reader.line_num, ""))
 
 
 def _indented_json(value, indent: str) -> str:
@@ -177,27 +164,6 @@ def _candidate_json(c: BoundaryCandidate, strategies: dict) -> str:
             f'\n   "strategies": {tags_json}\n  }}')
 
 
-def _string(value, what: str) -> str:
-    if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
-    return value
-
-
-def _outcome_from_json(data: dict, side: str) -> ExecutionOutcome:
-    error_kind = data.get("error_kind") if data.get("status") == "error" else None
-    return ExecutionOutcome(
-        text=_string(data["text"], f"{side}.text"),
-        error_kind=None if error_kind is None else _string(error_kind, f"{side}.error_kind"),
-        payload=data.get("payload", {}),
-    )
-
-
-def _strategies_from_json(tags) -> set:
-    if not isinstance(tags, list):
-        raise ValueError(f"strategies must be a list, got {type(tags).__name__} {tags!r}")
-    return {_string(tag, "strategy name") for tag in tags}
-
-
 def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] = None) -> None:
     """Write the bytes ``json.dumps(doc, indent=1)`` writes for the document
     ``{"manifest": ..., "candidates": [...]}``.
@@ -216,31 +182,71 @@ def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] =
 
 
 def read_archive_json(path) -> tuple:
-    """Returns (candidates, strategies-by-key, manifest dict or None)."""
+    """Returns (candidates, strategies-by-key); a bad entry is a DataError
+    naming its index in the candidates list."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path, exc.lineno) from exc
-    if not isinstance(doc, dict):
+    if not isinstance(doc, dict) or not isinstance(doc.get("candidates"), list):
         raise DataError("expected a JSON object with a candidates list", path)
-    candidates = []
-    strategies = {}
-    for i, entry in enumerate(doc.get("candidates", [])):
-        try:
-            c = canonical_candidate(
-                parse_tuple(entry["input1"]),
-                _outcome_from_json(entry["output1"], "output1"),
-                parse_tuple(entry["input2"]),
-                _outcome_from_json(entry["output2"], "output2"),
-                Fraction(entry["score"]["num"], entry["score"]["den"]),
-            )
-            tags = entry.get("strategies")
+    return _decode(doc["candidates"], path, lambda index: (None, f"candidate #{index}: "))
+
+
+def _decode(records, path, locate) -> tuple:
+    """(candidates, strategies-by-key) from archive records.  A bad record
+    is a DataError at ``locate(index)``, a line and a message prefix."""
+    candidates, strategies = [], {}
+    try:
+        for record in records:
+            candidate, tags = _candidate_from_record(record)
+            candidates.append(candidate)
             if tags:
-                strategies[c.key] = _strategies_from_json(tags)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DataError(f"candidate #{i}: {exc}", path) from exc
-        candidates.append(c)
-    return candidates, strategies, doc.get("manifest")
+                strategies[candidate.key] = tags
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        line, prefix = locate(len(candidates))
+        raise DataError(f"{prefix}{exc}", path, line) from exc
+    return candidates, strategies
+
+
+def _string(value, what: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _outcome_from_record(data: dict, side: str) -> ExecutionOutcome:
+    status = data["status"]
+    kind = data.get("error_kind")
+    if status not in ("valid", "error"):
+        raise ValueError(f"{side}.status must be 'valid' or 'error', got {status!r}")
+    if kind is not None:
+        _string(kind, f"{side}.error_kind")
+    if (status == "error") != bool(kind):
+        raise ValueError(f"{side}: an error outcome needs an error_kind and a valid one has "
+                         f"none, got status {status!r} with error_kind {kind!r}")
+    return ExecutionOutcome(_string(data["text"], f"{side}.text"), kind, data.get("payload"))
+
+
+def _candidate_from_record(record: dict) -> tuple:
+    """(candidate, set of strategy names) from one record, with every check
+    on stored candidates."""
+    score = record["score"]
+    candidate = canonical_candidate(
+        parse_tuple(_string(record["input1"], "input1")),
+        _outcome_from_record(record["output1"], "output1"),
+        parse_tuple(_string(record["input2"], "input2")),
+        _outcome_from_record(record["output2"], "output2"),
+        Fraction(score["num"], score["den"]))
+    if record["validity"] != candidate.validity:
+        raise ValueError(f"validity {record['validity']!r}, but the outcomes make {candidate.validity}")
+    tags = record["strategies"]
+    if not isinstance(tags, list):
+        raise ValueError(f"strategies must be a list, got {type(tags).__name__} {tags!r}")
+    for tag in tags:
+        if not _string(tag, "strategy name") or ";" in tag:
+            raise ValueError(f"strategy name must be non-empty and have no ';', got {tag!r}")
+    return candidate, set(tags)
 
 
 def load_archives(paths, threshold: Optional[Fraction] = None) -> Archive:
@@ -253,19 +259,16 @@ def load_archives(paths, threshold: Optional[Fraction] = None) -> Archive:
     for path in paths:
         path = Path(path)
         try:
-            if path.suffix == ".json":
-                candidates, strategies, _ = read_archive_json(path)
-            else:
-                candidates, strategies = read_archive_csv(path), {}
+            reader = read_archive_json if path.suffix == ".json" else read_archive_csv
+            candidates, strategies = reader(path)
         except OSError as exc:
             raise DataError(exc.strerror or str(exc), path) from exc
         except UnicodeDecodeError as exc:
             raise DataError(f"not UTF-8 text: {exc}", path) from exc
         for c in candidates:
             merged.add(c)
-            key = c.key
-            tags = strategies.get(key)
-            if tags and key in merged:
+        for key, tags in strategies.items():
+            if key in merged:
                 merged.strategies.setdefault(key, set()).update(tags)
     return merged
 
@@ -349,5 +352,4 @@ def write_ranked_csv(path, rows: Iterable[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -152,7 +152,6 @@ class ClusteringModel:
     centroids: np.ndarray            # (k, 4)
     assignment: np.ndarray           # point -> cluster id
     silhouette: float
-    wcss_history: list = field(default_factory=list)
     reseeded: bool = False
 
 
@@ -188,7 +187,6 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     assignment = np.full(n, -1)
     everyone = np.arange(n)
     bins = k * np.arange(features)[:, None]   # feature f of cluster c -> bin f * k + c
-    history: list = []
     reseeded = False
     for _ in range(max_iter):
         sq = _squared_distances(matrix, centroids)
@@ -212,7 +210,6 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
                 farthest = int(own_dist.argmax())
                 new_assignment[farthest] = cluster
                 claimed.add(farthest)
-        history.append(float(sq[new_assignment, everyone].sum()))
         if (new_assignment == assignment).all():
             break
         assignment = new_assignment
@@ -220,7 +217,7 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
                            minlength=features * k)
         centroids = (sums.reshape(features, k) / counts).T
     return ClusteringModel(k, centroids, assignment,
-                           silhouette(matrix, assignment, distances), history, reseeded)
+                           silhouette(matrix, assignment, distances), reseeded)
 
 
 def point_distances(matrix: np.ndarray) -> np.ndarray:

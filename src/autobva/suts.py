@@ -10,8 +10,11 @@ anything else.  Executions never raise: errors are captured as outcomes.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import shlex
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from typing import Callable
@@ -290,23 +293,35 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
     Up to ``concurrency`` copies of the program run at once, so it must
     tolerate concurrent runs when that is above 1.  Each run gets its own
     pipes, and ``subprocess`` closes every other descriptor in the child, so
-    no child holds another's pipe open.
+    no child holds another's pipe open.  Each run is also the leader of its
+    own session: on a timeout its whole process group is killed, so nothing
+    it started outlives the timeout outcome.
     """
     argv_prefix = shlex.split(command)
 
     def invoke(inputs: InputTuple) -> ExecutionOutcome:
         argv = argv_prefix + [render_value(v) for v in inputs]
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+            # a session of its own, so a timeout can kill all the program started
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, close_fds=True, start_new_session=True)
         except FileNotFoundError:
             return error_outcome(ARGUMENT_ERROR, f"command not found: {argv_prefix[0]}")
-        except subprocess.TimeoutExpired:
-            return error_outcome(ARGUMENT_ERROR, f"timeout after {timeout}s")
         except OSError as exc:
             return error_outcome(ARGUMENT_ERROR, f"cannot execute: {exc}")
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                return error_outcome(ARGUMENT_ERROR, f"timeout after {timeout}s")
+            finally:
+                if proc.returncode is None:   # timed out or interrupted
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait()
         if proc.returncode == 0:
-            return valid_outcome(proc.stdout.strip())
-        message = proc.stderr.strip() or f"exit code {proc.returncode}"
+            return valid_outcome(stdout.strip())
+        message = stderr.strip() or f"exit code {proc.returncode}"
         return ExecutionOutcome(text=message, error_kind=ARGUMENT_ERROR,
                                 payload={"exit_code": proc.returncode})
 

@@ -25,7 +25,7 @@ from autobva.detection import (
 from autobva.distances import JACCARD1, STRLEN, levenshtein, pdq, strlendist
 from autobva.oracle import boundary_pairs, is_boundary_pair
 from autobva.sampling import SamplerConfig, TypeDomain, sample_value
-from autobva.summarization import kmeans, summarize
+from autobva.summarization import KMEANS_MAX_ITER, kmeans, summarize
 from autobva.suts import execute, get_sut
 
 BC = get_sut("bytecount")
@@ -384,11 +384,18 @@ def test_criterion_7_property_suites(tmp_path):
         # k-means objective monotonicity and silhouette bounds
         mat_rng = np.random.RandomState(9)
         for trial in range(20):
-            model = kmeans(mat_rng.rand(4, 40), 2 + trial % 6, Random(trial))
+            matrix = mat_rng.rand(4, 40)
+            model = kmeans(matrix, 2 + trial % 6, Random(trial))
             assert -1 <= model.silhouette <= 1
             if not model.reseeded:
-                assert all(b <= a + 1e-9 for a, b in
-                           zip(model.wcss_history, model.wcss_history[1:]))
+                # WCSS of the same seeded run stopped after 1, 2, ... iterations
+                wcss = []
+                for max_iter in range(1, KMEANS_MAX_ITER + 1):
+                    step = kmeans(matrix, model.k, Random(trial), max_iter=max_iter)
+                    wcss.append(((matrix.T - step.centroids[step.assignment]) ** 2).sum())
+                    if step.assignment.tolist() == model.assignment.tolist():
+                        break
+                assert all(b <= a + 1e-9 for a, b in zip(wcss, wcss[1:]))
 
         # fixed-seed determinism: byte-identical archives and reports
         def artifacts(tag):

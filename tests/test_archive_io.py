@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from autobva.archive_io import (
+    CSV_HEADER,
     DataError,
     RunManifest,
     load_archives,
@@ -36,18 +37,26 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     _, result = _run()
     path = tmp_path / "archive.csv"
     write_archive_csv(path, result.archive)
-    loaded = read_archive_csv(path)
+    loaded, strategies = read_archive_csv(path)
     original = result.archive.candidates
     assert len(loaded) == len(original)
     for a, b in zip(original, loaded):
         assert a.key == b.key
         assert a.output1.text == b.output1.text
         assert a.output2.text == b.output2.text
+        assert (a.output1.error_kind, a.output2.error_kind) == \
+            (b.output1.error_kind, b.output2.error_kind)
         assert a.validity == b.validity
         assert a.score == b.score
+    assert {c.output2.error_kind for c in loaded} == {None, "bounds_error"}
+    assert strategies == result.archive.strategies
     # second write reproduces the same bytes
+    again = Archive(Fraction(-1))
+    for c in loaded:
+        again.add(c)
+    again.strategies.update(strategies)
     path2 = tmp_path / "again.csv"
-    write_archive_csv(path2, loaded)
+    write_archive_csv(path2, again)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -61,8 +70,9 @@ def test_csv_quoting_survives_commas_and_quotes(tmp_path):
     )
     path = tmp_path / "weird.csv"
     write_archive_csv(path, [weird])
-    (loaded,) = read_archive_csv(path)
+    (loaded,), strategies = read_archive_csv(path)
     assert loaded.output1.text == 'a,"b"'
+    assert strategies == {}
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -85,12 +95,87 @@ def test_csv_reports_offending_line(tmp_path):
     assert err.value.line == 3
 
 
+def test_csv_rejects_old_header(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("input1,input2,output1,output2,validity,score_num,score_den\n"
+                    "999,1000,999B,ArgumentError(\"no\"),VE,1,1\n")
+    with pytest.raises(DataError) as err:
+        read_archive_csv(path)
+    assert err.value.line == 1
+    assert str(err.value) == (f"{path}:1: old 7-column format without error sides; "
+                              "use the run's archive.json")
+
+
+# An external program whose error text is its stderr, with no error prefix
+# the outcome could be recognized by.
+NEGATIVE_ERRS = """sh -c 'if [ "$0" -lt 0 ]; then echo "negative $0" >&2; exit 3; fi; echo "$0 ok"'"""
+
+
+def _both_round_trips(tmp_path, archive):
+    """(candidates, strategies) as read back from CSV and from JSON."""
+    csv_path, json_path = tmp_path / "archive.csv", tmp_path / "archive.json"
+    write_archive_csv(csv_path, archive)
+    write_archive_json(json_path, archive)
+    return [read_archive_csv(csv_path), read_archive_json(json_path)]
+
+
+def test_external_ve_pair_keeps_its_error_side_through_csv(tmp_path):
+    from autobva.detection import make_candidate
+    from autobva.distances import STRLEN
+    from autobva.suts import execute, make_external_sut
+    sut = make_external_sut(NEGATIVE_ERRS)
+    archive = Archive()
+    archive.add(make_candidate((0,), execute(sut, (0,)), (-1,), execute(sut, (-1,)), STRLEN), "bcs")
+    (c,) = archive
+    assert (c.output1.text, c.output1.error_kind) == ("negative -1", "argument_error")
+    assert c.output2.is_valid
+    for (loaded,), strategies in _both_round_trips(tmp_path, archive):
+        assert loaded == c
+        assert (loaded.output1.error_kind, loaded.output2.error_kind) == ("argument_error", None)
+        assert strategies == {("-1", "0"): {"bcs"}}
+
+
+def test_bounds_error_kind_survives_csv(tmp_path):
+    from autobva.detection import make_candidate
+    from autobva.distances import STRLEN
+    from autobva.suts import execute
+    big = 999999999999994822657
+    archive = Archive()
+    archive.add(make_candidate((big - 1,), execute(BC, (big - 1,)),
+                               (big,), execute(BC, (big,)), STRLEN), "lns")
+    for (loaded,), strategies in _both_round_trips(tmp_path, archive):
+        assert (loaded.output1.error_kind, loaded.output2.error_kind) == (None, "bounds_error")
+        assert strategies == {loaded.key: {"lns"}}
+
+
+def test_error_without_kind_is_data_error_in_both_formats(tmp_path):
+    """An error side whose kind is missing no longer reads back as valid."""
+    json_path = tmp_path / "archive.json"
+    json_path.write_text(json.dumps({"manifest": None, "candidates": [{
+        "input1": "999", "input2": "1000",
+        "output1": {"status": "valid", "text": "999B"},
+        "output2": {"status": "error", "text": "ArgumentError(\"no\")"},
+        "validity": "VE", "score": {"num": 1, "den": 1}, "strategies": []}]}))
+    with pytest.raises(DataError) as err:
+        read_archive_json(json_path)
+    assert str(err.value) == (f"{json_path}: candidate #0: output2: an error outcome needs an "
+                              "error_kind and a valid one has none, got status 'error' "
+                              "with error_kind None")
+    csv_path = tmp_path / "archive.csv"
+    csv_path.write_text(",".join(CSV_HEADER) + "\n"
+                        '999,1000,999B,"ArgumentError(""no"")",VE,1,1,,,\n')
+    with pytest.raises(DataError) as err:
+        read_archive_csv(csv_path)
+    assert str(err.value) == f"{csv_path}:2: validity 'VE', but the outcomes make VV"
+
+
 def test_json_round_trip_with_manifest(tmp_path):
     cfg, result = _run(seed=5)
     manifest = RunManifest.from_result("bytecount", cfg, result)
     path = tmp_path / "archive.json"
     write_archive_json(path, result.archive, manifest)
-    candidates, strategies, meta = read_archive_json(path)
+    candidates, strategies = read_archive_json(path)
+    meta = json.loads(path.read_text())["manifest"]
     assert len(candidates) == len(result.archive)
     assert meta["sut"] == "bytecount"
     assert meta["strategy"] == "bcs"
@@ -112,7 +197,7 @@ def test_json_error_payload_survives(tmp_path):
                                (big,), execute(BC, (big,)), STRLEN))
     path = tmp_path / "ve.json"
     write_archive_json(path, archive)
-    (c,), _, _ = read_archive_json(path)
+    (c,), _ = read_archive_json(path)
     assert c.output2.error_kind == "bounds_error"
     assert c.output2.payload == {"accessed": "kMGTPE", "index": 7}
 

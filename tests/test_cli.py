@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from autobva.archive_io import CSV_HEADER, read_archive_csv, read_archive_json
 from autobva.cli import main
 from autobva.sampling import SamplerConfig, sample_input
 from autobva.suts import get_sut
@@ -31,7 +32,9 @@ def test_detect_writes_archive_and_manifest(tmp_path):
     with open(out / "archive.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["input1", "input2", "output1", "output2",
-                       "validity", "score_num", "score_den"]
+                       "validity", "score_num", "score_den",
+                       "error_kind1", "error_kind2", "strategies"]
+    assert {row[9] for row in rows[1:]} == {"bcs"}
     assert manifest["counts"]["candidates"] == len(rows) - 1 > 0
 
 
@@ -143,9 +146,8 @@ def test_rank_reproduces_reference_order(tmp_path):
     src = tmp_path / "table.csv"
     with open(src, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["input1", "input2", "output1", "output2",
-                    "validity", "score_num", "score_den"])
-        w.writerows(rows)
+        w.writerow(CSV_HEADER)
+        w.writerows(row + ("", "", "") for row in rows)
     out = tmp_path / "ranked.csv"
     assert run_cli("rank", str(src), "--distance", "jaccard1", "--out", str(out)) == 0
     with open(out, newline="") as fh:
@@ -171,10 +173,21 @@ def test_summarize_empty_archive_exits_zero(tmp_path):
 
 def test_summarize_malformed_csv_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("input1,input2,output1,output2,validity,score_num,score_den\n"
-                   "1,2,a,b,VV,not_a_number,1\n")
+    bad.write_text(",".join(CSV_HEADER) + "\n"
+                   "1,2,a,b,VV,not_a_number,1,,,\n")
     assert run_cli("summarize", str(bad)) == 2
-    assert ":2:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"data error: {bad}:2: invalid literal for int()")
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+def test_old_csv_header_is_data_error(tmp_path, capsys, command):
+    old = tmp_path / "old.csv"
+    old.write_text("input1,input2,output1,output2,validity,score_num,score_den\n"
+                   "1,2,a,b,VV,1,1\n")
+    out = tmp_path / ("rep" if command == "summarize" else "ranked.csv")
+    assert run_cli(command, str(old), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (f"data error: {old}:1: old 7-column format without "
+                                       "error sides; use the run's archive.json\n")
 
 
 def test_summarize_missing_archive_is_data_error(tmp_path, capsys):
@@ -220,24 +233,88 @@ SPOILED_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("command", ["summarize", "rank"])
-@pytest.mark.parametrize("case", SPOILED_ENTRIES)
-def test_archive_json_with_non_string_field_is_data_error(tmp_path, capsys, command, case):
-    keys, value, message = SPOILED_ENTRIES[case]
+DELETED = object()   # a SPOILED_ENTRIES value that removes the field
+
+
+def bad_archive_is_data_error(tmp_path, capsys, command, good, bad, where, message):
+    """``command`` reads ``good`` and fails on ``bad`` with exit 2, naming
+    the file, the place ``where`` in it and the fault."""
+    out = ["--out", str(tmp_path / ("rep" if command == "summarize" else "ranked.csv"))]
+    assert run_cli(command, str(good), *out) == 0
+    capsys.readouterr()
+    assert run_cli(command, str(bad), *out) == 2
+    assert capsys.readouterr().err == f"data error: {bad}{where}: {message}\n"
+
+
+def spoiled_archive_is_data_error(tmp_path, capsys, command, keys, value, message):
+    """A JSON archive whose second candidate has one field spoiled."""
     entry = json.loads(json.dumps(ARCHIVE_ENTRY))
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"manifest": None, "candidates": [entry, entry]}))
     target = entry
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if value is DELETED:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"manifest": None, "candidates": [ARCHIVE_ENTRY, entry]}))
-    out = ["--out", str(tmp_path / ("rep" if command == "summarize" else "ranked.csv"))]
-    assert run_cli(command, str(good), *out) == 0
-    capsys.readouterr()
-    assert run_cli(command, str(bad), *out) == 2
-    assert capsys.readouterr().err == f"data error: {bad}: candidate #1: {message}\n"
+    bad_archive_is_data_error(tmp_path, capsys, command, good, bad, ": candidate #1", message)
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+@pytest.mark.parametrize("case", SPOILED_ENTRIES)
+def test_archive_json_with_non_string_field_is_data_error(tmp_path, capsys, command, case):
+    spoiled_archive_is_data_error(tmp_path, capsys, command, *SPOILED_ENTRIES[case])
+
+
+CONTRADICTING_ENTRIES = {
+    "bad status": (("output1", "status"), "ok", "output1.status must be 'valid' or 'error', got 'ok'"),
+    "error without kind": (("output2", "error_kind"), DELETED,
+                           "output2: an error outcome needs an error_kind and a valid one has "
+                           "none, got status 'error' with error_kind None"),
+    "error with empty kind": (("output2", "error_kind"), "",
+                              "output2: an error outcome needs an error_kind and a valid one has "
+                              "none, got status 'error' with error_kind ''"),
+    "valid with kind": (("output1", "error_kind"), "argument_error",
+                        "output1: an error outcome needs an error_kind and a valid one has "
+                        "none, got status 'valid' with error_kind 'argument_error'"),
+    "validity disagrees": (("validity",), "VV", "validity 'VV', but the outcomes make VE"),
+    "semicolon in strategy": (("strategies",), ["bcs;lns"],
+                              "strategy name must be non-empty and have no ';', got 'bcs;lns'"),
+    "empty strategy": (("strategies",), [""], "strategy name must be non-empty and have no ';', got ''"),
+}
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+@pytest.mark.parametrize("case", CONTRADICTING_ENTRIES)
+def test_archive_json_contradicting_itself_is_data_error(tmp_path, capsys, command, case):
+    spoiled_archive_is_data_error(tmp_path, capsys, command, *CONTRADICTING_ENTRIES[case])
+
+
+# one valid VE row of a CSV archive, then rows that each contradict themselves
+CSV_GOOD_ROW = '999,1000,999B,"ArgumentError(""no"")",VE,1,1,,argument_error,bcs'
+CONTRADICTING_ROWS = {
+    "validity disagrees": ('999,1000,999B,"ArgumentError(""no"")",VV,1,1,,argument_error,bcs',
+                           "validity 'VV', but the outcomes make VE"),
+    "error side without kind": ('999,1000,999B,"ArgumentError(""no"")",VE,1,1,,,bcs',
+                                "validity 'VE', but the outcomes make VV"),
+    "empty strategy": ('999,1000,999B,"ArgumentError(""no"")",VE,1,1,,argument_error,bcs;',
+                       "strategy name must be non-empty and have no ';', got ''"),
+    "missing columns": ('999,1000,999B,"ArgumentError(""no"")",VE,1,1', "expected 10 fields, got 7"),
+}
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+@pytest.mark.parametrize("case", CONTRADICTING_ROWS)
+def test_archive_csv_contradicting_itself_is_data_error(tmp_path, capsys, command, case):
+    row, message = CONTRADICTING_ROWS[case]
+    header = ",".join(CSV_HEADER)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(f"{header}\n{CSV_GOOD_ROW}\n{CSV_GOOD_ROW}\n")
+    bad.write_text(f"{header}\n{CSV_GOOD_ROW}\n{row}\n")
+    bad_archive_is_data_error(tmp_path, capsys, command, good, bad, ":3", message)
 
 
 def test_oracle_bytecount_window(tmp_path):
@@ -334,3 +411,48 @@ def test_external_detect_is_identical_at_any_jobs(tmp_path, strategy):
     for text in (b"timeout after 0.2s", b"negative ", b"exit code 5", b" digits"):
         assert text in runs[0]["archive.json"]
     assert json.loads(runs[0]["manifest.json"])["counts"]["samples"] == 12
+
+
+# An external SUT that errs below zero and on inputs ending in 7, so its VE
+# pairs have the error on either side; its error texts carry no prefix.
+EITHER_SIDE_SUT = """#!/bin/sh
+case "$1" in
+  -*) echo "negative $1" >&2; exit 3 ;;
+  *7) exit 5 ;;
+  *) echo "${#1} digits" ;;
+esac
+"""
+
+
+def test_csv_and_json_archives_read_and_summarize_alike(tmp_path):
+    script = tmp_path / "sut.sh"
+    script.write_text(EITHER_SIDE_SUT)
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    runs = [(sut, strategy, "200") for sut in ("bytecount", "bmi", "bmi-class", "date")
+            for strategy in ("lns", "bcs")]
+    runs += [(f"external:{script}", strategy, "12") for strategy in ("lns", "bcs")]
+    error_sides = set()
+    for seed, (sut, strategy, iterations) in enumerate(runs):
+        out = tmp_path / f"run{seed}"
+        assert run_cli("detect", "--sut", sut, "--strategy", strategy, "--iterations", iterations,
+                       "--seed", str(seed), "--out", str(out)) == 0
+        from_csv = read_archive_csv(out / "archive.csv")
+        from_json = read_archive_json(out / "archive.json")
+        assert from_csv == from_json
+        candidates, strategies = from_csv
+        assert [(c.output1.error_kind, c.output2.error_kind) for c in candidates] == \
+            [(c.output1.error_kind, c.output2.error_kind) for c in from_json[0]]
+        assert set(strategies) == {c.key for c in candidates}
+        assert all(tags == {strategy} for tags in strategies.values())
+        error_sides.update((sut, c.output1.error_kind, c.output2.error_kind)
+                           for c in candidates if c.validity == "VE")
+        reports = []
+        for name in ("archive.csv", "archive.json"):
+            rep = out / f"report-{name}"
+            assert run_cli("summarize", str(out / name), "--restarts", "20", "--seed", "0",
+                           "--out", str(rep)) == 0
+            reports.append([(rep / f).read_bytes() for f in ("report.json", "report.md")])
+        assert reports[0] == reports[1]
+    external = f"external:{script}"
+    assert {(external, "argument_error", None), (external, None, "argument_error"),
+            ("bytecount", None, "bounds_error"), ("bmi", "domain_error", None)} <= error_sides

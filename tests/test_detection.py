@@ -1,8 +1,10 @@
 """The two local strategies, the archive, and the loop."""
 
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import threading
@@ -369,12 +371,13 @@ def test_detect_config_validation():
         DetectionConfig(strategy="bcs")
 
 
-# Seeded runs pinned byte for byte: sha256 of ``write_archive_csv`` output plus
-# the sample and execution counts.  Any change to the search, the scoring or
-# the RNG draws shows up here.
+# Seeded runs pinned byte for byte: sha256 of ``write_archive_csv``'s first
+# seven columns under their own header, the whole file before error kinds and
+# strategies were added, plus the sample and execution counts.  Any change to
+# the search, the scoring or the RNG draws shows up here.
 GOLDEN_ARCHIVES = [
     # sut, strategy, distance, threshold, iterations, seed,
-    # samples, executions, candidates, archive.csv sha256
+    # samples, executions, candidates, sha256 of archive.csv's first seven columns
     ("bytecount", "lns", "strlen", "0", 1500, 11, 1500, 4389, 5,
      "92d0fd2548ccb3a34db010cb6416bc0e9e3c35d4d8894ee9e8aa71c66bcf5834"),
     ("bytecount", "bcs", "strlen", "0", 1500, 11, 1500, 65699, 52,
@@ -390,6 +393,25 @@ GOLDEN_ARCHIVES = [
     ("bmi-class", "lns", "jaccard1", "1/2", 300, 11, 300, 1462, 26,
      "6e7e4784516fdb34f9f81c93f56d0c5e1a5a7b6259eb7da0b8a7da20ba23b922"),
 ]
+
+
+# sha256 of the whole ``write_archive_csv`` file for the same runs
+GOLDEN_ARCHIVE_CSV = {
+    ("bytecount", "lns", "strlen"):
+        "532515336540f8818c7046e2f99b68439212b12d78848c771cfff1a851e0db98",
+    ("bytecount", "bcs", "strlen"):
+        "640927d03ca37c912483fcd724d1ac6dc9b28e767cb24a8a49fc5c93060fb2ec",
+    ("date", "lns", "strlen"):
+        "6ad0b31c4f191c610ca4cbc89ce9a732945fc066c586c66cd97137ffb266f7d0",
+    ("date", "bcs", "strlen"):
+        "6ca195aa8ff5852fe638252d45b05bd66718a99024363ad09e5d06fde1f185dd",
+    ("bmi", "bcs", "jaccard2"):
+        "12a6e8170d569e3162f63986cf5a519800aecc3ed3d7e5c6448265530ea7ccce",
+    ("date", "lns", "levenshtein"):
+        "92e7fdfbefec6d6ba9b65ef360f4e02783ad7ec68acf68392ae95f99e175f953",
+    ("bmi-class", "lns", "jaccard1"):
+        "c1c8daada7bf4e9da79cfee911e2001f0760ca31984ca4f001bc00b747798272",
+}
 
 
 # sha256 of ``write_archive_json`` for the same runs, with the run's manifest
@@ -426,7 +448,15 @@ def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, ite
     write_archive_csv(path, result.archive)
     assert (result.samples, result.executions, len(result.archive)) == \
         (samples, executions, candidates)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    seven = io.StringIO()
+    csv.writer(seven).writerows(row[:7] for row in rows)
+    assert rows[0][:7] == ["input1", "input2", "output1", "output2",
+                           "validity", "score_num", "score_den"]
+    assert hashlib.sha256(seven.getvalue().encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_ARCHIVE_CSV[(sut, strategy, distance)]
     manifest = RunManifest.from_result(sut, cfg, dataclasses.replace(result, elapsed=0.0))
     path = tmp_path / "archive.json"
     write_archive_json(path, result.archive, manifest)

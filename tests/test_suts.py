@@ -4,6 +4,7 @@ import calendar
 import dataclasses
 import pickle
 import stat
+import time
 from datetime import date as pydate
 from decimal import Decimal, getcontext
 from random import Random
@@ -373,6 +374,18 @@ def test_external_timeout(tmp_path):
     o = execute(sut, (1,))
     assert not o.is_valid
     assert "timeout" in o.text
+
+
+def test_external_timeout_kills_what_the_program_started(tmp_path):
+    """The subshell outlives a kill of the script alone and would write the
+    marker a second later; killing the run's process group stops it."""
+    marker = tmp_path / "marker"
+    sut = make_external_sut(_script(tmp_path, "spawner", f"(sleep 1; touch {marker})\n"),
+                            timeout=0.2)
+    assert execute(sut, (1,)) == ExecutionOutcome('ArgumentError("timeout after 0.2s")',
+                                                  "argument_error")
+    time.sleep(1.5)
+    assert not marker.exists()
 
 
 def test_get_sut_rejects_unknown():
