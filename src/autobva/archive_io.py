@@ -4,8 +4,10 @@ and ranked candidate listings.
 Both archive formats store one record per candidate: the two inputs, each
 side's status, text and error kind, the validity tag, the exact score and
 the strategies that found it.  Both readers decode records through one
-function that holds every check, so CSV and JSON round trips give the same
-candidates with the same error sides, kinds and strategies.  Error payloads
+function that holds every check, and return an ``Archive`` built through
+``Archive.add``, which checks strategy names; the writers take an
+``Archive``.  So CSV and JSON round trips give the same candidates with
+the same error sides, kinds and strategies.  Error payloads
 and the run manifest are stored in the JSON archive only.
 """
 
@@ -84,9 +86,9 @@ class RunManifest:
 # archives: one record per candidate, a JSON entry or a CSV row mapped to one
 
 
-def write_archive_csv(path, candidates: Iterable[BoundaryCandidate]) -> None:
-    """One row per candidate, with its strategies when given an ``Archive``."""
-    strategies = candidates.strategies if isinstance(candidates, Archive) else {}
+def write_archive_csv(path, archive: Archive) -> None:
+    """One row per candidate, with its strategies."""
+    strategies = archive.strategies
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -95,7 +97,7 @@ def write_archive_csv(path, candidates: Iterable[BoundaryCandidate]) -> None:
             (*c.key, c.output1.text, c.output2.text,
              c.validity, c.score.numerator, c.score.denominator,
              c.output1.error_kind, c.output2.error_kind, ";".join(sorted(strategies.get(c.key, ()))))
-            for c in candidates)
+            for c in archive)
 
 
 def _record_from_row(row: list) -> dict:
@@ -109,8 +111,8 @@ def _record_from_row(row: list) -> dict:
             "strategies": tags.split(";") if tags else []}
 
 
-def read_archive_csv(path) -> tuple:
-    """Returns (candidates, strategies-by-key); a bad row is a DataError
+def read_archive_csv(path) -> Archive:
+    """The stored candidates, kept at any score; a bad row is a DataError
     naming its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -181,8 +183,8 @@ def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] =
                           encoding="utf-8")
 
 
-def read_archive_json(path) -> tuple:
-    """Returns (candidates, strategies-by-key); a bad entry is a DataError
+def read_archive_json(path) -> Archive:
+    """The stored candidates, kept at any score; a bad entry is a DataError
     naming its index in the candidates list."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -193,20 +195,18 @@ def read_archive_json(path) -> tuple:
     return _decode(doc["candidates"], path, lambda index: (None, f"candidate #{index}: "))
 
 
-def _decode(records, path, locate) -> tuple:
-    """(candidates, strategies-by-key) from archive records.  A bad record
+def _decode(records, path, locate) -> Archive:
+    """An archive of every stored record, kept at any score.  A bad record
     is a DataError at ``locate(index)``, a line and a message prefix."""
-    candidates, strategies = [], {}
+    archive, decoded = Archive(Fraction(-1)), 0
     try:
         for record in records:
-            candidate, tags = _candidate_from_record(record)
-            candidates.append(candidate)
-            if tags:
-                strategies[candidate.key] = tags
+            archive.add(*_candidate_from_record(record))
+            decoded += 1
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        line, prefix = locate(len(candidates))
+        line, prefix = locate(decoded)
         raise DataError(f"{prefix}{exc}", path, line) from exc
-    return candidates, strategies
+    return archive
 
 
 def _string(value, what: str) -> str:
@@ -229,8 +229,9 @@ def _outcome_from_record(data: dict, side: str) -> ExecutionOutcome:
 
 
 def _candidate_from_record(record: dict) -> tuple:
-    """(candidate, set of strategy names) from one record, with every check
-    on stored candidates."""
+    """(candidate, strategy names) from one record, with every check on
+    stored candidates but the form of strategy names, which ``Archive.add``
+    checks."""
     score = record["score"]
     candidate = canonical_candidate(
         parse_tuple(_string(record["input1"], "input1")),
@@ -238,38 +239,34 @@ def _candidate_from_record(record: dict) -> tuple:
         parse_tuple(_string(record["input2"], "input2")),
         _outcome_from_record(record["output2"], "output2"),
         Fraction(score["num"], score["den"]))
+    if candidate.score < 0:
+        raise ValueError(f"score must not be negative, got {candidate.score}")
     if record["validity"] != candidate.validity:
         raise ValueError(f"validity {record['validity']!r}, but the outcomes make {candidate.validity}")
     tags = record["strategies"]
     if not isinstance(tags, list):
         raise ValueError(f"strategies must be a list, got {type(tags).__name__} {tags!r}")
     for tag in tags:
-        if not _string(tag, "strategy name") or ";" in tag:
-            raise ValueError(f"strategy name must be non-empty and have no ';', got {tag!r}")
-    return candidate, set(tags)
+        _string(tag, "strategy name")
+    return candidate, tags
 
 
-def load_archives(paths, threshold: Optional[Fraction] = None) -> Archive:
+def load_archives(paths) -> Archive:
     """Merge archive files (CSV or JSON by extension), re-deduplicating.
 
-    No re-filtering by default: rows are kept as stored, even at score zero,
-    so ranking can list them last.  An unreadable file is a DataError.
+    Candidates are kept as stored, even at score zero, so ranking can list
+    them last.  An unreadable file is a DataError.
     """
-    merged = Archive(Fraction(-1) if threshold is None else threshold)
+    merged = Archive(Fraction(-1))
     for path in paths:
         path = Path(path)
+        reader = read_archive_json if path.suffix == ".json" else read_archive_csv
         try:
-            reader = read_archive_json if path.suffix == ".json" else read_archive_csv
-            candidates, strategies = reader(path)
+            merged.merge(reader(path))
         except OSError as exc:
             raise DataError(exc.strerror or str(exc), path) from exc
         except UnicodeDecodeError as exc:
             raise DataError(f"not UTF-8 text: {exc}", path) from exc
-        for c in candidates:
-            merged.add(c)
-        for key, tags in strategies.items():
-            if key in merged:
-                merged.strategies.setdefault(key, set()).update(tags)
     return merged
 
 

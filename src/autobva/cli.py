@@ -29,7 +29,7 @@ from .archive_io import (
     write_report_json,
     write_report_markdown,
 )
-from .detection import DetectionConfig, detect
+from .detection import Archive, DetectionConfig, detect
 from .distances import parse_distance, pdq
 from .oracle import WindowTooLarge, scan_adjacent
 from .experiment import run_experiment
@@ -124,7 +124,7 @@ def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--distance", default="strlen",
                    help="strlen | jaccard1 | jaccard2 | levenshtein")
     p.add_argument("--threshold", default="0", help="exact rational, e.g. 0 or 1/2")
-    p.add_argument("--arity", type=int, default=1, help="arity of an external SUT")
+    p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
     p.add_argument("--timeout", type=float, default=5.0, help="external SUT timeout (s)")
     p.add_argument("--jobs", type=_positive_int, default=JOBS_PER_CPU * _usable_cpus(),
                    help=f"runs of an external SUT at once (default: {JOBS_PER_CPU} per "
@@ -220,8 +220,10 @@ def cmd_oracle(args) -> int:
     if args.fixed is not None:
         fixed = tuple(parse_value(part) for part in args.fixed.split(","))
     distance = parse_distance(args.distance)
-    found = list(scan_adjacent(sut, args.start, args.stop, distance,
-                               vary=args.vary, fixed=fixed, force=args.force))
+    found = Archive()
+    for candidate in scan_adjacent(sut, args.start, args.stop, distance,
+                                   vary=args.vary, fixed=fixed, force=args.force):
+        found.add(candidate)
     write_archive_csv(args.out, found)
     print(f"{len(found)} boundary pairs in [{args.start}, {args.stop}] -> {args.out}")
     return EXIT_OK
@@ -236,7 +238,6 @@ def cmd_experiment(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     result = run_experiment(sut, config, strategies=strategies,
                             repetitions=args.reps,
-                            base_seed=config.sampler.seed,
                             summarize_restarts=args.restarts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated full argument tuple, e.g. 2021,2,1")
     p.add_argument("--distance", default="strlen")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--arity", type=int, default=1)
+    p.add_argument("--arity", type=_positive_int, default=1)
     p.add_argument("--timeout", type=float, default=5.0)
     p.add_argument("--out", default="boundaries.csv")
     p.set_defaults(func=cmd_oracle)
@@ -314,10 +315,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, WindowTooLarge) as exc:
+    except (UsageError, ValueError, WindowTooLarge) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

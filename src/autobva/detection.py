@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .distances import STRLEN, OutputDistance, pdq
 from .sampling import SamplerConfig, sample_arguments
@@ -105,8 +105,16 @@ class Archive:
     def threshold(self) -> Fraction:
         return self._threshold
 
-    def add(self, candidate: BoundaryCandidate, strategy: Optional[str] = None) -> bool:
-        """Insert if above threshold and unseen; returns True on insertion."""
+    def add(self, candidate: BoundaryCandidate, strategies: Collection[str] = ()) -> bool:
+        """Insert if above threshold and unseen, and tag it with
+        ``strategies``; returns True on insertion.
+
+        A strategy name must be non-empty and hold no ``;``, so that both
+        archive formats can carry it; a bad name leaves the archive as it was.
+        """
+        for name in strategies:
+            if not name or ";" in name:
+                raise ValueError(f"strategy name must be non-empty and have no ';', got {name!r}")
         score = candidate.score
         # score <= threshold, compared exactly (denominators are positive)
         if score.numerator * self._den <= self._num * score.denominator:
@@ -115,16 +123,13 @@ class Archive:
         fresh = key not in self._entries
         if fresh:
             self._entries[key] = candidate
-        if strategy:
-            self.strategies.setdefault(key, set()).add(strategy)
+        if strategies:
+            self.strategies.setdefault(key, set()).update(strategies)
         return fresh
 
     def merge(self, other: "Archive") -> None:
         for candidate in other:
-            self.add(candidate)
-        for key, tags in other.strategies.items():
-            if key in self._entries:
-                self.strategies.setdefault(key, set()).update(tags)
+            self.add(candidate, other.strategies.get(candidate.key, ()))
 
     def __contains__(self, key) -> bool:
         return key in self._entries
@@ -188,8 +193,8 @@ def bcs_first_step(rng: random.Random, arity: int) -> tuple:
 
 def bcs_search(runner: Runner, output_distance: OutputDistance,
                inputs: InputTuple, step: tuple,
-               max_doublings: int = 96,
-               domains: Optional[tuple] = None) -> list:
+               domains: Optional[tuple] = None,
+               max_doublings: int = 96) -> list:
     """Boundary Crossing Search from one starting point along ``step``,
     the (argument index, +1 or -1) pair ``bcs_first_step`` draws.
 
@@ -288,7 +293,6 @@ class DetectionConfig:
     threshold: Fraction = Fraction(0)
     output_distance: OutputDistance = STRLEN
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    bcs_max_doublings: int = 96
 
     def __post_init__(self):
         if self.strategy not in ("lns", "bcs"):
@@ -361,14 +365,13 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
         inputs, step, domains = draw
         if step is None:
             return lns_search(runner, inputs, output_distance)
-        return bcs_search(runner, output_distance, inputs, step,
-                          config.bcs_max_doublings, domains)
+        return bcs_search(runner, output_distance, inputs, step, domains)
 
-    samples = 0
+    samples, tags = 0, (strategy,)
     for found in _ordered_map(search, draws(), sut.concurrency):
         samples += 1
         for candidate in found:
-            archive.add(candidate, strategy=strategy)
+            archive.add(candidate, tags)
     return DetectionResult(archive, samples=samples,
                            executions=sum(r.executions for r in runners),
                            elapsed=time.monotonic() - start)

@@ -68,47 +68,25 @@ def input_distance(i1: InputTuple, i2: InputTuple) -> int:
     return sum(abs(int(a) - int(b)) for a, b in zip(i1, i2))
 
 
-# kind -> the distance for a given n-gram size (only jaccard uses the size)
-_KINDS = {
-    "strlendist": lambda ngram: strlendist,
-    "jaccard": lambda ngram: partial(jaccard_ngram, ngram),
-    "levenshtein": lambda ngram: levenshtein,
-}
-
-
 @dataclass(frozen=True)
 class OutputDistance:
     """A named output distance usable as a callable on two strings.
 
-    ``function`` is the distance itself, resolved once from ``kind`` and
-    ``ngram``; hot loops call it directly instead of going through
-    ``__call__``.
+    Equality, hashing and ``repr`` go by ``name`` alone.  Hot loops call
+    ``function`` directly instead of going through ``__call__``.
     """
 
-    kind: str          # strlendist | jaccard | levenshtein
-    ngram: int = 1     # only meaningful for jaccard
-    function: Callable[[str, str], Distance] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        try:
-            resolve = _KINDS[self.kind]
-        except KeyError:
-            raise ValueError(f"unknown output distance kind {self.kind!r}") from None
-        object.__setattr__(self, "function", resolve(self.ngram))
+    name: str
+    function: Callable[[str, str], Distance] = field(repr=False, compare=False)
 
     def __call__(self, s1: str, s2: str) -> Distance:
         return self.function(s1, s2)
 
-    @property
-    def name(self) -> str:
-        return f"jaccard{self.ngram}" if self.kind == "jaccard" else \
-            ("strlen" if self.kind == "strlendist" else self.kind)
 
-
-STRLEN = OutputDistance("strlendist")
-JACCARD1 = OutputDistance("jaccard", 1)
-JACCARD2 = OutputDistance("jaccard", 2)
-LEVENSHTEIN = OutputDistance("levenshtein")
+STRLEN = OutputDistance("strlen", strlendist)
+JACCARD1 = OutputDistance("jaccard1", partial(jaccard_ngram, 1))
+JACCARD2 = OutputDistance("jaccard2", partial(jaccard_ngram, 2))
+LEVENSHTEIN = OutputDistance("levenshtein", levenshtein)
 
 _BY_NAME = {
     "strlen": STRLEN,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .detection import Archive, DetectionConfig, detect
 from .summarization import ClusterReport, summarize
@@ -76,17 +76,17 @@ class ExperimentResult:
 
 def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
                    strategies: Sequence[str] = ("lns", "bcs"),
-                   repetitions: int = 3, base_seed: int = 0,
-                   summarize_restarts: int = 100,
-                   summary_rng: Optional[random.Random] = None) -> ExperimentResult:
+                   repetitions: int = 3,
+                   summarize_restarts: int = 100) -> ExperimentResult:
     """Run repetitions x strategies with distinct seeds and aggregate.
 
-    Every run gets its own seed (base_seed + run index across the grid).
-    Coverage is measured against the summary of the union of all runs.
+    Every run gets its own seed: the base config's sampler seed plus the
+    run's index across the grid.  Coverage is measured against the summary
+    of the union of all runs, clustered with a generator seeded the same.
     """
     merged = Archive(base_config.threshold)
     stats = []
-    seed = base_seed
+    base_seed = seed = base_config.sampler.seed
     for strategy in strategies:
         s = StrategyStats(strategy)
         for _ in range(repetitions):
@@ -105,8 +105,7 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
         others = set().union(*(o.all_keys for o in stats if o is not s)) if len(stats) > 1 else set()
         unique_counts[s.strategy] = len(s.all_keys - others)
 
-    report = summarize(merged, summary_rng or random.Random(base_seed),
-                       restarts=summarize_restarts)
+    report = summarize(merged, random.Random(base_seed), restarts=summarize_restarts)
     cluster_ids = report.cluster_of()
     total_clusters = sum(len(g.clusters) for g in report.groups)
     for s in stats:

@@ -40,10 +40,6 @@ class TypeDomain:
         half = 1 << (self.bit_width - 1)
         return (-half, half - 1)
 
-    def contains(self, v: int) -> bool:
-        lo, hi = self.bounds()
-        return lo <= v <= hi
-
 
 @lru_cache(maxsize=None)
 def _big(cap: int) -> TypeDomain:

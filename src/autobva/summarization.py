@@ -348,13 +348,13 @@ def _strategy_counts(members: Sequence[BoundaryCandidate], strategies: dict) -> 
 
 
 def summarize(archive: Archive, rng: Optional[random.Random] = None,
-              restarts: int = KMEANS_RESTARTS, k_max: int = K_MAX,
-              block: int = DIVERSITY_BLOCK, window: int = DIVERSITY_WINDOW) -> ClusterReport:
+              restarts: int = KMEANS_RESTARTS, block: int = DIVERSITY_BLOCK,
+              window: int = DIVERSITY_WINDOW) -> ClusterReport:
     """Cluster an archive per validity group and return the report.
 
     Groups with fewer than three candidates become a single cluster; larger
     groups go through diversity subsetting, `restarts` k-means runs cycling
-    k over 2..min(k_max, subset size), silhouette model selection, and
+    k over 2..min(K_MAX, subset size), silhouette model selection, and
     nearest-centroid attachment of the diversity-dropped candidates.
     """
     rng = rng or random.Random(0)
@@ -372,7 +372,7 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
         subset, dropped = diversity_subset(group, rng, block, window, distances)
         space = FeatureSpace(subset, distances)
         pairwise = point_distances(space.matrix)
-        ks = list(range(2, min(k_max, len(subset)) + 1))
+        ks = list(range(2, min(K_MAX, len(subset)) + 1))
         models = [kmeans(space.matrix, ks[i % len(ks)],
                          random.Random(rng.getrandbits(64)), distances=pairwise)
                   for i in range(restarts)]

@@ -47,6 +47,8 @@ class SutDescriptor:
     concurrency: int = 1
 
     def __post_init__(self):
+        if self.arity < 1:
+            raise ValueError(f"arity must be >= 1, got {self.arity}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
         if not self.argument_types:

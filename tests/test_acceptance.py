@@ -285,7 +285,7 @@ def _merged_bcs_archives(seeds=range(10), iterations=3000):
         run = detect(BC, DetectionConfig(strategy="bcs", budget_iterations=iterations,
                                          sampler=SamplerConfig(seed=seed)))
         for c in run.archive:
-            merged.add(c, strategy="bcs")
+            merged.add(c, ("bcs",))
     return merged
 
 

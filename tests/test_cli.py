@@ -66,6 +66,15 @@ def test_detect_jobs_below_one_is_usage_error(jobs, capsys):
     assert capsys.readouterr().err.startswith("usage error: argument --jobs: ")
 
 
+@pytest.mark.parametrize("command", ["detect", "experiment", "oracle"])
+@pytest.mark.parametrize("arity", ["0", "-1"])
+def test_arity_below_one_is_usage_error(command, arity, capsys):
+    window = ["--from", "0", "--to", "1"] if command == "oracle" else ["--iterations", "1"]
+    assert run_cli(command, "--sut", "external:/bin/echo", "--arity", arity, *window) == 1
+    assert capsys.readouterr().err == \
+        f"usage error: argument --arity: must be at least 1, got {arity}\n"
+
+
 def test_detect_env_seed_overrides_flag(tmp_path, monkeypatch):
     out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     monkeypatch.setenv("AUTOBVA_SEED", "99")
@@ -284,6 +293,7 @@ CONTRADICTING_ENTRIES = {
     "semicolon in strategy": (("strategies",), ["bcs;lns"],
                               "strategy name must be non-empty and have no ';', got 'bcs;lns'"),
     "empty strategy": (("strategies",), [""], "strategy name must be non-empty and have no ';', got ''"),
+    "negative score": (("score", "den"), -2, "score must not be negative, got -1/2"),
 }
 
 
@@ -303,6 +313,8 @@ CONTRADICTING_ROWS = {
     "empty strategy": ('999,1000,999B,"ArgumentError(""no"")",VE,1,1,,argument_error,bcs;',
                        "strategy name must be non-empty and have no ';', got ''"),
     "missing columns": ('999,1000,999B,"ArgumentError(""no"")",VE,1,1', "expected 10 fields, got 7"),
+    "negative score": ('999,1000,999B,"ArgumentError(""no"")",VE,5,-1,,argument_error,bcs',
+                       "score must not be negative, got -5"),
 }
 
 
@@ -438,10 +450,11 @@ def test_csv_and_json_archives_read_and_summarize_alike(tmp_path):
                        "--seed", str(seed), "--out", str(out)) == 0
         from_csv = read_archive_csv(out / "archive.csv")
         from_json = read_archive_json(out / "archive.json")
-        assert from_csv == from_json
-        candidates, strategies = from_csv
+        candidates, strategies = from_csv.candidates, from_csv.strategies
+        assert candidates == from_json.candidates
+        assert strategies == from_json.strategies
         assert [(c.output1.error_kind, c.output2.error_kind) for c in candidates] == \
-            [(c.output1.error_kind, c.output2.error_kind) for c in from_json[0]]
+            [(c.output1.error_kind, c.output2.error_kind) for c in from_json]
         assert set(strategies) == {c.key for c in candidates}
         assert all(tags == {strategy} for tags in strategies.values())
         error_sides.update((sut, c.output1.error_kind, c.output2.error_kind)

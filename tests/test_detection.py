@@ -126,8 +126,8 @@ def test_archive_deduplicates_both_orientations():
     archive = Archive()
     a = make_candidate((9,), execute(BC, (9,)), (10,), execute(BC, (10,)), STRLEN)
     b = make_candidate((10,), execute(BC, (10,)), (9,), execute(BC, (9,)), STRLEN)
-    assert archive.add(a, strategy="lns")
-    assert not archive.add(b, strategy="bcs")
+    assert archive.add(a, ("lns",))
+    assert not archive.add(b, ("bcs",))
     assert len(archive) == 1
     assert archive.strategies[a.key] == {"lns", "bcs"}
 
@@ -174,13 +174,27 @@ def test_archive_negative_threshold_admits_zero_scores():
 def test_archive_merge_applies_own_threshold_and_unions_strategies():
     target, source = Archive(threshold=Fraction(1, 2)), Archive()
     low, high, shared = scored(Fraction(1, 4), 1), scored(1, 3), scored(2, 5)
-    assert target.add(shared, strategy="lns")
+    assert target.add(shared, ("lns",))
     for candidate, strategy in ((low, "lns"), (high, "lns"), (shared, "bcs")):
-        assert source.add(candidate, strategy=strategy)
+        assert source.add(candidate, (strategy,))
     target.merge(source)
     assert [c.key for c in target] == [shared.key, high.key]
     assert target.strategies == {shared.key: {"lns", "bcs"}, high.key: {"lns"}}
     assert low.key not in target
+
+
+@pytest.mark.parametrize("bad", ["", "x;y"])
+def test_archive_add_rejects_names_the_formats_cannot_carry(bad):
+    """An empty name or one with ';' would not survive a CSV or JSON round
+    trip, so no archive takes it, and a rejected add changes nothing."""
+    archive = Archive()
+    kept, fresh = scored(1, 1), scored(1, 3)
+    assert archive.add(kept, ("lns",))
+    for candidate in (kept, fresh):
+        with pytest.raises(ValueError, match="strategy name"):
+            archive.add(candidate, ("bcs", bad))
+    assert [c.key for c in archive] == [kept.key]
+    assert archive.strategies == {kept.key: {"lns"}}
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +618,10 @@ def test_detect_then_write_renders_each_archived_key_once(tmp_path, monkeypatch,
     renders, made, offered = [], [], []
     render, make, add = detection.render_tuple, detection.make_candidate, detection.Archive.add
 
-    def offer(archive, candidate, strategy=None):
+    def offer(archive, candidate, strategies=()):
         if candidate.score > archive.threshold:
             offered.append(candidate)
-        return add(archive, candidate, strategy)
+        return add(archive, candidate, strategies)
 
     monkeypatch.setattr(detection, "render_tuple", lambda values: renders.append(1) or render(values))
     monkeypatch.setattr(detection, "make_candidate", lambda *args: made.append(1) or make(*args))

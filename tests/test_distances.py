@@ -126,7 +126,8 @@ def test_pdq_is_exact_and_symmetric():
 
 def test_parse_distance():
     assert parse_distance("strlen") is STRLEN
-    assert parse_distance("jaccard2").ngram == 2
+    assert parse_distance("jaccard2") is JACCARD2
+    assert parse_distance("strlendist") is STRLEN
     assert parse_distance("levenshtein") is LEVENSHTEIN
     with pytest.raises(ValueError):
         parse_distance("cosine")
@@ -140,8 +141,9 @@ def test_output_distance_resolves_its_function():
     for dist, reference in expected.items():
         for a, b in pairs:
             assert dist(a, b) == dist.function(a, b) == reference(a, b)
-    assert OutputDistance("jaccard", 2) == JACCARD2
-    assert hash(OutputDistance("jaccard", 2)) == hash(JACCARD2)
-    assert repr(JACCARD2) == "OutputDistance(kind='jaccard', ngram=2)"
-    with pytest.raises(ValueError):
-        OutputDistance("cosine")
+    # a distance is known by its name: the function takes no part in
+    # equality, hashing or repr
+    same = OutputDistance("jaccard2", lambda a, b: jaccard_ngram(2, a, b))
+    assert same == JACCARD2 and hash(same) == hash(JACCARD2)
+    assert repr(JACCARD2) == "OutputDistance(name='jaccard2')"
+    assert [d.name for d in expected] == ["strlen", "levenshtein", "jaccard1", "jaccard2"]

@@ -450,7 +450,7 @@ def test_summarize_empty_archive():
 
 def test_summarize_small_group_is_single_cluster():
     archive = Archive()
-    archive.add(bc_cand(999999999999994822656, 999999999999994822657), strategy="bcs")
+    archive.add(bc_cand(999999999999994822656, 999999999999994822657), ("bcs",))
     report = summarize(archive, Random(0))
     (group,) = report.groups
     assert group.validity == "VE"

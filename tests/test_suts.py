@@ -329,6 +329,14 @@ def test_execute_checks_arity():
         execute(BC, (1, 2))
 
 
+@pytest.mark.parametrize("arity", [0, -1])
+def test_arity_is_at_least_one(arity):
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        dataclasses.replace(BC, arity=arity)
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        make_external_sut("/bin/echo", arity=arity)
+
+
 def test_execute_catches_sut_exceptions():
     from autobva.suts import SutDescriptor
 
