@@ -1,5 +1,5 @@
-"""File formats: archives (CSV and JSON), run manifests, cluster reports
-and ranked candidate listings.
+"""File formats: archives (CSV and JSON), run manifests, sampler config
+files, cluster reports and ranked candidate listings.
 
 Both archive formats store one record per candidate: the two inputs, each
 side's status, text and error kind, the validity tag, the exact score and
@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .detection import Archive, BoundaryCandidate, DetectionResult, canonical_candidate
+from .sampling import SamplerConfig
 from .summarization import ClusterReport
 from .values import ExecutionOutcome, parse_tuple, display_tuple
 
@@ -65,12 +67,7 @@ class RunManifest:
             strategy=config.strategy,
             seed=config.sampler.seed,
             budget=config.budget,
-            sampling={
-                "sampling.method": config.sampler.method,
-                "sampling.cts": config.sampler.cts,
-                "sampling.big_int_bit_cap": config.sampler.big_int_bit_cap,
-                "seed": config.sampler.seed,
-            },
+            sampling=config.sampler.settings(),
             distance=config.output_distance.name,
             threshold=str(config.threshold),
             counts={
@@ -80,6 +77,37 @@ class RunManifest:
             },
             elapsed_seconds=round(result.elapsed, 6),
         )
+
+
+@contextmanager
+def _reading(path) -> Iterator[None]:
+    """Turn a failure to read, decode or parse the file ``path`` into a
+    DataError naming it, and the line for invalid JSON."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(exc.strerror or str(exc), path) from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text: {exc}", path) from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}", path, exc.lineno) from exc
+
+
+def load_json(path):
+    """The JSON document in the file ``path``."""
+    with _reading(path):
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def read_sampler_config(path, base: SamplerConfig) -> SamplerConfig:
+    """``base`` with the settings in the JSON config file ``path`` laid over it."""
+    settings = load_json(path)
+    if not isinstance(settings, dict):
+        raise DataError(f"expected a JSON object of settings, got {type(settings).__name__}", path)
+    try:
+        return base.with_settings(settings)
+    except ValueError as exc:
+        raise DataError(str(exc), path) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +142,7 @@ def _record_from_row(row: list) -> dict:
 def read_archive_csv(path) -> Archive:
     """The stored candidates, kept at any score; a bad row is a DataError
     naming its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header == CSV_HEADER[:7]:
@@ -186,10 +214,7 @@ def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] =
 def read_archive_json(path) -> Archive:
     """The stored candidates, kept at any score; a bad entry is a DataError
     naming its index in the candidates list."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}", path, exc.lineno) from exc
+    doc = load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("candidates"), list):
         raise DataError("expected a JSON object with a candidates list", path)
     return _decode(doc["candidates"], path, lambda index: (None, f"candidate #{index}: "))
@@ -233,11 +258,15 @@ def _candidate_from_record(record: dict) -> tuple:
     stored candidates but the form of strategy names, which ``Archive.add``
     checks."""
     score = record["score"]
+    input1 = parse_tuple(_string(record["input1"], "input1"))
+    input2 = parse_tuple(_string(record["input2"], "input2"))
+    # equal tuples include ones equal as numbers, such as 1 and true
+    if not input1 or len(input1) != len(input2) or input1 == input2:
+        raise ValueError(f"inputs must be distinct and non-empty, with one arity, "
+                         f"got {record['input1']!r} and {record['input2']!r}")
     candidate = canonical_candidate(
-        parse_tuple(_string(record["input1"], "input1")),
-        _outcome_from_record(record["output1"], "output1"),
-        parse_tuple(_string(record["input2"], "input2")),
-        _outcome_from_record(record["output2"], "output2"),
+        input1, _outcome_from_record(record["output1"], "output1"),
+        input2, _outcome_from_record(record["output2"], "output2"),
         Fraction(score["num"], score["den"]))
     if candidate.score < 0:
         raise ValueError(f"score must not be negative, got {candidate.score}")
@@ -261,12 +290,7 @@ def load_archives(paths) -> Archive:
     for path in paths:
         path = Path(path)
         reader = read_archive_json if path.suffix == ".json" else read_archive_csv
-        try:
-            merged.merge(reader(path))
-        except OSError as exc:
-            raise DataError(exc.strerror or str(exc), path) from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"not UTF-8 text: {exc}", path) from exc
+        merged.merge(reader(path))
     return merged
 
 
@@ -311,6 +335,18 @@ def write_report_json(path, report: ClusterReport) -> None:
     Path(path).write_text(json.dumps(report_to_json(report), indent=1), encoding="utf-8")
 
 
+def read_cluster_labels(path) -> dict:
+    """Member key -> the label ``"<validity>/<cluster id>"`` of its cluster
+    in the report.json at ``path``."""
+    doc = load_json(path)
+    try:
+        return {tuple(key): f"{group['validity']}/{cluster['id']}"
+                for group in doc["groups"] for cluster in group["clusters"]
+                for key in cluster["members"]}
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"not a cluster report ({type(exc).__name__}: {exc})", path) from exc
+
+
 def report_to_markdown(report: ClusterReport) -> str:
     lines = ["# Boundary candidate summary", ""]
     strategies = sorted({tag for g in report.groups for c in g.clusters
@@ -343,10 +379,14 @@ def write_report_markdown(path, report: ClusterReport) -> None:
 # ranking
 
 
-def write_ranked_csv(path, rows: Iterable[dict]) -> None:
-    fieldnames = ["rank", "cluster", "input1", "input2", "output1", "output2",
-                  "validity", "score_num", "score_den", "score"]
+def write_ranked_csv(path, ranked: Iterable[tuple]) -> None:
+    """One row per (score, candidate, cluster label), ranked in the given
+    order; the label is empty for a candidate in no cluster."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(["rank", "cluster", "input1", "input2", "output1", "output2",
+                         "validity", "score_num", "score_den", "score"])
+        writer.writerows(
+            (rank, cluster, *c.key, c.output1.text, c.output2.text, c.validity,
+             score.numerator, score.denominator, f"{float(score):.6g}")
+            for rank, (score, c, cluster) in enumerate(ranked, 1))

@@ -5,16 +5,19 @@ report), rank (re-score and sort candidates), oracle (exhaustive adjacent
 scan), experiment (repeated seeded runs with statistics).
 
 Exit codes: 0 success, 1 usage error, 2 data error.  The AUTOBVA_SEED
-environment variable overrides any --seed flag.
+environment variable overrides any --seed flag and config-file seed.  Every
+file format is read and written by ``archive_io`` or ``experiment``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import random
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +25,8 @@ from .archive_io import (
     DataError,
     RunManifest,
     load_archives,
+    read_cluster_labels,
+    read_sampler_config,
     write_archive_csv,
     write_archive_json,
     write_manifest,
@@ -32,7 +37,7 @@ from .archive_io import (
 from .detection import Archive, DetectionConfig, detect
 from .distances import parse_distance, pdq
 from .oracle import WindowTooLarge, scan_adjacent
-from .experiment import run_experiment
+from .experiment import run_experiment, write_experiment
 from .sampling import SamplerConfig
 from .summarization import summarize
 from .suts import UsageError, get_sut
@@ -57,42 +62,20 @@ def _effective_seed(value: int) -> int:
     return int(env) if env else value
 
 
-def _load_config_file(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"config file {path}: {exc}")
-
-
-def _sampler_from(args) -> SamplerConfig:
-    settings = {
-        "sampling.method": args.sampling,
-        "sampling.cts": args.cts == "on",
-        "sampling.big_int_bit_cap": args.big_int_bit_cap,
-        "seed": args.seed,
-    }
-    if getattr(args, "config", None):
-        file_settings = _load_config_file(args.config)
-        for key, value in file_settings.items():
-            if key not in settings:
-                raise DataError(f"config file {args.config}: unknown key {key!r}")
-            settings[key] = value
-    return SamplerConfig(
-        method=settings["sampling.method"],
-        cts=bool(settings["sampling.cts"]),
-        big_int_bit_cap=int(settings["sampling.big_int_bit_cap"]),
-        seed=_effective_seed(int(settings["seed"])),
-    )
-
-
 def _detection_config(args) -> DetectionConfig:
+    """The search flags; the sampler takes its flags, then the --config
+    file's settings over them, then AUTOBVA_SEED over the seed."""
+    sampler = SamplerConfig(method=args.sampling, cts=args.cts == "on",
+                            big_int_bit_cap=args.big_int_bit_cap, seed=args.seed)
+    if args.config:
+        sampler = read_sampler_config(args.config, sampler)
     return DetectionConfig(
         strategy=args.strategy,
         budget_seconds=args.seconds,
         budget_iterations=args.iterations,
         threshold=Fraction(args.threshold),
         output_distance=parse_distance(args.distance),
-        sampler=_sampler_from(args),
+        sampler=replace(sampler, seed=_effective_seed(sampler.seed)),
     )
 
 
@@ -103,10 +86,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(least: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(0, text)
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
     return value
 
 
@@ -115,8 +113,8 @@ def _add_detect_flags(p, default_strategy="bcs"):
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
     p.add_argument("--strategy", choices=["lns", "bcs"], default=default_strategy)
     budget = p.add_mutually_exclusive_group()
-    budget.add_argument("--seconds", type=float, default=None)
-    budget.add_argument("--iterations", type=int, default=None)
+    budget.add_argument("--seconds", type=_positive_float, default=None)
+    budget.add_argument("--iterations", type=_non_negative_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampling", choices=["uniform", "bituniform"], default="bituniform")
     p.add_argument("--cts", choices=["on", "off"], default="on")
@@ -125,7 +123,8 @@ def _add_detect_flags(p, default_strategy="bcs"):
                    help="strlen | jaccard1 | jaccard2 | levenshtein")
     p.add_argument("--threshold", default="0", help="exact rational, e.g. 0 or 1/2")
     p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
-    p.add_argument("--timeout", type=float, default=5.0, help="external SUT timeout (s)")
+    p.add_argument("--timeout", type=_positive_float, default=5.0,
+                   help="external SUT timeout (s)")
     p.add_argument("--jobs", type=_positive_int, default=JOBS_PER_CPU * _usable_cpus(),
                    help=f"runs of an external SUT at once (default: {JOBS_PER_CPU} per "
                         "usable CPU; 1 runs one at a time)")
@@ -169,48 +168,18 @@ def cmd_summarize(args) -> int:
 def cmd_rank(args) -> int:
     archive = load_archives(args.archives)
     distance = parse_distance(args.distance)
-    cluster_ids = {}
-    if args.report:
-        try:
-            doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-            for group in doc["groups"]:
-                for cluster in group["clusters"]:
-                    label = f"{group['validity']}/{cluster['id']}"
-                    for key in cluster["members"]:
-                        cluster_ids[tuple(key)] = label
-        except OSError as exc:
-            raise DataError(exc.strerror or str(exc), args.report) from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON: {exc}", args.report, exc.lineno) from exc
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"not a cluster report ({type(exc).__name__}: {exc})",
-                            args.report) from exc
-    scored = []
-    for c in archive:
-        score = pdq(c.input1, c.output1.text, c.input2, c.output2.text, distance)
-        scored.append((score, c))
-    scored.sort(key=lambda sc: (-sc[0], sc[1].key))
-
-    rows = []
-    per_cluster_count: dict = {}
+    labels = read_cluster_labels(args.report) if args.report else {}
+    scored = sorted(((pdq(c.input1, c.output1.text, c.input2, c.output2.text, distance), c)
+                     for c in archive), key=lambda sc: (-sc[0], sc[1].key))
+    ranked = []
+    per_cluster = Counter()    # without a report every candidate is in cluster ""
     for score, c in scored:
-        key = c.key
-        cluster = cluster_ids.get(key, "")
-        if args.top is not None:
-            bucket = cluster if args.report else ""
-            per_cluster_count[bucket] = per_cluster_count.get(bucket, 0) + 1
-            if per_cluster_count[bucket] > args.top:
-                continue
-        rows.append({
-            "rank": len(rows) + 1, "cluster": cluster,
-            "input1": key[0], "input2": key[1],
-            "output1": c.output1.text, "output2": c.output2.text,
-            "validity": c.validity,
-            "score_num": score.numerator, "score_den": score.denominator,
-            "score": f"{float(score):.6g}",
-        })
-    write_ranked_csv(args.out, rows)
-    print(f"{len(rows)} ranked candidates ({distance.name}) -> {args.out}")
+        cluster = labels.get(c.key, "")
+        per_cluster[cluster] += 1
+        if args.top is None or per_cluster[cluster] <= args.top:
+            ranked.append((score, c, cluster))
+    write_ranked_csv(args.out, ranked)
+    print(f"{len(ranked)} ranked candidates ({distance.name}) -> {args.out}")
     return EXIT_OK
 
 
@@ -235,26 +204,13 @@ def cmd_experiment(args) -> int:
     if args.seconds is None and args.iterations is None:
         args.iterations = 1000  # iteration budgets keep repetitions deterministic
     config = _detection_config(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    strategies = [s.strip() for s in args.strategies.split(",")]
     result = run_experiment(sut, config, strategies=strategies,
                             repetitions=args.reps,
                             summarize_restarts=args.restarts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "experiment.md").write_text(result.to_markdown(), encoding="utf-8")
-    stats_doc = {
-        "sut": result.sut, "repetitions": result.repetitions, "budget": result.budget,
-        "union_total": result.union_total, "total_clusters": result.total_clusters,
-        "strategies": {
-            s.strategy: {
-                "found": s.found,
-                "unique": result.unique_counts[s.strategy],
-                "covered": [sorted(map(list, c)) for c in s.covered],
-                "unique_clusters": sorted(map(list, result.unique_clusters[s.strategy])),
-            } for s in result.stats
-        },
-    }
-    (out / "experiment.json").write_text(json.dumps(stats_doc, indent=1), encoding="utf-8")
+    write_experiment(out, result)
     write_report_markdown(out / "report.md", result.report)
     write_report_json(out / "report.json", result.report)
     print(result.to_markdown())
@@ -272,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="cluster archives into a report")
     p.add_argument("archives", nargs="+", help="archive.csv / archive.json files")
-    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--restarts", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_summarize)
@@ -280,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="re-score candidates and emit a ranked CSV")
     p.add_argument("archives", nargs="+")
     p.add_argument("--distance", default="jaccard2")
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--top", type=_positive_int, default=None)
     p.add_argument("--report", default=None,
                    help="report.json for per-cluster ranking")
     p.add_argument("--out", default="ranked.csv")
@@ -296,15 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", default="strlen")
     p.add_argument("--force", action="store_true")
     p.add_argument("--arity", type=_positive_int, default=1)
-    p.add_argument("--timeout", type=float, default=5.0)
+    p.add_argument("--timeout", type=_positive_float, default=5.0)
     p.add_argument("--out", default="boundaries.csv")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="repeated seeded runs with statistics")
     _add_detect_flags(p)
-    p.add_argument("--reps", type=int, default=3)
+    p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--strategies", default="lns,bcs")
-    p.add_argument("--restarts", type=int, default=100)
+    p.add_argument("--restarts", type=_positive_int, default=100)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -1,10 +1,13 @@
 """Small-scale experiment harness: repeated seeded runs per strategy with
-found/unique statistics and cluster coverage against a merged summary."""
+found/unique statistics and cluster coverage against a merged summary,
+written as experiment.md and experiment.json."""
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detection import Archive, DetectionConfig, detect
@@ -20,20 +23,24 @@ def _mean_std(xs: Sequence[float]) -> tuple:
     return mean, var ** 0.5
 
 
-@dataclass
-class StrategyStats:
-    strategy: str
-    found: list = field(default_factory=list)          # per-run candidate counts
-    keys: list = field(default_factory=list)           # per-run key sets
-    covered: list = field(default_factory=list)        # per-run cluster-id sets
+def _exclusive(per_strategy: dict) -> dict:
+    """strategy -> the members of its runs' sets that no other strategy's
+    runs hold, from strategy -> per-run sets."""
+    unions = {name: set().union(*runs) for name, runs in per_strategy.items()}
+    holders = Counter(member for union in unions.values() for member in union)
+    return {name: {m for m in union if holders[m] == 1} for name, union in unions.items()}
 
-    @property
-    def all_keys(self) -> set:
-        return set().union(*self.keys) if self.keys else set()
 
-    @property
-    def all_covered(self) -> set:
-        return set().union(*self.covered) if self.covered else set()
+def _table(title: str, total_head: str, total: int, counted: str, rows: list) -> list:
+    """The lines of one experiment.md table, from (strategy, per-run counts,
+    unique count) rows."""
+    lines = ["", f"## {title}", "",
+             f"| Strategy | {total_head} | # {counted} (mu +/- sigma) | # unique |",
+             "|---|---|---|---|"]
+    for name, per_run, unique in rows:
+        mu, sigma = _mean_std(per_run)
+        lines.append(f"| {name} | {total} | {mu:.1f} +/- {sigma:.1f} | {unique} |")
+    return lines
 
 
 @dataclass
@@ -41,37 +48,47 @@ class ExperimentResult:
     sut: str
     repetitions: int
     budget: dict
-    stats: list                       # per strategy, in run order
+    keys: dict                        # strategy -> per-run candidate key sets, in run order
+    covered: dict                     # strategy -> per-run sets of (validity, cluster id)
     union_total: int
-    unique_counts: dict               # strategy -> candidates no other strategy found
     report: ClusterReport
-    unique_clusters: dict             # strategy -> clusters no other strategy covered
     total_clusters: int
 
+    def to_json(self) -> dict:
+        """The experiment.json document; "unique" counts the candidates, and
+        "unique_clusters" lists the clusters, no other strategy found."""
+        unique_keys, unique_clusters = _exclusive(self.keys), _exclusive(self.covered)
+        return {
+            "sut": self.sut, "repetitions": self.repetitions, "budget": self.budget,
+            "union_total": self.union_total, "total_clusters": self.total_clusters,
+            "strategies": {
+                name: {
+                    "found": [len(keys) for keys in runs],
+                    "unique": len(unique_keys[name]),
+                    "covered": [sorted(map(list, c)) for c in self.covered[name]],
+                    "unique_clusters": sorted(map(list, unique_clusters[name])),
+                } for name, runs in self.keys.items()
+            },
+        }
+
     def to_markdown(self) -> str:
-        lines = [f"# Experiment: {self.sut}",
-                 "",
-                 f"{self.repetitions} repetitions per strategy, budget {self.budget}",
-                 "",
-                 "## Candidates",
-                 "",
-                 "| Strategy | Total | # found (mu +/- sigma) | # unique |",
-                 "|---|---|---|---|"]
-        for s in self.stats:
-            mu, sigma = _mean_std(s.found)
-            lines.append(f"| {s.strategy} | {self.union_total} | {mu:.1f} +/- {sigma:.1f} "
-                         f"| {self.unique_counts[s.strategy]} |")
-        lines += ["",
-                  "## Cluster coverage",
-                  "",
-                  "| Strategy | Total clusters | # covered (mu +/- sigma) | # unique |",
-                  "|---|---|---|---|"]
-        for s in self.stats:
-            mu, sigma = _mean_std([len(c) for c in s.covered])
-            lines.append(f"| {s.strategy} | {self.total_clusters} | {mu:.1f} +/- {sigma:.1f} "
-                         f"| {len(self.unique_clusters[s.strategy])} |")
-        lines.append("")
-        return "\n".join(lines)
+        """The experiment.md tables, drawn from the experiment.json document."""
+        strategies = self.to_json()["strategies"].items()
+        return "\n".join([
+            f"# Experiment: {self.sut}", "",
+            f"{self.repetitions} repetitions per strategy, budget {self.budget}",
+            *_table("Candidates", "Total", self.union_total, "found",
+                    [(name, s["found"], s["unique"]) for name, s in strategies]),
+            *_table("Cluster coverage", "Total clusters", self.total_clusters, "covered",
+                    [(name, list(map(len, s["covered"])), len(s["unique_clusters"]))
+                     for name, s in strategies]),
+            ""])
+
+
+def write_experiment(out, result: ExperimentResult) -> None:
+    """experiment.md and experiment.json in the directory ``out``, a Path."""
+    (out / "experiment.md").write_text(result.to_markdown(), encoding="utf-8")
+    (out / "experiment.json").write_text(json.dumps(result.to_json(), indent=1), encoding="utf-8")
 
 
 def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
@@ -83,40 +100,30 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
     Every run gets its own seed: the base config's sampler seed plus the
     run's index across the grid.  Coverage is measured against the summary
     of the union of all runs, clustered with a generator seeded the same.
+    Each strategy must be named once, and every name is checked before the
+    first run.
     """
+    configs = [replace(base_config, strategy=strategy) for strategy in strategies]
+    if len(set(strategies)) < len(strategies):
+        raise ValueError(f"each strategy must be named once, got {list(strategies)}")
     merged = Archive(base_config.threshold)
-    stats = []
+    keys = {}
     base_seed = seed = base_config.sampler.seed
-    for strategy in strategies:
-        s = StrategyStats(strategy)
+    for strategy_config in configs:
+        runs = keys[strategy_config.strategy] = []
         for _ in range(repetitions):
-            sampler = replace(base_config.sampler, seed=seed)
-            config = replace(base_config, strategy=strategy, sampler=sampler)
+            config = replace(strategy_config, sampler=replace(base_config.sampler, seed=seed))
             seed += 1
             result = detect(sut, config)
-            s.found.append(len(result.archive))
-            s.keys.append({c.key for c in result.archive})
+            runs.append({c.key for c in result.archive})
             merged.merge(result.archive)
-        stats.append(s)
-
-    union_total = len(merged)
-    unique_counts = {}
-    for s in stats:
-        others = set().union(*(o.all_keys for o in stats if o is not s)) if len(stats) > 1 else set()
-        unique_counts[s.strategy] = len(s.all_keys - others)
 
     report = summarize(merged, random.Random(base_seed), restarts=summarize_restarts)
     cluster_ids = report.cluster_of()
-    total_clusters = sum(len(g.clusters) for g in report.groups)
-    for s in stats:
-        s.covered = [{cluster_ids[k] for k in keys if k in cluster_ids} for keys in s.keys]
-    unique_clusters = {}
-    for s in stats:
-        others = set().union(*(o.all_covered for o in stats if o is not s)) if len(stats) > 1 else set()
-        unique_clusters[s.strategy] = s.all_covered - others
-
+    covered = {name: [{cluster_ids[k] for k in run if k in cluster_ids} for run in runs]
+               for name, runs in keys.items()}
     return ExperimentResult(
-        sut=sut.name, repetitions=repetitions, budget=base_config.budget,
-        stats=stats, union_total=union_total, unique_counts=unique_counts,
-        report=report, unique_clusters=unique_clusters, total_clusters=total_clusters,
+        sut=sut.name, repetitions=repetitions, budget=base_config.budget, keys=keys,
+        covered=covered, union_total=len(merged), report=report,
+        total_clusters=sum(len(g.clusters) for g in report.groups),
     )

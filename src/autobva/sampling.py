@@ -10,7 +10,7 @@ concrete compatible type (down to Bool) per argument before sampling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .suts import SutDescriptor
@@ -74,6 +74,15 @@ def compatible_types(abstract: str, big_int_bit_cap: int = DEFAULT_BIG_INT_BIT_C
     raise ValueError(f"no compatible type set for abstract type {abstract!r}")
 
 
+# setting name in manifests and config files -> (field, JSON type, its name)
+_SETTINGS = {
+    "sampling.method": ("method", str, "a string"),
+    "sampling.cts": ("cts", bool, "a bool"),
+    "sampling.big_int_bit_cap": ("big_int_bit_cap", int, "an integer"),
+    "seed": ("seed", int, "an integer"),
+}
+
+
 @dataclass
 class SamplerConfig:
     method: str = "bituniform"       # uniform | bituniform
@@ -83,9 +92,26 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.method not in ("uniform", "bituniform"):
-            raise ValueError(f"unknown sampling method {self.method!r}")
+            raise ValueError(f"sampling.method must be 'uniform' or 'bituniform', got {self.method!r}")
         if self.big_int_bit_cap < 64:
-            raise ValueError("big_int_bit_cap must be >= 64")
+            raise ValueError(f"sampling.big_int_bit_cap must be at least 64, got {self.big_int_bit_cap}")
+
+    def settings(self) -> dict:
+        """The configuration under the setting names manifests record."""
+        return {name: getattr(self, attr) for name, (attr, _, _) in _SETTINGS.items()}
+
+    def with_settings(self, settings: dict) -> "SamplerConfig":
+        """A copy with ``settings``, keyed as ``settings()`` keys them, laid
+        over; a value must have the JSON type ``settings()`` gives it."""
+        changes = {}
+        for name, value in settings.items():
+            if name not in _SETTINGS:
+                raise ValueError(f"unknown key {name!r}")
+            attr, kind, kind_name = _SETTINGS[name]
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be {kind_name}, got {type(value).__name__} {value!r}")
+            changes[attr] = value
+        return replace(self, **changes)
 
 
 def sample_value(domain: TypeDomain, config: SamplerConfig, rng: random.Random) -> Value:

@@ -11,8 +11,11 @@ from autobva.archive_io import (
     DataError,
     RunManifest,
     load_archives,
+    load_json,
     read_archive_csv,
     read_archive_json,
+    read_cluster_labels,
+    read_sampler_config,
     write_archive_csv,
     write_archive_json,
     write_manifest,
@@ -208,6 +211,60 @@ def test_json_invalid_document(tmp_path):
     path.write_text("{not json")
     with pytest.raises(DataError):
         read_archive_json(path)
+
+
+def test_load_json_names_the_file_for_every_fault(tmp_path):
+    binary, broken = tmp_path / "binary.json", tmp_path / "broken.json"
+    binary.write_bytes(b"\xff\xfe")
+    broken.write_text('{\n "a": 1,\n}')
+    cases = [(tmp_path / "missing.json", "No such file or directory"),
+             (tmp_path, "Is a directory"),
+             (binary, "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+             (broken, "invalid JSON: Expecting property name")]
+    for path, message in cases:
+        with pytest.raises(DataError) as err:
+            load_json(path)
+        assert err.value.path == path
+        assert str(err.value).startswith(f"{path}{':3' if path == broken else ''}: {message}")
+    ok = tmp_path / "ok.json"
+    ok.write_text('{"a": [1]}')
+    assert load_json(ok) == {"a": [1]}
+
+
+def test_inputs_equal_as_numbers_are_data_error(tmp_path):
+    """true and 1 are one input to a program, so they make no pair."""
+    path = tmp_path / "archive.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n1,true,a,b,VV,1,1,,,\n")
+    with pytest.raises(DataError) as err:
+        read_archive_csv(path)
+    assert str(err.value) == (f"{path}:2: inputs must be distinct and non-empty, with one "
+                              "arity, got '1' and 'true'")
+
+
+def test_sampler_config_file_lays_typed_settings_over_its_base(tmp_path):
+    base = SamplerConfig(method="uniform", cts=False, big_int_bit_cap=96, seed=4)
+    assert base.settings() == {"sampling.method": "uniform", "sampling.cts": False,
+                               "sampling.big_int_bit_cap": 96, "seed": 4}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SamplerConfig().settings()))
+    assert read_sampler_config(path, base) == SamplerConfig()
+    path.write_text('{"seed": 9}')
+    assert read_sampler_config(path, base) == SamplerConfig("uniform", False, 96, 9)
+    path.write_text('{"seed": "9"}')
+    with pytest.raises(DataError) as err:
+        read_sampler_config(path, base)
+    assert str(err.value) == f"{path}: seed must be an integer, got str '9'"
+
+
+def test_cluster_labels_of_a_written_report(tmp_path):
+    cfg, result = _run(seed=3, iterations=300)
+    report = summarize(result.archive, Random(0), restarts=10)
+    path = tmp_path / "report.json"
+    write_report_json(path, report)
+    labels = read_cluster_labels(path)
+    assert labels == {key: f"{validity}/{cluster_id}"
+                      for key, (validity, cluster_id) in report.cluster_of().items()}
+    assert len(labels) == len(result.archive)
 
 
 def test_load_archives_merges_and_dedups(tmp_path):

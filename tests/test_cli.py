@@ -1,6 +1,7 @@
 """CLI surface: flags, files, exit codes."""
 
 import csv
+import hashlib
 import json
 import re
 import stat
@@ -102,11 +103,101 @@ def test_detect_config_file(tmp_path):
     assert manifest["seed"] == 7
 
 
-def test_detect_bad_config_key_is_data_error(tmp_path):
+def test_detect_bad_config_key_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sampling.mode": "uniform"}))
     assert run_cli("detect", "--sut", "bytecount", "--iterations", "1",
                    "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"data error: {cfg}: unknown key 'sampling.mode'\n"
+
+
+# config file contents that are not a JSON object of typed settings
+BAD_CONFIGS = {
+    "top-level list": ('[1]', ": expected a JSON object of settings, got list"),
+    "null seed": ('{"seed": null}', ": seed must be an integer, got NoneType None"),
+    "fractional seed": ('{"seed": 1.5}', ": seed must be an integer, got float 1.5"),
+    "cts as text": ('{"sampling.cts": "off"}', ": sampling.cts must be a bool, got str 'off'"),
+    "cts as number": ('{"sampling.cts": 0}', ": sampling.cts must be a bool, got int 0"),
+    "bit cap as bool": ('{"sampling.big_int_bit_cap": true}',
+                        ": sampling.big_int_bit_cap must be an integer, got bool True"),
+    "bit cap too small": ('{"sampling.big_int_bit_cap": 10}',
+                          ": sampling.big_int_bit_cap must be at least 64, got 10"),
+    "method as number": ('{"sampling.method": 1}', ": sampling.method must be a string, got int 1"),
+    "unknown method": ('{"sampling.method": "bogus"}',
+                       ": sampling.method must be 'uniform' or 'bituniform', got 'bogus'"),
+    "invalid JSON": ('{"seed": 1\n', ":2: invalid JSON: Expecting ',' delimiter"),
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "experiment"])
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_bad_config_file_is_data_error(tmp_path, capsys, command, case):
+    text, message = BAD_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli(command, "--sut", "bytecount", "--iterations", "1",
+                   "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {cfg}{message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["config", "report"])
+def test_unreadable_json_input_is_data_error(tmp_path, capsys, command):
+    """A --config or --report file that is missing or not UTF-8 is a data
+    error naming it, as an archive file is."""
+    run = tmp_path / "run"
+    assert run_cli("detect", "--sut", "bytecount", "--iterations", "50", "--out", str(run)) == 0
+    capsys.readouterr()
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for path, message in ((tmp_path / "missing.json", "No such file or directory"),
+                          (binary, "not UTF-8 text")):
+        if command == "config":
+            argv = ["detect", "--sut", "bytecount", "--iterations", "1", "--config", str(path),
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["rank", str(run / "archive.json"), "--report", str(path),
+                    "--out", str(tmp_path / "ranked.csv")]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "--reps", "0"], "argument --reps: must be at least 1, got 0"),
+    (["experiment", "--restarts", "0"], "argument --restarts: must be at least 1, got 0"),
+    (["detect", "--iterations", "-5"], "argument --iterations: must be at least 0, got -5"),
+    (["experiment", "--iterations", "-1"], "argument --iterations: must be at least 0, got -1"),
+    (["detect", "--seconds", "0"], "argument --seconds: must be finite and above 0, got 0.0"),
+    (["detect", "--seconds", "-1"], "argument --seconds: must be finite and above 0, got -1.0"),
+    (["detect", "--seconds", "nan"], "argument --seconds: must be finite and above 0, got nan"),
+    (["detect", "--seconds", "inf"], "argument --seconds: must be finite and above 0, got inf"),
+    (["detect", "--timeout", "0"], "argument --timeout: must be finite and above 0, got 0.0"),
+    (["oracle", "--timeout", "-2", "--from", "0", "--to", "1"],
+     "argument --timeout: must be finite and above 0, got -2.0"),
+    (["experiment", "--strategies", "lns,lns"], "each strategy must be named once, got ['lns', 'lns']"),
+    (["experiment", "--strategies", "bcs,lns,bcs"],
+     "each strategy must be named once, got ['bcs', 'lns', 'bcs']"),
+    (["experiment", "--strategies", ","], "unknown strategy ''"),
+    (["experiment", "--strategies", "lns,"], "unknown strategy ''"),
+])
+def test_bad_count_or_strategy_list_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--sut", "bytecount", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["summarize", "--restarts", "0"], "argument --restarts: must be at least 1, got 0"),
+    (["rank", "--top", "0"], "argument --top: must be at least 1, got 0"),
+])
+def test_bad_count_on_archive_is_usage_error(tmp_path, capsys, argv, message):
+    run = tmp_path / "run"
+    assert run_cli("detect", "--sut", "bytecount", "--iterations", "50", "--out", str(run)) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, str(run / "archive.json"), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_summarize_and_rank(tmp_path):
@@ -294,6 +385,12 @@ CONTRADICTING_ENTRIES = {
                               "strategy name must be non-empty and have no ';', got 'bcs;lns'"),
     "empty strategy": (("strategies",), [""], "strategy name must be non-empty and have no ';', got ''"),
     "negative score": (("score", "den"), -2, "score must not be negative, got -1/2"),
+    "equal inputs": (("input2",), "999", "inputs must be distinct and non-empty, with one "
+                                         "arity, got '999' and '999'"),
+    "inputs of two arities": (("input2",), "1000;1", "inputs must be distinct and non-empty, "
+                                                     "with one arity, got '999' and '1000;1'"),
+    "empty input": (("input1",), "", "inputs must be distinct and non-empty, with one arity, "
+                                     "got '' and '1000'"),
 }
 
 
@@ -315,6 +412,13 @@ CONTRADICTING_ROWS = {
     "missing columns": ('999,1000,999B,"ArgumentError(""no"")",VE,1,1', "expected 10 fields, got 7"),
     "negative score": ('999,1000,999B,"ArgumentError(""no"")",VE,5,-1,,argument_error,bcs',
                        "score must not be negative, got -5"),
+    "equal inputs": ('999,999,999B,"ArgumentError(""no"")",VE,1,1,,argument_error,bcs',
+                     "inputs must be distinct and non-empty, with one arity, got '999' and '999'"),
+    "inputs of two arities": ('999;1,1000,999B,"ArgumentError(""no"")",VE,1,1,,argument_error,bcs',
+                              "inputs must be distinct and non-empty, with one arity, "
+                              "got '999;1' and '1000'"),
+    "empty inputs": (',,999B,"ArgumentError(""no"")",VE,1,1,,argument_error,bcs',
+                     "inputs must be distinct and non-empty, with one arity, got '' and ''"),
 }
 
 
@@ -469,3 +573,61 @@ def test_csv_and_json_archives_read_and_summarize_alike(tmp_path):
     external = f"external:{script}"
     assert {(external, "argument_error", None), (external, None, "argument_error"),
             ("bytecount", None, "bounds_error"), ("bmi", "domain_error", None)} <= error_sides
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the experiment files for bytecount, seed 0
+GOLDEN_EXPERIMENT = {
+    "experiment.json": "7f6f5bc0bd25c30a36fbdcbad38d89e7c8c09d64059e6544573fb215660d14da",
+    "experiment.md": "fc33e673586c8aa51c1abb6c3cd3035ccbe732ca1af0e45890278f7fc933ac09",
+}
+
+
+def test_experiment_golden_outputs(tmp_path):
+    out = tmp_path / "exp"
+    assert run_cli("experiment", "--sut", "bytecount", "--reps", "2", "--iterations", "300",
+                   "--restarts", "20", "--out", str(out)) == 0
+    assert {name: _sha256(out / name) for name in GOLDEN_EXPERIMENT} == GOLDEN_EXPERIMENT
+
+
+# sha256 of ranked CSVs of one seeded bytecount BCS archive, under its flags
+GOLDEN_RANKED = {
+    "plain": "5339cc0296a65508b9d8f57ec9dcb24da207f3f9bacd884fe0075910815e9656",
+    "top2": "08b9287f9d55a50509952e2b1d9d2bde89b93e6b70ffba71a74ca1fd5a691f7b",
+    "report-top1": "6cae6ef917f6bf432d5097f94346b56fb5909f7565881020d68392604c0e68cf",
+}
+
+
+def test_rank_golden_outputs(tmp_path):
+    run = tmp_path / "run"
+    assert run_cli("detect", "--sut", "bytecount", "--iterations", "1500",
+                   "--out", str(run)) == 0
+    assert run_cli("summarize", str(run / "archive.json"), "--restarts", "20",
+                   "--out", str(run)) == 0
+    flags = {"plain": [], "top2": ["--top", "2"],
+             "report-top1": ["--report", str(run / "report.json"), "--top", "1"]}
+    digests = {}
+    for name, extra in flags.items():
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("rank", str(run / "archive.json"), *extra, "--out", str(out)) == 0
+        digests[name] = _sha256(out)
+    assert digests == GOLDEN_RANKED
+
+
+# sha256 of manifest.json, elapsed time masked, for a run set up by --config
+GOLDEN_CONFIG_MANIFEST = "2a280537ea20c3c74baffc8e5a726e5fd75e3ca3e7f423b8d782765ba66b770f"
+
+
+def test_config_run_golden_manifest(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampling.method": "uniform", "sampling.cts": False,
+                               "sampling.big_int_bit_cap": 96, "seed": 7}))
+    out = tmp_path / "run"
+    assert run_cli("detect", "--sut", "date", "--strategy", "lns", "--iterations", "300",
+                   "--config", str(cfg), "--out", str(out)) == 0
+    masked = re.sub(rb'"elapsed_seconds": [0-9.e-]+', b'"elapsed_seconds": 0',
+                    (out / "manifest.json").read_bytes())
+    assert hashlib.sha256(masked).hexdigest() == GOLDEN_CONFIG_MANIFEST
