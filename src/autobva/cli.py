@@ -59,7 +59,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _effective_seed(value: int) -> int:
     env = os.environ.get("AUTOBVA_SEED")
-    return int(env) if env else value
+    if not env:
+        return value
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"AUTOBVA_SEED from the environment must be an integer, "
+                         f"got {env!r}") from None
 
 
 def _detection_config(args) -> DetectionConfig:
@@ -169,6 +175,8 @@ def cmd_rank(args) -> int:
     archive = load_archives(args.archives)
     distance = parse_distance(args.distance)
     labels = read_cluster_labels(args.report) if args.report else {}
+    if args.report and len(archive) and not any(c.key in labels for c in archive):
+        raise DataError(f"labels none of the {len(archive)} ranked candidates", args.report)
     scored = sorted(((pdq(c.input1, c.output1.text, c.input2, c.output2.text, distance), c)
                      for c in archive), key=lambda sc: (-sc[0], sc[1].key))
     ranked = []

@@ -28,15 +28,24 @@ KMEANS_MAX_ITER = 200
 KMEANS_RESTARTS = 100
 K_MAX = 10
 SILHOUETTE_ROWS = 128   # a 128 x 1000 block of distances is 1 MiB
+TEXT_ROWS = 256         # texts per Jaccard block: 2 MiB against a 1000-text reference
+
+
+def _jaccard(inter: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.ndarray:
+    """1 - |A&B|/|A|B| from intersection counts and the two gram set sizes."""
+    union = sizes1 + sizes2 - inter
+    return (union - inter) / union
 
 
 class TextDistances:
     """2-gram Jaccard distances between the distinct output texts of a group.
 
     Texts are indexed in first-appearance order over both sides of every
-    candidate.  All intersections come from one product of the 0/1 gram
-    incidence matrix; its counts are exact integers in float64, so each entry
-    equals ``float(jaccard_ngram(2, s, t))``.
+    candidate.  Each text keeps only its gram ids, so a group's memory grows
+    with its total text length; distances are computed on demand, a block at
+    a time, from products of 0/1 gram incidence matrices.  The intersection
+    counts are exact integers in float64, so each entry equals
+    ``float(jaccard_ngram(2, s, t))``.
     """
 
     def __init__(self, candidates: Sequence[BoundaryCandidate]):
@@ -45,15 +54,56 @@ class TextDistances:
             self.index.setdefault(c.output1.text, len(self.index))
             self.index.setdefault(c.output2.text, len(self.index))
         gram_ids: dict = {}
-        cells = np.array([(row, gram_ids.setdefault(g, len(gram_ids)))
-                          for text, row in self.index.items() for g in ngrams(text, 2)],
-                         dtype=np.intp).reshape(-1, 2)
-        incidence = np.zeros((len(self.index), len(gram_ids)))
-        incidence[cells[:, 0], cells[:, 1]] = 1.0
-        inter = incidence @ incidence.T
-        sizes = incidence.sum(axis=1)
-        union = sizes[:, None] + sizes[None, :] - inter   # >= 1: no text has zero grams
-        self.matrix = (union - inter) / union
+        per_text = [[gram_ids.setdefault(g, len(gram_ids)) for g in ngrams(text, 2)]
+                    for text in self.index]
+        self._counts = np.array([len(ids) for ids in per_text], dtype=np.intp)
+        self._starts = np.cumsum(self._counts) - self._counts
+        self._grams = np.array([g for ids in per_text for g in ids], dtype=np.intp)
+        self._sizes = self._counts.astype(float)   # >= 1: no text has zero grams
+        self._gram_count = len(gram_ids)
+
+    def _cells(self, rows: np.ndarray) -> tuple:
+        """(position in ``rows``, gram id) of every gram of the rows' texts."""
+        counts = self._counts[rows]
+        owners = np.repeat(np.arange(len(rows)), counts)
+        offsets = np.repeat(self._starts[rows] - (np.cumsum(counts) - counts), counts)
+        return owners, self._grams[offsets + np.arange(len(owners))]
+
+    def _grams_of(self, rows: np.ndarray) -> np.ndarray:
+        """Mask over gram ids: the grams of the texts ``rows``."""
+        present = np.zeros(self._gram_count, dtype=bool)
+        present[self._cells(rows)[1]] = True
+        return present
+
+    def _incidence(self, rows: np.ndarray, present: np.ndarray) -> np.ndarray:
+        """0/1 matrix of the texts ``rows`` over the grams in the mask
+        ``present``, in gram id order; the rows' other grams are left out."""
+        column = np.cumsum(present) - 1
+        owners, grams = self._cells(rows)
+        known = present[grams]
+        incidence = np.zeros((len(rows), column[-1] + 1))
+        incidence[owners[known], column[grams[known]]] = 1.0
+        return incidence
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Distances from each text in ``rows`` to each text in ``cols``, as a
+        (len(rows), len(cols)) matrix over the grams of ``cols`` alone."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        present = self._grams_of(cols)
+        inter = self._incidence(rows, present) @ self._incidence(cols, present).T
+        return _jaccard(inter, self._sizes[rows][:, None], self._sizes[cols][None, :])
+
+    def pairs(self, rows1, rows2) -> np.ndarray:
+        """Distance from text ``rows1[i]`` to text ``rows2[i]`` for each i,
+        ``TEXT_ROWS`` pairs at a time."""
+        rows1, rows2 = np.asarray(rows1, dtype=np.intp), np.asarray(rows2, dtype=np.intp)
+        inter = np.empty(len(rows1))
+        for top in range(0, len(rows1), TEXT_ROWS):
+            chunk1, chunk2 = rows1[top:top + TEXT_ROWS], rows2[top:top + TEXT_ROWS]
+            present = self._grams_of(chunk2)
+            inter[top:top + TEXT_ROWS] = np.einsum("ij,ij->i", self._incidence(chunk1, present),
+                                                   self._incidence(chunk2, present))
+        return _jaccard(inter, self._sizes[rows1], self._sizes[rows2])
 
 
 class FeatureSpace:
@@ -91,8 +141,12 @@ class FeatureSpace:
         # cumsum adds left to right, so each mean rounds as a plain loop would
         cols, weights = self._columns[side]
         distinct, inverse = np.unique(rows, return_inverse=True)
-        weighted = self.distances.matrix[np.ix_(distinct, cols)] * weights
-        return (np.cumsum(weighted, axis=1)[:, -1] / len(self.reference))[inverse]
+        sums = np.empty(len(distinct))
+        for top in range(0, len(distinct), TEXT_ROWS):
+            weighted = self.distances.block(distinct[top:top + TEXT_ROWS], cols)
+            weighted *= weights
+            sums[top:top + TEXT_ROWS] = np.cumsum(weighted, axis=1)[:, -1]
+        return (sums / len(self.reference))[inverse]
 
     def vectors(self, candidates: Sequence[BoundaryCandidate]) -> np.ndarray:
         """Feature vectors as the columns of a (4, len(candidates)) matrix."""
@@ -104,7 +158,7 @@ class FeatureSpace:
         wd = np.clip((wd - self._wd_min) / span, 0.0, 1.0) if span else np.zeros(len(wd))
         return np.array([
             wd,
-            self.distances.matrix[rows1, rows2],
+            self.distances.pairs(rows1, rows2),
             self._uniqueness(rows1, 0),
             self._uniqueness(rows2, 1),
         ])
@@ -193,7 +247,7 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
         new_assignment = sq.argmin(axis=0)
         # an emptied cluster steals the point farthest from its own centroid;
         # repeat in case the theft empties a singleton donor
-        claimed: set = set()
+        claimed = np.zeros(n, dtype=bool)
         while True:
             counts = np.bincount(new_assignment, minlength=k)
             empty = np.flatnonzero(counts == 0)
@@ -203,13 +257,13 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
             for cluster in empty:
                 own_dist = sq[new_assignment, everyone]
                 donors = np.bincount(new_assignment, minlength=k)[new_assignment] > 1
-                eligible = donors & ~np.isin(everyone, list(claimed))
+                eligible = donors & ~claimed
                 if not eligible.any():
-                    eligible = ~np.isin(everyone, list(claimed))
+                    eligible = ~claimed
                 own_dist[~eligible] = -1.0
                 farthest = int(own_dist.argmax())
                 new_assignment[farthest] = cluster
-                claimed.add(farthest)
+                claimed[farthest] = True
         if (new_assignment == assignment).all():
             break
         assignment = new_assignment
@@ -221,9 +275,14 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
 
 
 def point_distances(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all pairs of feature matrix columns."""
-    points = matrix.T
-    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    """Euclidean distances between all pairs of feature matrix columns,
+    squared ``SILHOUETTE_ROWS`` rows at a time into one (n, n) array."""
+    n = matrix.shape[1]
+    sq = np.empty((n, n))
+    for top in range(0, n, SILHOUETTE_ROWS):
+        rows = slice(top, top + SILHOUETTE_ROWS)
+        sq[rows] = _squared_distances(matrix, matrix.T[rows])
+    return np.sqrt(sq, out=sq)
 
 
 def silhouette(matrix: np.ndarray, assignment: np.ndarray,

@@ -90,6 +90,22 @@ def test_detect_env_seed_overrides_flag(tmp_path, monkeypatch):
     assert (out1 / "archive.csv").read_bytes() != (out3 / "archive.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["detect", "summarize"])
+def test_bad_env_seed_is_usage_error_naming_it(tmp_path, monkeypatch, capsys, command):
+    run = tmp_path / "run"
+    assert run_cli("detect", "--sut", "bytecount", "--iterations", "5", "--out", str(run)) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("AUTOBVA_SEED", "abc")
+    if command == "detect":
+        argv = ["detect", "--sut", "bytecount", "--iterations", "5", "--out", str(tmp_path / "o")]
+    else:
+        argv = ["summarize", str(run / "archive.json"), "--out", str(tmp_path / "o")]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == \
+        "usage error: AUTOBVA_SEED from the environment must be an integer, got 'abc'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sampling.method": "uniform", "sampling.cts": False,
@@ -314,6 +330,20 @@ def test_rank_malformed_report_is_data_error(tmp_path, capsys):
     assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
                    "--out", str(tmp_path / "ranked.csv")) == 2
     assert capsys.readouterr().err.startswith(f"data error: {report}: not a cluster report")
+
+
+def test_rank_report_labelling_no_candidate_is_data_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    run_cli("detect", "--sut", "bytecount", "--iterations", "50", "--out", str(out))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"groups": [{"validity": "VV", "clusters": [
+        {"id": 1, "members": [[1, 2]]}]}]}))
+    ranked = tmp_path / "ranked.csv"
+    assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
+                   "--top", "1", "--out", str(ranked)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {report}: labels none of the ")
+    assert not ranked.exists()
 
 
 # one candidate of a valid JSON archive; each case below spoils one field

@@ -2,6 +2,7 @@
 selection, and the full summarize pipeline."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -95,9 +96,24 @@ def test_text_distances_equal_exact_jaccard_on_date_outputs():
     texts = list(distances.index)
     assert len(texts) > 100 and len(texts) == len(set(texts))
     assert {c.output1.text for c in group} | {c.output2.text for c in group} == set(texts)
+    rows = list(distances.index.values())
+    block = distances.block(rows, rows)
+    firsts, seconds = np.repeat(rows, len(rows)), np.tile(rows, len(rows))
+    pairs = distances.pairs(firsts, seconds).reshape(len(rows), len(rows))
     for s, i in distances.index.items():
         for t, j in distances.index.items():
-            assert distances.matrix[i, j] == float(jaccard_ngram(2, s, t)), (s, t)
+            expected = float(jaccard_ngram(2, s, t))
+            assert block[i, j] == expected and pairs[i, j] == expected, (s, t)
+    # blocks over row and column subsets, in any order, keep every entry
+    picked = rows[::-7]
+    assert (distances.block(picked, rows[5:40]) == block[np.ix_(picked, rows[5:40])]).all()
+
+
+def test_text_distances_hold_no_text_by_text_array():
+    distances = TextDistances(list(_date_archive()))
+    texts = len(distances.index)
+    for value in vars(distances).values():
+        assert not (isinstance(value, np.ndarray) and value.size >= texts * texts)
 
 
 def _reference_vector(c, reference):
@@ -343,6 +359,22 @@ def test_kmeans_equals_masked_reference_bit_for_bit():
     assert reseeded >= 10
 
 
+def _broadcast_point_distances(matrix):
+    """Pairwise distances through one (n, n, 4) temporary."""
+    points = matrix.T
+    return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+
+
+@pytest.mark.parametrize("n", [5, 100, 950])
+def test_point_distances_equal_broadcast_formula_bit_for_bit(n):
+    rng = np.random.RandomState(n)
+    for matrix in (rng.rand(4, n), rng.rand(4, n) * 10.0 ** rng.randint(-3, 4, size=(4, 1)),
+                   rng.rand(4, 3)[:, rng.randint(0, 3, size=n)]):   # repeated columns
+        got, expected = point_distances(matrix), _broadcast_point_distances(matrix)
+        assert got.shape == (n, n)
+        assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+
 def _naive_silhouette(matrix, assignment):
     """Point-by-point reference: a over the own cluster, b the nearest other
     cluster's mean distance, singletons contributing 0."""
@@ -518,6 +550,22 @@ def test_summarize_golden_report(tmp_path, seed, digest, options):
     path = tmp_path / "report.json"
     write_report_json(path, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_summarize_memory_is_bounded_by_the_window():
+    # 2000 candidates with 4000 distinct texts: one text-by-text float64
+    # array is 122 MiB, while the window's (1000, 1000) distances are 8 MiB
+    archive = Archive()
+    for i in range(2000):
+        archive.add(text_cand(2 * i, str(i * 7919), 2 * i + 1, f"{i * 104729}x"))
+    tracemalloc.start()
+    try:
+        report = summarize(archive, Random(0), restarts=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total_candidates == 2000
+    assert peak < 32 * 2**20
 
 
 def test_summarize_fixed_seed_reproducible():
