@@ -79,7 +79,7 @@ def _detection_config(args) -> DetectionConfig:
         strategy=args.strategy,
         budget_seconds=args.seconds,
         budget_iterations=args.iterations,
-        threshold=Fraction(args.threshold),
+        threshold=args.threshold,
         output_distance=parse_distance(args.distance),
         sampler=replace(sampler, seed=_effective_seed(sampler.seed)),
     )
@@ -114,6 +114,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"must be an exact rational, e.g. 0 or 1/2, got {text!r}") from None
+
+
 def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--sut", required=True,
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
@@ -127,7 +135,8 @@ def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--big-int-bit-cap", type=int, default=128)
     p.add_argument("--distance", default="strlen",
                    help="strlen | jaccard1 | jaccard2 | levenshtein")
-    p.add_argument("--threshold", default="0", help="exact rational, e.g. 0 or 1/2")
+    p.add_argument("--threshold", type=_rational, default="0",
+                   help="exact rational, e.g. 0 or 1/2")
     p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
     p.add_argument("--timeout", type=_positive_float, default=5.0,
                    help="external SUT timeout (s)")

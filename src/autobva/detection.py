@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -202,7 +201,9 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     crossing is reachable, leaving the caller's threshold to discard it);
     otherwise expands along the step's direction in steps of 2^k until the
     output partition changes, then squeezes the bracket down to the adjacent
-    pair right at the change.  Probes never leave the sampled value domain.
+    pair right at the change.  Expansion and bisection probes stay in the
+    sampled value domain; the first one-step neighbour may lie one past its
+    edge, as LNS neighbours may.
     A boolean argument steps only from false up or from true down, to its
     flip; any other step on it returns nothing.
     """
@@ -352,26 +353,21 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
             else:
                 yield inputs, bcs_first_step(rng, sut.arity), tuple(d for _, d in pairs)
 
-    # one Runner per thread, so no count is shared between threads
-    runners: list = []
-    local = threading.local()
-
-    def search(draw: tuple) -> list:
-        try:
-            runner = local.runner
-        except AttributeError:
-            runner = local.runner = Runner(sut)
-            runners.append(runner)
+    # a Runner per search, so no count is shared between threads
+    def search(draw: tuple) -> tuple:
+        runner = Runner(sut)
         inputs, step, domains = draw
         if step is None:
-            return lns_search(runner, inputs, output_distance)
-        return bcs_search(runner, output_distance, inputs, step, domains)
+            found = lns_search(runner, inputs, output_distance)
+        else:
+            found = bcs_search(runner, output_distance, inputs, step, domains)
+        return found, runner.executions
 
-    samples, tags = 0, (strategy,)
-    for found in _ordered_map(search, draws(), sut.concurrency):
+    samples, executions, tags = 0, 0, (strategy,)
+    for found, spent in _ordered_map(search, draws(), sut.concurrency):
         samples += 1
+        executions += spent
         for candidate in found:
             archive.add(candidate, tags)
-    return DetectionResult(archive, samples=samples,
-                           executions=sum(r.executions for r in runners),
+    return DetectionResult(archive, samples=samples, executions=executions,
                            elapsed=time.monotonic() - start)

@@ -34,10 +34,6 @@ def jaccard_ngram(n: int, s1: str, s2: str) -> Fraction:
     if n < 1:
         raise ValueError("n-gram size must be >= 1")
     a, b = ngrams(s1, n), ngrams(s2, n)
-    if not a and not b:
-        return Fraction(0)
-    if not a or not b:
-        return Fraction(1)
     union = len(a | b)
     return Fraction(union - len(a & b), union)
 

@@ -47,31 +47,22 @@ def _big(cap: int) -> TypeDomain:
 
 
 @lru_cache(maxsize=None)
-def compatible_types(abstract: str, big_int_bit_cap: int = DEFAULT_BIG_INT_BIT_CAP) -> tuple:
-    """Concrete domains compatible with an abstract integer type, in fixed order."""
-    if abstract == "Integer":
-        return (
-            TypeDomain("UInt8", "unsigned", 8),
-            TypeDomain("UInt64", "unsigned", 64),
-            TypeDomain("UInt32", "unsigned", 32),
-            TypeDomain("UInt16", "unsigned", 16),
-            TypeDomain("UInt128", "unsigned", 128),
-            TypeDomain("Int8", "signed", 8),
-            TypeDomain("Int64", "signed", 64),
-            TypeDomain("Int32", "signed", 32),
-            TypeDomain("Int16", "signed", 16),
-            TypeDomain("Int128", "signed", 128),
-            _big(big_int_bit_cap),
-            TypeDomain("Bool", "boolean", 1),
-        )
-    if abstract == "Int16":
-        return (
-            TypeDomain("UInt8", "unsigned", 8),
-            TypeDomain("Int8", "signed", 8),
-            TypeDomain("Int16", "signed", 16),
-            TypeDomain("Bool", "boolean", 1),
-        )
-    raise ValueError(f"no compatible type set for abstract type {abstract!r}")
+def compatible_types(big_int_bit_cap: int = DEFAULT_BIG_INT_BIT_CAP) -> tuple:
+    """Concrete domains compatible with an integer argument, in fixed order."""
+    return (
+        TypeDomain("UInt8", "unsigned", 8),
+        TypeDomain("UInt64", "unsigned", 64),
+        TypeDomain("UInt32", "unsigned", 32),
+        TypeDomain("UInt16", "unsigned", 16),
+        TypeDomain("UInt128", "unsigned", 128),
+        TypeDomain("Int8", "signed", 8),
+        TypeDomain("Int64", "signed", 64),
+        TypeDomain("Int32", "signed", 32),
+        TypeDomain("Int16", "signed", 16),
+        TypeDomain("Int128", "signed", 128),
+        _big(big_int_bit_cap),
+        TypeDomain("Bool", "boolean", 1),
+    )
 
 
 # setting name in manifests and config files -> (field, JSON type, its name)
@@ -143,9 +134,9 @@ def sample_arguments(sut: SutDescriptor, config: SamplerConfig,
                      rng: random.Random) -> list:
     """Per-argument (value, domain) pairs; the domain feeds search truncation."""
     out = []
-    for abstract in sut.argument_types:
+    for _ in range(sut.arity):
         if config.cts:
-            domains = compatible_types(abstract, config.big_int_bit_cap)
+            domains = compatible_types(config.big_int_bit_cap)
             domain = domains[rng._randbelow(len(domains))]
         else:
             domain = _big(config.big_int_bit_cap)

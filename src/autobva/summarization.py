@@ -228,7 +228,8 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     """Lloyd's algorithm on the feature matrix columns, Euclidean metric.
 
     Initial centroids are k distinct random data points; an emptied cluster
-    is reseeded with the point farthest from its assigned centroid.
+    is reseeded with the point farthest from its assigned centroid among
+    the clusters of two or more points.
     ``distances`` is the matrix's ``point_distances``, passed on to
     ``silhouette`` so restarts on one matrix can share it.  Centroids are
     per-cluster bincount sums, which add each cluster's points in index
@@ -245,25 +246,19 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     for _ in range(max_iter):
         sq = _squared_distances(matrix, centroids)
         new_assignment = sq.argmin(axis=0)
-        # an emptied cluster steals the point farthest from its own centroid;
-        # repeat in case the theft empties a singleton donor
-        claimed = np.zeros(n, dtype=bool)
-        while True:
-            counts = np.bincount(new_assignment, minlength=k)
-            empty = np.flatnonzero(counts == 0)
-            if not len(empty):
-                break
+        counts = np.bincount(new_assignment, minlength=k)
+        # an emptied cluster steals the point farthest from its own centroid
+        # in a cluster of two or more.  One pass leaves no cluster empty: with
+        # n >= k, while a cluster is empty some cluster holds two points, and
+        # a stolen point sits alone, so it is never a donor or stolen twice
+        for cluster in np.flatnonzero(counts == 0):
             reseeded = True
-            for cluster in empty:
-                own_dist = sq[new_assignment, everyone]
-                donors = np.bincount(new_assignment, minlength=k)[new_assignment] > 1
-                eligible = donors & ~claimed
-                if not eligible.any():
-                    eligible = ~claimed
-                own_dist[~eligible] = -1.0
-                farthest = int(own_dist.argmax())
-                new_assignment[farthest] = cluster
-                claimed[farthest] = True
+            own_dist = sq[new_assignment, everyone]
+            own_dist[counts[new_assignment] < 2] = -1.0
+            farthest = int(own_dist.argmax())
+            counts[new_assignment[farthest]] -= 1
+            counts[cluster] = 1
+            new_assignment[farthest] = cluster
         if (new_assignment == assignment).all():
             break
         assignment = new_assignment
@@ -423,26 +418,25 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
         if not group:
             continue
         if len(group) < 3:
-            clusters = [ClusterSummary(1, group, _pick_representative(group),
-                                       _strategy_counts(group, archive.strategies))]
-            groups.append(GroupSummary(validity, clusters, silhouette=None))
-            continue
-        distances = TextDistances(group)
-        subset, dropped = diversity_subset(group, rng, block, window, distances)
-        space = FeatureSpace(subset, distances)
-        pairwise = point_distances(space.matrix)
-        ks = list(range(2, min(K_MAX, len(subset)) + 1))
-        models = [kmeans(space.matrix, ks[i % len(ks)],
-                         random.Random(rng.getrandbits(64)), distances=pairwise)
-                  for i in range(restarts)]
-        best = select_model(models)
-        member_lists: list = [[] for _ in range(best.k)]
-        for point, cluster in enumerate(best.assignment):
-            member_lists[cluster].append(subset[point])
-        if dropped:
-            nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
-            for candidate, cluster in zip(dropped, nearest):
-                member_lists[cluster].append(candidate)
+            member_lists, score = [group], None
+        else:
+            distances = TextDistances(group)
+            subset, dropped = diversity_subset(group, rng, block, window, distances)
+            space = FeatureSpace(subset, distances)
+            pairwise = point_distances(space.matrix)
+            ks = list(range(2, min(K_MAX, len(subset)) + 1))
+            models = [kmeans(space.matrix, ks[i % len(ks)],
+                             random.Random(rng.getrandbits(64)), distances=pairwise)
+                      for i in range(restarts)]
+            best = select_model(models)
+            member_lists = [[] for _ in range(best.k)]
+            for point, cluster in enumerate(best.assignment):
+                member_lists[cluster].append(subset[point])
+            if dropped:
+                nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
+                for candidate, cluster in zip(dropped, nearest):
+                    member_lists[cluster].append(candidate)
+            score = best.silhouette
         ordered = sorted((m for m in member_lists if m),
                          key=lambda ms: (-len(ms), _pick_representative(ms).key))
         clusters = [
@@ -450,5 +444,5 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
                            _strategy_counts(members, archive.strategies))
             for i, members in enumerate(ordered)
         ]
-        groups.append(GroupSummary(validity, clusters, silhouette=best.silhouette))
+        groups.append(GroupSummary(validity, clusters, silhouette=score))
     return ClusterReport(groups)

@@ -33,8 +33,8 @@ from .values import (
 
 @dataclass(frozen=True)
 class SutDescriptor:
-    """A black-box program under test: arity, argument types, an invoker,
-    and how many invocations may run at once (``concurrency``).
+    """A black-box program under test: arity, an invoker, and how many
+    invocations may run at once (``concurrency``).
 
     In-process programs hold the interpreter lock while they run, so only
     programs in their own processes gain from a concurrency above 1.
@@ -43,7 +43,6 @@ class SutDescriptor:
     name: str
     arity: int
     invoke: Callable[[InputTuple], ExecutionOutcome] = field(compare=False)
-    argument_types: tuple = ()
     concurrency: int = 1
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class SutDescriptor:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
-        if not self.argument_types:
-            object.__setattr__(self, "argument_types", ("Integer",) * self.arity)
 
 
 def execute(sut: SutDescriptor, inputs: InputTuple) -> ExecutionOutcome:
@@ -355,7 +352,8 @@ def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0,
         return BUILTIN_SUTS[name]
     if name.startswith("external:"):
         command = name[len("external:"):]
-        if not command:
+        words = shlex.split(command)
+        if not words or not words[0]:   # Popen would run the first input
             raise UsageError("external SUT needs a command: external:<cmd>")
         return make_external_sut(command, arity=external_arity, timeout=external_timeout,
                                  concurrency=external_jobs)

@@ -52,8 +52,11 @@ def test_detect_unknown_sut_is_usage_error(capsys):
     assert capsys.readouterr().err == (
         "usage error: unknown SUT 'nope' (expected one of "
         "['bmi', 'bmi-class', 'bytecount', 'date'] or external:<cmd>)\n")
-    assert run_cli("detect", "--sut", "external:", "--iterations", "1") == 1
-    assert capsys.readouterr().err == "usage error: external SUT needs a command: external:<cmd>\n"
+    # with no program word, Popen would run the first rendered input
+    for sut in ("external:", "external: ", 'external:""'):
+        assert run_cli("detect", "--sut", sut, "--iterations", "1") == 1
+        assert capsys.readouterr().err == \
+            "usage error: external SUT needs a command: external:<cmd>\n"
 
 
 def test_detect_unknown_flag_is_usage_error():
@@ -196,6 +199,12 @@ def test_unreadable_json_input_is_data_error(tmp_path, capsys, command):
      "each strategy must be named once, got ['bcs', 'lns', 'bcs']"),
     (["experiment", "--strategies", ","], "unknown strategy ''"),
     (["experiment", "--strategies", "lns,"], "unknown strategy ''"),
+    (["detect", "--threshold", "1/0"],
+     "argument --threshold: must be an exact rational, e.g. 0 or 1/2, got '1/0'"),
+    (["experiment", "--threshold", "1/0"],
+     "argument --threshold: must be an exact rational, e.g. 0 or 1/2, got '1/0'"),
+    (["detect", "--threshold", "half"],
+     "argument --threshold: must be an exact rational, e.g. 0 or 1/2, got 'half'"),
 ])
 def test_bad_count_or_strategy_list_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

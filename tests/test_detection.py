@@ -304,6 +304,15 @@ def test_bcs_respects_value_domain():
             assert -128 <= c.input2[0] <= 127
 
 
+def test_bcs_first_step_may_leave_value_domain():
+    # only expansion and bisection probes are kept in the domain
+    domain = TypeDomain("UInt8", "unsigned", 8)
+    for start, step, pair in [((0,), (0, -1), ((-1,), (0,))),
+                              ((255,), (0, 1), ((255,), (256,)))]:
+        found = bcs_search(Runner(flat(1)), STRLEN, start, step, domains=(domain,))
+        assert [(c.input1, c.input2) for c in found] == [pair]
+
+
 def test_bcs_postcondition_on_seeded_searches():
     rng = Random(11)
     for _ in range(300):

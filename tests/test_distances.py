@@ -38,6 +38,7 @@ def test_jaccard_examples():
     assert jaccard_ngram(1, "999.9 MB", "1.0 GB") == Fraction(5, 8)
     assert jaccard_ngram(2, "ab", "ab") == 0
     assert jaccard_ngram(1, "", "") == 0
+    assert jaccard_ngram(2, "", "a") == 1
     with pytest.raises(ValueError):
         jaccard_ngram(0, "a", "b")
 

@@ -359,6 +359,26 @@ def test_kmeans_equals_masked_reference_bit_for_bit():
     assert reseeded >= 10
 
 
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_kmeans_cycling_on_three_distinct_points_equals_reference(k):
+    # shaped like bmi's VE group: 1000 points on 3 distinct feature vectors,
+    # so several clusters empty in one iteration and the loop never converges
+    rng = np.random.RandomState(0)
+    distinct = rng.rand(4, 3)
+    matrix = distinct[:, rng.randint(0, 3, size=1000)]
+    distances = point_distances(matrix)
+    got = kmeans(matrix, k, Random(k), distances=distances)
+    expected = _reference_kmeans(matrix, k, Random(k), distances, max_iter=KMEANS_MAX_ITER)
+    assert got.assignment.tolist() == expected.assignment.tolist()
+    assert got.centroids.tolist() == expected.centroids.tolist()
+    assert got.silhouette == expected.silhouette
+    assert got.reseeded and expected.reseeded
+    # still cycling at the iteration cap: one iteration fewer ends elsewhere
+    early = kmeans(matrix, k, Random(k), max_iter=KMEANS_MAX_ITER - 1, distances=distances)
+    assert (early.assignment.tolist() != got.assignment.tolist()
+            or early.centroids.tolist() != got.centroids.tolist())
+
+
 def _broadcast_point_distances(matrix):
     """Pairwise distances through one (n, n, 4) temporary."""
     points = matrix.T
