@@ -224,7 +224,8 @@ def _squared_distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
            max_iter: int = KMEANS_MAX_ITER,
-           distances: Optional[np.ndarray] = None) -> ClusteringModel:
+           distances: Optional[np.ndarray] = None,
+           scores: Optional[dict] = None) -> ClusteringModel:
     """Lloyd's algorithm on the feature matrix columns, Euclidean metric.
 
     Initial centroids are k distinct random data points; an emptied cluster
@@ -234,6 +235,20 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     ``silhouette`` so restarts on one matrix can share it.  Centroids are
     per-cluster bincount sums, which add each cluster's points in index
     order exactly as a masked mean does.
+
+    After the first iteration each assignment is a function of the one
+    before: the centroids are its bincount means and reseeding draws
+    nothing.  So once an assignment repeats, the loop has entered a cycle
+    (of period 1 when it converged), and the state that iteration
+    ``max_iter - 1`` would reach is one already computed; it is returned
+    without running the rest.  Every transition of the cycle has run, so
+    ``reseeded`` is already what the full loop would give.
+
+    ``scores`` memoizes silhouettes across restarts on one matrix and
+    ``distances``: it maps an assignment, relabelled in first-appearance
+    order, to its score.  Relabelling leaves every bit of the score alone,
+    since ``silhouette`` sums each cluster's columns in index order, takes
+    ``b`` as a minimum and adds the points' scores in point order.
     """
     features, n = matrix.shape
     if not 2 <= k <= n:
@@ -243,7 +258,9 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     everyone = np.arange(n)
     bins = k * np.arange(features)[:, None]   # feature f of cluster c -> bin f * k + c
     reseeded = False
-    for _ in range(max_iter):
+    seen: dict = {}    # assignment bytes -> iteration that produced it
+    states: list = []  # (assignment, centroids) after each iteration
+    for iteration in range(max_iter):
         sq = _squared_distances(matrix, centroids)
         new_assignment = sq.argmin(axis=0)
         counts = np.bincount(new_assignment, minlength=k)
@@ -259,14 +276,25 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
             counts[new_assignment[farthest]] -= 1
             counts[cluster] = 1
             new_assignment[farthest] = cluster
-        if (new_assignment == assignment).all():
+        key = new_assignment.tobytes()
+        if key in seen:
+            start = seen[key]
+            assignment, centroids = states[start + (max_iter - 1 - start) % (iteration - start)]
             break
+        seen[key] = iteration
         assignment = new_assignment
         sums = np.bincount((assignment + bins).ravel(), weights=matrix.ravel(),
                            minlength=features * k)
         centroids = (sums.reshape(features, k) / counts).T
-    return ClusteringModel(k, centroids, assignment,
-                           silhouette(matrix, assignment, distances), reseeded)
+        states.append((assignment, centroids))
+    scores = {} if scores is None else scores
+    first = np.unique(assignment, return_index=True)[1]
+    relabel = np.empty(k, dtype=np.min_scalar_type(k))
+    relabel[np.argsort(first)] = np.arange(len(first))
+    key = relabel[assignment].tobytes()
+    if key not in scores:
+        scores[key] = silhouette(matrix, assignment, distances)
+    return ClusteringModel(k, centroids, assignment, scores[key], reseeded)
 
 
 def point_distances(matrix: np.ndarray) -> np.ndarray:
@@ -410,6 +438,9 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
     groups go through diversity subsetting, `restarts` k-means runs cycling
     k over 2..min(K_MAX, subset size), silhouette model selection, and
     nearest-centroid attachment of the diversity-dropped candidates.
+    A group's restarts share one silhouette memo (see ``kmeans``), so each
+    distinct partition of its subset is scored once; the memo lives only
+    while that group is clustered.
     """
     rng = rng or random.Random(0)
     groups = []
@@ -425,8 +456,9 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
             space = FeatureSpace(subset, distances)
             pairwise = point_distances(space.matrix)
             ks = list(range(2, min(K_MAX, len(subset)) + 1))
-            models = [kmeans(space.matrix, ks[i % len(ks)],
-                             random.Random(rng.getrandbits(64)), distances=pairwise)
+            scores: dict = {}
+            models = [kmeans(space.matrix, ks[i % len(ks)], random.Random(rng.getrandbits(64)),
+                             distances=pairwise, scores=scores)
                       for i in range(restarts)]
             best = select_model(models)
             member_lists = [[] for _ in range(best.k)]
@@ -437,12 +469,12 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
                 for candidate, cluster in zip(dropped, nearest):
                     member_lists[cluster].append(candidate)
             score = best.silhouette
-        ordered = sorted((m for m in member_lists if m),
-                         key=lambda ms: (-len(ms), _pick_representative(ms).key))
+        picked = sorted(((ms, _pick_representative(ms)) for ms in member_lists if ms),
+                        key=lambda pair: (-len(pair[0]), pair[1].key))
         clusters = [
-            ClusterSummary(i + 1, members, _pick_representative(members),
+            ClusterSummary(i + 1, members, representative,
                            _strategy_counts(members, archive.strategies))
-            for i, members in enumerate(ordered)
+            for i, (members, representative) in enumerate(picked)
         ]
         groups.append(GroupSummary(validity, clusters, silhouette=score))
     return ClusterReport(groups)

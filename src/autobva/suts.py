@@ -285,6 +285,10 @@ def date_ctor(inputs: InputTuple) -> ExecutionOutcome:
 # external commands
 
 
+class UsageError(Exception):
+    """A request the command line cannot carry out as given."""
+
+
 def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
                       concurrency: int = 1) -> SutDescriptor:
     """Adapter for user programs: argv in, stdout out, nonzero exit = error.
@@ -294,9 +298,12 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
     pipes, and ``subprocess`` closes every other descriptor in the child, so
     no child holds another's pipe open.  Each run is also the leader of its
     own session: on a timeout its whole process group is killed, so nothing
-    it started outlives the timeout outcome.
+    it started outlives the timeout outcome.  A command with no program word
+    (blank, or an empty quoted word first) is a ``UsageError``.
     """
     argv_prefix = shlex.split(command)
+    if not argv_prefix or not argv_prefix[0]:   # Popen would run the first input
+        raise UsageError("external SUT needs a command: external:<cmd>")
 
     def invoke(inputs: InputTuple) -> ExecutionOutcome:
         argv = argv_prefix + [render_value(v) for v in inputs]
@@ -340,10 +347,6 @@ BUILTIN_SUTS = {
 }
 
 
-class UsageError(Exception):
-    """A request the command line cannot carry out as given."""
-
-
 def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0,
             external_jobs: int = 1) -> SutDescriptor:
     """Look up a built-in by name, or build an ``external:<cmd>`` adapter
@@ -351,10 +354,6 @@ def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0,
     if name in BUILTIN_SUTS:
         return BUILTIN_SUTS[name]
     if name.startswith("external:"):
-        command = name[len("external:"):]
-        words = shlex.split(command)
-        if not words or not words[0]:   # Popen would run the first input
-            raise UsageError("external SUT needs a command: external:<cmd>")
-        return make_external_sut(command, arity=external_arity, timeout=external_timeout,
-                                 concurrency=external_jobs)
+        return make_external_sut(name[len("external:"):], arity=external_arity,
+                                 timeout=external_timeout, concurrency=external_jobs)
     raise UsageError(f"unknown SUT {name!r} (expected one of {sorted(BUILTIN_SUTS)} or external:<cmd>)")

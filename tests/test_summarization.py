@@ -9,6 +9,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from autobva import summarization
 from autobva.archive_io import write_report_json
 from autobva.detection import Archive, BoundaryCandidate, DetectionConfig, detect, make_candidate
 from autobva.distances import STRLEN, jaccard_ngram, strlendist
@@ -359,14 +360,19 @@ def test_kmeans_equals_masked_reference_bit_for_bit():
     assert reseeded >= 10
 
 
-@pytest.mark.parametrize("k", [4, 7, 10])
-def test_kmeans_cycling_on_three_distinct_points_equals_reference(k):
-    # shaped like bmi's VE group: 1000 points on 3 distinct feature vectors,
-    # so several clusters empty in one iteration and the loop never converges
+def _three_distinct_points():
+    """Shaped like bmi's VE group: 1000 points on 3 distinct feature vectors,
+    so several clusters empty in one iteration and, for k >= 4, the loop
+    cycles instead of converging."""
     rng = np.random.RandomState(0)
     distinct = rng.rand(4, 3)
     matrix = distinct[:, rng.randint(0, 3, size=1000)]
-    distances = point_distances(matrix)
+    return matrix, point_distances(matrix)
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_kmeans_cycling_on_three_distinct_points_equals_reference(k):
+    matrix, distances = _three_distinct_points()
     got = kmeans(matrix, k, Random(k), distances=distances)
     expected = _reference_kmeans(matrix, k, Random(k), distances, max_iter=KMEANS_MAX_ITER)
     assert got.assignment.tolist() == expected.assignment.tolist()
@@ -377,6 +383,48 @@ def test_kmeans_cycling_on_three_distinct_points_equals_reference(k):
     early = kmeans(matrix, k, Random(k), max_iter=KMEANS_MAX_ITER - 1, distances=distances)
     assert (early.assignment.tolist() != got.assignment.tolist()
             or early.centroids.tolist() != got.centroids.tolist())
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_kmeans_cycle_jump_equals_reference_at_every_max_iter(k):
+    # the jump picks its state by (max_iter - 1 - start) % period, so every
+    # phase of the cycle below the cap is checked, and the short runs that
+    # stop inside or just after the first lap
+    matrix, distances = _three_distinct_points()
+    tail = range(KMEANS_MAX_ITER - 12, KMEANS_MAX_ITER + 1)
+    ends = {}
+    for max_iter in [*range(3, 16), *tail]:
+        got = kmeans(matrix, k, Random(k), max_iter=max_iter, distances=distances)
+        expected = _reference_kmeans(matrix, k, Random(k), distances, max_iter=max_iter)
+        assert got.assignment.tolist() == expected.assignment.tolist(), max_iter
+        assert got.centroids.tolist() == expected.centroids.tolist(), max_iter
+        assert got.silhouette.hex() == expected.silhouette.hex(), max_iter
+        assert got.reseeded == expected.reseeded, max_iter
+        ends[max_iter] = (got.assignment.tobytes(), got.centroids.tobytes())
+    tail_ends = [ends[max_iter] for max_iter in tail]
+    # still cycling, and some end state repeats: the tail spans a whole period
+    assert 1 < len(set(tail_ends)) < len(tail_ends)
+
+
+def test_kmeans_silhouette_memo_changes_no_model():
+    # few distinct columns, so many of the 100 restarts end in one partition
+    # under different labels
+    rng = np.random.RandomState(3)
+    distinct = rng.rand(4, 6)
+    matrix = distinct[:, rng.randint(0, 6, size=600)]
+    distances = point_distances(matrix)
+    scores: dict = {}
+    memoized, scored = [], []
+    for restart in range(100):
+        k = 2 + restart % 9
+        memoized.append(kmeans(matrix, k, Random(restart), distances=distances, scores=scores))
+        scored.append(kmeans(matrix, k, Random(restart), distances=distances))
+    assert len(scores) < 60
+    for got, expected in zip(memoized, scored):
+        assert got.assignment.tolist() == expected.assignment.tolist()
+        assert got.centroids.tolist() == expected.centroids.tolist()
+        assert got.silhouette.hex() == expected.silhouette.hex()
+    assert memoized.index(select_model(memoized)) == scored.index(select_model(scored))
 
 
 def _broadcast_point_distances(matrix):
@@ -446,6 +494,25 @@ def test_silhouette_equals_naive_loop_at_real_cluster_sizes():
         expected = _naive_silhouette(matrix, assignment)
         assert silhouette(matrix, assignment) == expected
         assert silhouette(matrix, assignment, point_distances(matrix)) == expected
+
+
+def test_silhouette_bits_survive_relabelling():
+    # the premise of the silhouette memo in summarize, which keys each
+    # assignment by its labels renumbered in first-appearance order
+    rng = np.random.RandomState(12)
+    for trial in range(30):
+        k = 2 + trial % 9
+        n = int(rng.randint(k, 1001)) if trial % 3 else int(rng.randint(k, 60))
+        distinct = rng.rand(4, int(rng.randint(2, 2 * k + 3)))
+        matrix = distinct[:, rng.randint(0, distinct.shape[1], size=n)]   # duplicate columns
+        distances = point_distances(matrix)
+        assignment = rng.randint(0, k, size=n)
+        assignment[:k] = rng.permutation(k)        # every label occurs
+        expected = silhouette(matrix, assignment, distances).hex()
+        for _ in range(4):
+            relabelled = rng.permutation(k)[assignment]
+            assert silhouette(matrix, relabelled, distances).hex() == expected, trial
+        assert silhouette(matrix, rng.permutation(k)[assignment]).hex() == expected, trial
 
 
 def test_silhouette_two_tight_far_clusters():
@@ -570,6 +637,27 @@ def test_summarize_golden_report(tmp_path, seed, digest, options):
     path = tmp_path / "report.json"
     write_report_json(path, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_summarize_memo_selects_what_scoring_every_restart_selects(tmp_path, monkeypatch):
+    archive = _date_archive()
+    calls = []
+    scored = summarization.silhouette
+    monkeypatch.setattr(summarization, "silhouette",
+                        lambda *args: calls.append(1) or scored(*args))
+
+    def report_bytes(name):
+        calls.clear()
+        path = tmp_path / name
+        write_report_json(path, summarize(archive, Random(0), restarts=100))
+        return path.read_bytes(), len(calls)
+
+    memoized, memo_calls = report_bytes("memoized.json")
+    memoizing = summarization.kmeans
+    monkeypatch.setattr(summarization, "kmeans",
+                        lambda *args, scores=None, **kwargs: memoizing(*args, **kwargs))
+    assert report_bytes("scored.json") == (memoized, 200)   # VE and EE, 100 restarts each
+    assert memo_calls < 200
 
 
 def test_summarize_memory_is_bounded_by_the_window():

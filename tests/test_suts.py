@@ -396,6 +396,13 @@ def test_external_timeout_kills_what_the_program_started(tmp_path):
     assert not marker.exists()
 
 
+@pytest.mark.parametrize("command", ["", " ", '""', "'' -n"])
+def test_external_sut_needs_a_program_word(command):
+    # Popen would otherwise run the first rendered input as the program
+    with pytest.raises(UsageError, match="external SUT needs a command"):
+        make_external_sut(command)
+
+
 def test_get_sut_rejects_unknown():
     with pytest.raises(UsageError):
         get_sut("quicksort")
