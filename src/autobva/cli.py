@@ -114,12 +114,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _rational(text: str) -> Fraction:
+def _non_negative_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"must be an exact rational, e.g. 0 or 1/2, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _add_detect_flags(p, default_strategy="bcs"):
@@ -135,7 +138,7 @@ def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--big-int-bit-cap", type=int, default=128)
     p.add_argument("--distance", default="strlen",
                    help="strlen | jaccard1 | jaccard2 | levenshtein")
-    p.add_argument("--threshold", type=_rational, default="0",
+    p.add_argument("--threshold", type=_non_negative_rational, default="0",
                    help="exact rational, e.g. 0 or 1/2")
     p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
     p.add_argument("--timeout", type=_positive_float, default=5.0,

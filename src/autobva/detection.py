@@ -5,7 +5,9 @@ Local Neighbor Sampling (LNS) probes every +/-1 step of every argument
 around a sampled point.  Boundary Crossing Search (BCS) picks one random
 direction, expands the step exponentially until the output partition
 changes, then binary-searches down to the adjacent input pair straddling
-the change.
+the change.  Both return only pairs whose outputs differ under the output
+distance: a pair at distance 0 scores 0, which no detection threshold (never
+below 0) keeps, so it is neither scored nor built.
 
 Every random draw of a sample happens before its search starts, so searches
 can run concurrently (on SUTs that allow it) while the archive, counts and
@@ -177,11 +179,18 @@ def _neighbors(inputs: InputTuple) -> Iterator[InputTuple]:
 
 def lns_search(runner: Runner, inputs: InputTuple,
                output_distance: OutputDistance = STRLEN) -> list:
-    """All applicable one-step neighbors of the starting point, unfiltered."""
+    """Probe every one-step neighbor of the starting point; return the pairs
+    whose outputs differ, in neighbor order."""
     run = runner.run
     base_outcome = run(inputs)
-    return [make_candidate(inputs, base_outcome, neighbor, run(neighbor), output_distance)
-            for neighbor in _neighbors(inputs)]
+    base_text, distance = base_outcome.text, output_distance.function
+    found = []
+    for neighbor in _neighbors(inputs):
+        outcome = run(neighbor)
+        if distance(base_text, outcome.text):
+            found.append(make_candidate(inputs, base_outcome, neighbor, outcome,
+                                        output_distance))
+    return found
 
 
 def bcs_first_step(rng: random.Random, arity: int) -> tuple:
@@ -197,13 +206,12 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     """Boundary Crossing Search from one starting point along ``step``,
     the (argument index, +1 or -1) pair ``bcs_first_step`` draws.
 
-    Returns the initial one-step pair when it already crosses (or when no
-    crossing is reachable, leaving the caller's threshold to discard it);
+    Returns the initial one-step pair when its outputs already differ;
     otherwise expands along the step's direction in steps of 2^k until the
     output partition changes, then squeezes the bracket down to the adjacent
-    pair right at the change.  Expansion and bisection probes stay in the
-    sampled value domain; the first one-step neighbour may lie one past its
-    edge, as LNS neighbours may.
+    pair right at the change.  Returns nothing when no crossing is reachable.
+    Expansion and bisection probes stay in the sampled value domain; the
+    first one-step neighbour may lie one past its edge, as LNS neighbours may.
     A boolean argument steps only from false up or from true down, to its
     flip; any other step on it returns nothing.
     """
@@ -219,15 +227,15 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
         first = head + (start + delta,) + tail
     base_outcome = run(inputs)
     next_outcome = run(first)
-    initial = make_candidate(inputs, base_outcome, first, next_outcome, output_distance)
+    base_text, distance = base_outcome.text, output_distance.function
+    if distance(base_text, next_outcome.text):
+        return [make_candidate(inputs, base_outcome, first, next_outcome, output_distance)]
     # chained steps leave {false, true} at once, so a boolean never expands
-    if initial.score > 0 or isinstance(start, bool):
-        return [initial]
+    if isinstance(start, bool):
+        return []
 
     domain = domains[arg] if domains else None
     lowest, highest = domain.bounds() if domain is not None else (-math.inf, math.inf)
-    distance = output_distance.function
-    base_text = base_outcome.text
 
     crossing = None
     for k in range(1, max_doublings + 1):
@@ -238,7 +246,7 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
             crossing = k
             break
     if crossing is None:
-        return [initial]
+        return []
 
     # smallest step in (2^(k-1), 2^k] whose output differs from the start's;
     # every step probed here lies between two probes that stayed in the domain
@@ -300,6 +308,10 @@ class DetectionConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget_seconds is None and self.budget_iterations is None:
             raise ValueError("a budget (seconds or iterations) is required")
+        # scores are never negative: a threshold below 0 would only admit
+        # equal-output pairs, which the searches do not return
+        if self.threshold < 0:
+            raise ValueError(f"threshold must be at least 0, got {self.threshold}")
 
     @property
     def budget(self) -> dict:

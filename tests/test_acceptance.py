@@ -267,8 +267,7 @@ def test_criterion_5_oracle_equivalence():
             if not found:
                 continue
             (c,) = found
-            if c.score == 0:
-                continue  # filtered-out initial pair
+            assert c.score > 0
             assert is_boundary_pair(BC, c.input1, c.input2)
             a, b = int(c.input1[0]), int(c.input2[0])
             if 0 <= a and b <= 10**6:
@@ -367,8 +366,8 @@ def test_criterion_7_property_suites(tmp_path):
             for c in found:
                 diffs = [abs(int(x) - int(y)) for x, y in zip(c.input1, c.input2)]
                 assert sum(diffs) == 1
-                if c.score > 0:
-                    assert strlendist(c.output1.text, c.output2.text) > 0
+                assert c.score > 0
+                assert strlendist(c.output1.text, c.output2.text) > 0
 
         # bituniform bit-length uniformity within 3 sigma over 10^5 draws
         draw_rng = Random(8)

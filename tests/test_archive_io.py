@@ -267,6 +267,25 @@ def test_cluster_labels_of_a_written_report(tmp_path):
     assert len(labels) == len(result.archive)
 
 
+def test_readers_keep_stored_candidates_at_any_score(tmp_path):
+    """Detection never archives a score of 0, but a stored one, from a file
+    written before that or by hand, reads back: the readers use an archive
+    with threshold -1."""
+    from autobva.detection import make_candidate
+    from autobva.distances import STRLEN
+    from autobva.suts import execute
+    stored = Archive(Fraction(-1))
+    assert stored.threshold == -1
+    for a, b in ((99948, 99949), (9, 10)):
+        assert stored.add(make_candidate((a,), execute(BC, (a,)), (b,), execute(BC, (b,)), STRLEN),
+                          ("lns",))
+    assert [c.score for c in stored] == [0, 1]
+    csv_path, json_path = tmp_path / "archive.csv", tmp_path / "archive.json"
+    for read in _both_round_trips(tmp_path, stored) + [load_archives([csv_path, json_path])]:
+        assert read.candidates == stored.candidates
+        assert read.strategies == stored.strategies
+
+
 def test_load_archives_merges_and_dedups(tmp_path):
     _, r1 = _run(seed=1)
     _, r2 = _run(seed=2)

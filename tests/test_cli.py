@@ -205,6 +205,13 @@ def test_unreadable_json_input_is_data_error(tmp_path, capsys, command):
      "argument --threshold: must be an exact rational, e.g. 0 or 1/2, got '1/0'"),
     (["detect", "--threshold", "half"],
      "argument --threshold: must be an exact rational, e.g. 0 or 1/2, got 'half'"),
+    (["detect", "--threshold", "-1"], "argument --threshold: must be at least 0, got -1"),
+    (["experiment", "--threshold", "-1"], "argument --threshold: must be at least 0, got -1"),
+    (["detect", "--threshold=-1/2"], "argument --threshold: must be at least 0, got -1/2"),
+    (["experiment", "--threshold=-1/2"], "argument --threshold: must be at least 0, got -1/2"),
+    # argparse reads "-1/2" after a space as a flag, not as a negative number
+    (["detect", "--threshold", "-1/2"], "argument --threshold: expected one argument"),
+    (["experiment", "--threshold", "-1/2"], "argument --threshold: expected one argument"),
 ])
 def test_bad_count_or_strategy_list_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -533,15 +540,21 @@ def test_external_sut_through_cli(tmp_path):
 
 
 # An external SUT with every kind of outcome: output, errors with and without
-# stderr, and, on the run's first sampled input, a run past the timeout.  The
-# runs below archive every scored pair (threshold -1), so all of them show.
+# stderr, and, on the run's first sampled input, a run past the timeout.  An
+# odd last digit adds a word, so neighbouring inputs print texts of different
+# lengths and every one-step pair scores above 0; BCS then never expands, and
+# its first steps reach an exit code 5 at a last digit of 2.
 CONCURRENT_SUT = """#!/bin/sh
 case "$1" in
+  *[13579]) odd=" odd" ;;
+  *) odd="" ;;
+esac
+case "$1" in
   {slow}) exec sleep 1 ;;
-  -*) echo "negative $1" >&2; exit 3 ;;
-  *7) exit 5 ;;
-  true|false) echo flag ;;
-  *) echo "${{#1}} digits" ;;
+  -*) echo "negative $1$odd" >&2; exit 3 ;;
+  *[27]) exit 5 ;;
+  true|false) echo "flag $1" ;;
+  *) echo "${{#1}} digits$odd" ;;
 esac
 """
 
@@ -559,7 +572,7 @@ def test_external_detect_is_identical_at_any_jobs(tmp_path, strategy):
         out = tmp_path / f"jobs{jobs}"
         assert run_cli("detect", "--sut", f"external:{script}", "--strategy", strategy,
                        "--iterations", "12", "--seed", str(seed), "--timeout", "0.2",
-                       "--threshold", "-1", "--jobs", jobs, "--out", str(out)) == 0
+                       "--jobs", jobs, "--out", str(out)) == 0
         runs.append({name: elapsed.sub(b'"elapsed_seconds": 0', (out / name).read_bytes())
                      for name in ("archive.csv", "archive.json", "manifest.json")})
     assert runs[0] == runs[1]

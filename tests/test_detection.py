@@ -30,9 +30,9 @@ from autobva.detection import (
     lns_search,
     make_candidate,
 )
-from autobva.distances import STRLEN, OutputDistance, parse_distance
+from autobva.distances import JACCARD2, LEVENSHTEIN, STRLEN, OutputDistance, parse_distance
 from autobva.oracle import boundary_pairs, is_boundary_pair
-from autobva.sampling import SamplerConfig, TypeDomain
+from autobva.sampling import SamplerConfig, TypeDomain, sample_arguments
 from autobva.suts import SutDescriptor, execute, get_sut
 from autobva.values import valid_outcome
 
@@ -45,13 +45,20 @@ def flat(arity):
     return SutDescriptor("flat", arity, lambda inputs: valid_outcome("x"))
 
 
+def parity(arity):
+    """A SUT whose output length changes on every +/-1 step of any argument
+    and on every boolean flip: one character more when the sum is odd."""
+    return SutDescriptor("parity", arity,
+                         lambda inputs: valid_outcome("x" * (1 + sum(map(int, inputs)) % 2)))
+
+
 # ---------------------------------------------------------------------------
 # BCS's first step
 
 
 def first_pair(inputs, step):
     """The one-step pair a BCS search starts from, with no expansion."""
-    found = bcs_search(Runner(flat(len(inputs))), STRLEN, inputs, step, max_doublings=0)
+    found = bcs_search(Runner(parity(len(inputs))), STRLEN, inputs, step, max_doublings=0)
     return [(c.input1, c.input2) for c in found]
 
 
@@ -215,18 +222,31 @@ def test_runner_counts_every_requested_execution():
 
 
 def test_lns_probes_all_neighbors():
-    found = lns_search(Runner(BC), (10,), STRLEN)
-    assert len(found) == 2
-    scores = {(c.input1[0], c.input2[0]): c.score for c in found}
-    assert scores[(10, 11)] == 0
-    assert scores[(9, 10)] == 1     # canonical orientation of the (10, 9) probe
+    # "11B" has the length of "10B", so only the (10, 9) probe is returned,
+    # in canonical orientation; both neighbours are executed
+    runner = Runner(BC)
+    found = lns_search(runner, (10,), STRLEN)
+    assert [(c.input1, c.input2, c.score) for c in found] == [((9,), (10,), 1)]
+    assert runner.executions == 3
 
 
 def test_lns_on_date_emits_up_to_six():
-    found = lns_search(Runner(DATE), (0, 2, 1), STRLEN)
-    assert len(found) == 6
-    crossing = [c for c in found if c.validity == "VE"]
-    assert any(c.input1 == (0, 2, 0) for c in crossing)
+    # of the six neighbours of 0000-02-01 only year -1 ("-0001-02-01") and
+    # day 0 (an error) change the output's length
+    runner = Runner(DATE)
+    found = lns_search(runner, (0, 2, 1), STRLEN)
+    assert [(c.input1, c.input2, c.score, c.validity) for c in found] == \
+        [((-1, 2, 1), (0, 2, 1), 1, "VV"), ((0, 2, 0), (0, 2, 1), 33, "VE")]
+    assert runner.executions == 7
+
+
+def test_lns_and_bcs_return_nothing_on_a_flat_sut():
+    runner = Runner(flat(3))
+    assert lns_search(runner, (0, True, -5), STRLEN) == []
+    assert runner.executions == 1 + 5
+    runner = Runner(flat(3))
+    assert bcs_search(runner, STRLEN, (0, True, -5), (2, 1)) == []
+    assert runner.executions == 2 + 96    # start, first step, every doubling
 
 
 def test_lns_neighbor_order():
@@ -240,7 +260,7 @@ def test_lns_neighbor_order():
     }
     for inputs, expected in cases.items():
         found = [c.input2 if c.input1 == inputs else c.input1
-                 for c in lns_search(Runner(flat(3)), inputs, STRLEN)]
+                 for c in lns_search(Runner(parity(3)), inputs, STRLEN)]
         assert found == expected
         assert [tuple(map(type, n)) for n in found] == \
             [tuple(map(type, n)) for n in expected]
@@ -284,13 +304,15 @@ def test_bcs_squeezes_to_first_length_change():
     assert hits > 5
 
 
-def test_bcs_no_crossing_returns_filtered_initial():
-    # a flat plateau: uniform huge negative, nothing reachable in 2^k steps
+def test_bcs_no_crossing_returns_nothing():
+    # a flat plateau: uniform huge negative, nothing reachable in 2^k steps;
+    # the start, its first step and all 8 expansion probes are executed
     rng = Random(3)
-    found = bcs_search(Runner(BC), STRLEN, (-(10**30) + 10**9,), bcs_first_step(rng, 1),
+    runner = Runner(BC)
+    found = bcs_search(runner, STRLEN, (-(10**30) + 10**9,), bcs_first_step(rng, 1),
                        max_doublings=8)
-    assert len(found) == 1
-    assert found[0].score == 0
+    assert found == []
+    assert runner.executions == 2 + 8
 
 
 def test_bcs_respects_value_domain():
@@ -309,7 +331,7 @@ def test_bcs_first_step_may_leave_value_domain():
     domain = TypeDomain("UInt8", "unsigned", 8)
     for start, step, pair in [((0,), (0, -1), ((-1,), (0,))),
                               ((255,), (0, 1), ((255,), (256,)))]:
-        found = bcs_search(Runner(flat(1)), STRLEN, start, step, domains=(domain,))
+        found = bcs_search(Runner(parity(1)), STRLEN, start, step, domains=(domain,))
         assert [(c.input1, c.input2) for c in found] == [pair]
 
 
@@ -323,8 +345,8 @@ def test_bcs_postcondition_on_seeded_searches():
         c = found[0]
         diffs = [abs(int(a) - int(b)) for a, b in zip(c.input1, c.input2)]
         assert sum(diffs) == 1 and diffs.count(1) == 1
-        if c.score > 0:
-            assert is_boundary_pair(BC, c.input1, c.input2)
+        assert c.score > 0
+        assert is_boundary_pair(BC, c.input1, c.input2)
 
 
 def test_bcs_boolean_start_has_no_expansion():
@@ -334,6 +356,98 @@ def test_bcs_boolean_start_has_no_expansion():
         if found:
             assert found[0].input1 == (False,)
             assert found[0].input2 == (True,)
+
+
+# ---------------------------------------------------------------------------
+# the searches against their unfiltered forms
+
+
+def _reference_lns_search(runner, inputs, output_distance=STRLEN):
+    """Every one-step neighbor of the starting point, scored, equal outputs
+    included."""
+    run = runner.run
+    base_outcome = run(inputs)
+    return [make_candidate(inputs, base_outcome, neighbor, run(neighbor), output_distance)
+            for neighbor in detection._neighbors(inputs)]
+
+
+def _reference_bcs_search(runner, output_distance, inputs, step, domains=None,
+                          max_doublings=96):
+    """BCS that returns its initial pair, scored, when that pair already
+    crosses or when no crossing is reachable."""
+    run = runner.run
+    arg, delta = step
+    start = inputs[arg]
+    head, tail = inputs[:arg], inputs[arg + 1:]
+    if isinstance(start, bool):
+        if start is (delta > 0):
+            return []
+        first = head + (not start,) + tail
+    else:
+        first = head + (start + delta,) + tail
+    base_outcome = run(inputs)
+    next_outcome = run(first)
+    initial = make_candidate(inputs, base_outcome, first, next_outcome, output_distance)
+    if initial.score > 0 or isinstance(start, bool):
+        return [initial]
+
+    domain = domains[arg] if domains else None
+    lowest, highest = domain.bounds() if domain is not None else (-float("inf"), float("inf"))
+    distance = output_distance.function
+    base_text = base_outcome.text
+
+    crossing = None
+    for k in range(1, max_doublings + 1):
+        value = start + delta * (1 << k)
+        if not lowest <= value <= highest:
+            break
+        if distance(base_text, run(head + (value,) + tail).text) > 0:
+            crossing = k
+            break
+    if crossing is None:
+        return [initial]
+
+    low, high = 1 << (crossing - 1), 1 << crossing
+    while high - low > 1:
+        mid = (low + high) // 2
+        if distance(base_text, run(head + (start + delta * mid,) + tail).text) > 0:
+            high = mid
+        else:
+            low = mid
+    i1 = head + (start + delta * (high - 1),) + tail
+    i2 = head + (start + delta * high,) + tail
+    return [make_candidate(i1, run(i1), i2, run(i2), output_distance)]
+
+
+def described(candidates):
+    """Inputs with their value types, outcome texts, error kinds and score."""
+    return [(c.input1, tuple(map(type, c.input1)), c.input2, tuple(map(type, c.input2)),
+             c.output1.text, c.output1.error_kind, c.output2.text, c.output2.error_kind,
+             c.score) for c in candidates]
+
+
+@pytest.mark.parametrize("distance", [STRLEN, JACCARD2, LEVENSHTEIN], ids=lambda d: d.name)
+@pytest.mark.parametrize("sut", ["bytecount", "bmi", "bmi-class", "date"])
+def test_searches_return_the_reference_pairs_that_score_above_zero(sut, distance):
+    """On seeded samples each search returns exactly the positive-score pairs
+    of its unfiltered form, in order, after the same executions."""
+    desc, rng = get_sut(sut), Random(17)
+    kept = dropped = with_booleans = 0
+    for _ in range(400):
+        pairs = sample_arguments(desc, SamplerConfig(seed=17), rng)
+        inputs, domains = tuple(v for v, _ in pairs), tuple(d for _, d in pairs)
+        with_booleans += any(isinstance(v, bool) for v in inputs)
+        step = bcs_first_step(rng, desc.arity)
+        searches = [(lns_search, _reference_lns_search, (inputs, distance)),
+                    (bcs_search, _reference_bcs_search, (distance, inputs, step, domains))]
+        for search, reference, args in searches:
+            runner, reference_runner = Runner(desc), Runner(desc)
+            found, scored = search(runner, *args), reference(reference_runner, *args)
+            assert described(found) == described([c for c in scored if c.score > 0])
+            assert runner.executions == reference_runner.executions
+            kept += len(found)
+            dropped += len(scored) - len(found)
+    assert kept > 0 and dropped > 0 and with_booleans > 0
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +506,10 @@ def test_detect_config_validation():
         DetectionConfig(strategy="tabu", budget_iterations=1)
     with pytest.raises(ValueError):
         DetectionConfig(strategy="bcs")
+    for threshold in (Fraction(-1), Fraction(-1, 3 ** 60)):
+        with pytest.raises(ValueError, match="threshold must be at least 0"):
+            DetectionConfig(threshold=threshold, budget_iterations=1)
+    assert DetectionConfig(threshold=Fraction(0), budget_iterations=1).threshold == 0
 
 
 # Seeded runs pinned byte for byte: sha256 of ``write_archive_csv``'s first
@@ -622,8 +740,9 @@ def test_every_execution_goes_through_detection_execute(monkeypatch, strategy):
 
 @pytest.mark.parametrize("sut", ["bytecount", "date"])
 def test_detect_then_write_renders_each_archived_key_once(tmp_path, monkeypatch, sut):
-    """LNS pairs at or below the threshold render nothing; a pair above it
-    renders its key once, for the archive's dedup, and the writers reuse it."""
+    """LNS builds a candidate only for a pair above the threshold of 0; that
+    pair renders its key once, for the archive's dedup, and the writers reuse
+    it."""
     renders, made, offered = [], [], []
     render, make, add = detection.render_tuple, detection.make_candidate, detection.Archive.add
 
@@ -638,7 +757,7 @@ def test_detect_then_write_renders_each_archived_key_once(tmp_path, monkeypatch,
     assert cli.main(["detect", "--sut", sut, "--strategy", "lns", "--iterations", "400",
                      "--seed", "2", "--out", str(tmp_path)]) == 0
     archived = json.loads((tmp_path / "archive.json").read_text())["candidates"]
-    assert 0 < len(archived) <= len(offered) < len(made)
+    assert 0 < len(archived) <= len(offered) == len(made)
     assert len(renders) == 2 * len(offered)
 
 
