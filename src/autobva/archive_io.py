@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .detection import Archive, BoundaryCandidate, DetectionResult, canonical_candidate
+from .detection import Archive, BoundaryCandidate, DetectionResult
 from .sampling import SamplerConfig
 from .summarization import ClusterReport
 from .values import ExecutionOutcome, parse_tuple, display_tuple
@@ -264,7 +264,7 @@ def _candidate_from_record(record: dict) -> tuple:
     if not input1 or len(input1) != len(input2) or input1 == input2:
         raise ValueError(f"inputs must be distinct and non-empty, with one arity, "
                          f"got {record['input1']!r} and {record['input2']!r}")
-    candidate = canonical_candidate(
+    candidate = BoundaryCandidate(
         input1, _outcome_from_record(record["output1"], "output1"),
         input2, _outcome_from_record(record["output2"], "output2"),
         Fraction(score["num"], score["den"]))

@@ -139,7 +139,8 @@ def _add_detect_flags(p, default_strategy="bcs"):
     p.add_argument("--distance", default="strlen",
                    help="strlen | jaccard1 | jaccard2 | levenshtein")
     p.add_argument("--threshold", type=_non_negative_rational, default="0",
-                   help="exact rational, e.g. 0 or 1/2")
+                   help="exact rational ≥ 0, e.g. 0 or 1/2; write a value starting with '-' "
+                        "as --threshold=VALUE")
     p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
     p.add_argument("--timeout", type=_positive_float, default=5.0,
                    help="external SUT timeout (s)")
@@ -189,7 +190,7 @@ def cmd_rank(args) -> int:
     labels = read_cluster_labels(args.report) if args.report else {}
     if args.report and len(archive) and not any(c.key in labels for c in archive):
         raise DataError(f"labels none of the {len(archive)} ranked candidates", args.report)
-    scored = sorted(((pdq(c.input1, c.output1.text, c.input2, c.output2.text, distance), c)
+    scored = sorted(((pdq(c.input1, c.input2, distance(c.output1.text, c.output2.text)), c)
                      for c in archive), key=lambda sc: (-sc[0], sc[1].key))
     ranked = []
     per_cluster = Counter()    # without a report every candidate is in cluster ""

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Optional
 
-from .distances import STRLEN, OutputDistance, pdq
+from .distances import STRLEN, Distance, OutputDistance, pdq
 from .sampling import SamplerConfig, sample_arguments
 from .suts import SutDescriptor, execute
 from .values import ExecutionOutcome, InputTuple, render_tuple
@@ -35,8 +35,9 @@ from .values import ExecutionOutcome, InputTuple, render_tuple
 class BoundaryCandidate:
     """A pair of nearby inputs with their outputs and exact score.
 
-    Candidates are stored in canonical ascending input order, so the same
-    boundary discovered from either side deduplicates to one entry.
+    The constructor puts the sides in ascending input order, so the same
+    boundary discovered from either side deduplicates to one entry.  Both
+    distances are symmetric, so the score is orientation-independent.
     """
 
     input1: InputTuple
@@ -47,6 +48,8 @@ class BoundaryCandidate:
 
     def __init__(self, input1: InputTuple, output1: ExecutionOutcome,
                  input2: InputTuple, output2: ExecutionOutcome, score: Fraction):
+        if input1 > input2:  # bools compare as 0/1, so this is numeric elementwise order
+            input1, output1, input2, output2 = input2, output2, input1, output1
         # One candidate per scored pair: filling the instance dict directly is
         # cheaper than the frozen dataclass's object.__setattr__ per field.
         d = self.__dict__
@@ -73,23 +76,10 @@ class BoundaryCandidate:
         return "VE"
 
 
-def canonical_candidate(i1: InputTuple, o1: ExecutionOutcome,
-                        i2: InputTuple, o2: ExecutionOutcome,
-                        score: Fraction) -> BoundaryCandidate:
-    """Build a candidate with its sides in ascending input order.
-
-    Both distances are symmetric, so the score is orientation-independent.
-    """
-    if i1 > i2:  # bools compare as 0/1, so this is numeric elementwise order
-        i1, o1, i2, o2 = i2, o2, i1, o1
-    return BoundaryCandidate(i1, o1, i2, o2, score)
-
-
 def make_candidate(i1: InputTuple, o1: ExecutionOutcome,
-                   i2: InputTuple, o2: ExecutionOutcome,
-                   output_distance: OutputDistance) -> BoundaryCandidate:
-    score = pdq(i1, o1.text, i2, o2.text, output_distance)
-    return canonical_candidate(i1, o1, i2, o2, score)
+                   i2: InputTuple, o2: ExecutionOutcome, d_o: Distance) -> BoundaryCandidate:
+    """The candidate of a pair whose outputs are ``d_o`` apart."""
+    return BoundaryCandidate(i1, o1, i2, o2, pdq(i1, i2, d_o))
 
 
 class Archive:
@@ -97,14 +87,9 @@ class Archive:
     keyed by the rendered input pair in its canonical orientation."""
 
     def __init__(self, threshold: Fraction = Fraction(0)):
-        self._threshold = Fraction(threshold)
-        self._num, self._den = self._threshold.numerator, self._threshold.denominator
+        self.threshold = Fraction(threshold)
         self._entries: dict = {}
         self.strategies: dict = {}    # key -> set of strategy names that found it
-
-    @property
-    def threshold(self) -> Fraction:
-        return self._threshold
 
     def add(self, candidate: BoundaryCandidate, strategies: Collection[str] = ()) -> bool:
         """Insert if above threshold and unseen, and tag it with
@@ -116,9 +101,7 @@ class Archive:
         for name in strategies:
             if not name or ";" in name:
                 raise ValueError(f"strategy name must be non-empty and have no ';', got {name!r}")
-        score = candidate.score
-        # score <= threshold, compared exactly (denominators are positive)
-        if score.numerator * self._den <= self._num * score.denominator:
+        if candidate.score <= self.threshold:
             return False
         key = candidate.key
         fresh = key not in self._entries
@@ -187,9 +170,9 @@ def lns_search(runner: Runner, inputs: InputTuple,
     found = []
     for neighbor in _neighbors(inputs):
         outcome = run(neighbor)
-        if distance(base_text, outcome.text):
-            found.append(make_candidate(inputs, base_outcome, neighbor, outcome,
-                                        output_distance))
+        d_o = distance(base_text, outcome.text)
+        if d_o:
+            found.append(make_candidate(inputs, base_outcome, neighbor, outcome, d_o))
     return found
 
 
@@ -228,8 +211,9 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     base_outcome = run(inputs)
     next_outcome = run(first)
     base_text, distance = base_outcome.text, output_distance.function
-    if distance(base_text, next_outcome.text):
-        return [make_candidate(inputs, base_outcome, first, next_outcome, output_distance)]
+    d_o = distance(base_text, next_outcome.text)
+    if d_o:
+        return [make_candidate(inputs, base_outcome, first, next_outcome, d_o)]
     # chained steps leave {false, true} at once, so a boolean never expands
     if isinstance(start, bool):
         return []
@@ -259,7 +243,8 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
             low = mid
     i1 = head + (start + delta * (high - 1),) + tail
     i2 = head + (start + delta * high,) + tail
-    return [make_candidate(i1, run(i1), i2, run(i2), output_distance)]
+    o1, o2 = run(i1), run(i2)
+    return [make_candidate(i1, o1, i2, o2, distance(o1.text, o2.text))]
 
 
 def _ordered_map(fn, items: Iterable, width: int) -> Iterator:

@@ -100,22 +100,13 @@ def parse_distance(name: str) -> OutputDistance:
         raise ValueError(f"unknown distance {name!r} (expected one of {sorted(set(_BY_NAME))})") from None
 
 
-_ZERO = Fraction(0)
-
-
-def pdq(i1: InputTuple, text1: str, i2: InputTuple, text2: str,
-        output_distance: OutputDistance = STRLEN) -> Fraction:
-    """Program difference quotient d_o(P(a), P(b)) / d_i(a, b), exact.
+def pdq(i1: InputTuple, i2: InputTuple, d_o: Distance) -> Fraction:
+    """Program difference quotient d_o(P(a), P(b)) / d_i(a, b), exact, of an
+    output distance ``d_o`` the caller has already computed.
 
     The two inputs must be distinct; error outcomes participate through their
     rendered error text like any other output.
     """
-    d_o = output_distance(text1, text2)
-    if d_o == 0:
-        # zero input distance means elementwise-equal tuples (bools compare as 0/1)
-        if i1 == i2:
-            raise ValueError("boundariness needs two distinct inputs (zero input distance)")
-        return _ZERO
     d_i = input_distance(i1, i2)
     if d_i == 0:
         raise ValueError("boundariness needs two distinct inputs (zero input distance)")

@@ -8,10 +8,9 @@ configured distance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional
 
-from .detection import BoundaryCandidate, Runner
+from .detection import BoundaryCandidate, Runner, make_candidate
 from .distances import STRLEN, OutputDistance
 from .suts import SutDescriptor
 from .values import InputTuple
@@ -60,7 +59,7 @@ def scan_adjacent(sut: SutDescriptor, start: int, stop: int,
         cur = run(cur_input)
         distance = output_distance(prev.text, cur.text)
         if distance > 0:
-            yield BoundaryCandidate(prev_input, prev, cur_input, cur, Fraction(distance))
+            yield make_candidate(prev_input, prev, cur_input, cur, distance)
         prev_input, prev = cur_input, cur
 
 

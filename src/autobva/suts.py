@@ -293,10 +293,12 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
                       concurrency: int = 1) -> SutDescriptor:
     """Adapter for user programs: argv in, stdout out, nonzero exit = error.
 
-    Up to ``concurrency`` copies of the program run at once, so it must
-    tolerate concurrent runs when that is above 1.  Each run gets its own
-    pipes, and ``subprocess`` closes every other descriptor in the child, so
-    no child holds another's pipe open.  Each run is also the leader of its
+    Output is read as UTF-8, with bytes that are not UTF-8 kept as backslash
+    escapes, so such a program still yields an outcome.  Up to
+    ``concurrency`` copies of the program run at once, so it must tolerate
+    concurrent runs when that is above 1.  Each run gets its own pipes, and
+    ``subprocess`` closes every other descriptor in the child, so no child
+    holds another's pipe open.  Each run is also the leader of its
     own session: on a timeout its whole process group is killed, so nothing
     it started outlives the timeout outcome.  A command with no program word
     (blank, or an empty quoted word first) is a ``UsageError``.
@@ -310,7 +312,8 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
         try:
             # a session of its own, so a timeout can kill all the program started
             proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                    text=True, close_fds=True, start_new_session=True)
+                                    text=True, encoding="utf-8", errors="backslashreplace",
+                                    close_fds=True, start_new_session=True)
         except FileNotFoundError:
             return error_outcome(ARGUMENT_ERROR, f"command not found: {argv_prefix[0]}")
         except OSError as exc:

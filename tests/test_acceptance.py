@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete.  The timed criteria (3 and 4) use genuine 30-second wall-clock
-runs and dominate the suite's runtime.
+runs and dominate the suite's runtime; they are marked ``slow``, so
+``pytest -m "not slow"`` runs everything else.
 """
 
 import math
@@ -12,6 +13,7 @@ from fractions import Fraction
 from random import Random
 
 import numpy as np
+import pytest
 
 from autobva.archive_io import write_archive_csv, write_archive_json, write_report_json
 from autobva.detection import (
@@ -81,9 +83,9 @@ def test_criterion_1_quotient_table():
             from autobva.distances import input_distance, jaccard_ngram
             assert jaccard_ngram(1, t1, t2) == j1
             assert input_distance((a,), (b,)) == di
-            assert pdq((a,), t1, (b,), t2, STRLEN) == p1
+            assert pdq((a,), (b,), STRLEN(t1, t2)) == p1
             reported = Fraction(str(p2))
-            assert abs(pdq((a,), t1, (b,), t2, JACCARD1) - reported) <= Fraction(5, 1000)
+            assert abs(pdq((a,), (b,), JACCARD1(t1, t2)) - reported) <= Fraction(5, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,7 @@ def test_criterion_2_bytecount_mixed_precision_rows():
 # 3. detection capability on bytecount (timed, seed-controlled)
 
 
+@pytest.mark.slow
 def test_criterion_3_detection_capability():
     """30-second runs: BCS >= 40 uniques incl. VE+EE, LNS >= 5, controls find 0."""
     with criterion("3 detection capability"):
@@ -224,6 +227,7 @@ def test_criterion_3_detection_capability():
 # 4. strategy contrast on a multi-argument program (timed, seed-controlled)
 
 
+@pytest.mark.slow
 def test_criterion_4_strategy_contrast():
     """On bmi-class, plain neighbor sampling out-collects the crossing search."""
     with criterion("4 strategy contrast"):

@@ -22,12 +22,19 @@ from autobva.archive_io import (
     write_report_json,
     write_report_markdown,
 )
-from autobva.detection import Archive, DetectionConfig, detect
+from autobva.detection import Archive, DetectionConfig, detect, make_candidate
+from autobva.distances import STRLEN
 from autobva.sampling import SamplerConfig
 from autobva.summarization import summarize
-from autobva.suts import get_sut
+from autobva.suts import execute, get_sut
 
 BC = get_sut("bytecount")
+
+
+def executed_pair(sut, i1, i2):
+    """The candidate of two executed inputs, scored under strlen."""
+    o1, o2 = execute(sut, i1), execute(sut, i2)
+    return make_candidate(i1, o1, i2, o2, STRLEN(o1.text, o2.text))
 
 
 def _run(seed=0, iterations=1500, strategy="bcs"):
@@ -122,12 +129,10 @@ def _both_round_trips(tmp_path, archive):
 
 
 def test_external_ve_pair_keeps_its_error_side_through_csv(tmp_path):
-    from autobva.detection import make_candidate
-    from autobva.distances import STRLEN
-    from autobva.suts import execute, make_external_sut
+    from autobva.suts import make_external_sut
     sut = make_external_sut(NEGATIVE_ERRS)
     archive = Archive()
-    archive.add(make_candidate((0,), execute(sut, (0,)), (-1,), execute(sut, (-1,)), STRLEN), ("bcs",))
+    archive.add(executed_pair(sut, (0,), (-1,)), ("bcs",))
     (c,) = archive
     assert (c.output1.text, c.output1.error_kind) == ("negative -1", "argument_error")
     assert c.output2.is_valid
@@ -139,13 +144,9 @@ def test_external_ve_pair_keeps_its_error_side_through_csv(tmp_path):
 
 
 def test_bounds_error_kind_survives_csv(tmp_path):
-    from autobva.detection import make_candidate
-    from autobva.distances import STRLEN
-    from autobva.suts import execute
     big = 999999999999994822657
     archive = Archive()
-    archive.add(make_candidate((big - 1,), execute(BC, (big - 1,)),
-                               (big,), execute(BC, (big,)), STRLEN), ("lns",))
+    archive.add(executed_pair(BC, (big - 1,), (big,)), ("lns",))
     for read in _both_round_trips(tmp_path, archive):
         (loaded,) = read
         assert (loaded.output1.error_kind, loaded.output2.error_kind) == (None, "bounds_error")
@@ -193,12 +194,8 @@ def test_json_round_trip_with_manifest(tmp_path):
 
 def test_json_error_payload_survives(tmp_path):
     archive = Archive()
-    from autobva.detection import make_candidate
-    from autobva.distances import STRLEN
-    from autobva.suts import execute
     big = 999999999999994822657
-    archive.add(make_candidate((big - 1,), execute(BC, (big - 1,)),
-                               (big,), execute(BC, (big,)), STRLEN))
+    archive.add(executed_pair(BC, (big - 1,), (big,)))
     path = tmp_path / "ve.json"
     write_archive_json(path, archive)
     (c,) = read_archive_json(path)
@@ -271,14 +268,10 @@ def test_readers_keep_stored_candidates_at_any_score(tmp_path):
     """Detection never archives a score of 0, but a stored one, from a file
     written before that or by hand, reads back: the readers use an archive
     with threshold -1."""
-    from autobva.detection import make_candidate
-    from autobva.distances import STRLEN
-    from autobva.suts import execute
     stored = Archive(Fraction(-1))
     assert stored.threshold == -1
     for a, b in ((99948, 99949), (9, 10)):
-        assert stored.add(make_candidate((a,), execute(BC, (a,)), (b,), execute(BC, (b,)), STRLEN),
-                          ("lns",))
+        assert stored.add(executed_pair(BC, (a,), (b,)), ("lns",))
     assert [c.score for c in stored] == [0, 1]
     csv_path, json_path = tmp_path / "archive.csv", tmp_path / "archive.json"
     for read in _both_round_trips(tmp_path, stored) + [load_archives([csv_path, json_path])]:
@@ -392,24 +385,20 @@ def _reference_archive_json(archive, manifest=None) -> str:
 def json_cases():
     import sys
 
-    from autobva.detection import BoundaryCandidate, make_candidate
-    from autobva.distances import STRLEN
-    from autobva.suts import execute, make_external_sut
+    from autobva.detection import BoundaryCandidate
+    from autobva.suts import make_external_sut
     from autobva.values import ExecutionOutcome
-
-    def pair(sut, i1, i2):
-        return make_candidate(i1, execute(sut, i1), i2, execute(sut, i2), STRLEN)
 
     cases = {"empty": (Archive(), None)}
 
     # bytecount BoundsError and date ArgumentError payloads, found by detect
     big = 999999999999994822657
     errors = Archive()
-    errors.add(pair(BC, (big - 1,), (big,)), ("bcs",))
-    errors.add(pair(get_sut("date"), (2021, 2, 28), (2021, 2, 29)), ("lns",))
-    errors.add(pair(get_sut("date"), (2021, 12, 1), (2021, 13, 1)))
+    errors.add(executed_pair(BC, (big - 1,), (big,)), ("bcs",))
+    errors.add(executed_pair(get_sut("date"), (2021, 2, 28), (2021, 2, 29)), ("lns",))
+    errors.add(executed_pair(get_sut("date"), (2021, 12, 1), (2021, 13, 1)))
     exits = make_external_sut(f"{sys.executable} -c 'import sys; sys.exit(int(sys.argv[1]))'")
-    errors.add(pair(exits, (0,), (3,)), ("bcs",))
+    errors.add(executed_pair(exits, (0,), (3,)), ("bcs",))
     cases["error payloads"] = (errors, None)
 
     cfg, result = _run(seed=5, strategy="lns")

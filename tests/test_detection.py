@@ -25,7 +25,6 @@ from autobva.detection import (
     Runner,
     bcs_first_step,
     bcs_search,
-    canonical_candidate,
     detect,
     lns_search,
     make_candidate,
@@ -91,17 +90,29 @@ def test_bcs_first_step_draws_randrange_then_choice():
 # candidates and archive
 
 
+def scored_pair(i1, o1, i2, o2, output_distance=STRLEN):
+    """The candidate of a pair, its output distance computed here."""
+    return make_candidate(i1, o1, i2, o2, output_distance(o1.text, o2.text))
+
+
+def executed_pair(sut, i1, i2):
+    return scored_pair(i1, execute(sut, i1), i2, execute(sut, i2))
+
+
 def test_candidate_canonical_orientation():
     o1, o2 = valid_outcome("10B"), valid_outcome("9B")
-    c = canonical_candidate((10,), o1, (9,), o2, Fraction(1))
+    c = BoundaryCandidate((10,), o1, (9,), o2, Fraction(1))
     assert c.input1 == (9,) and c.input2 == (10,)
     assert c.output1.text == "9B" and c.output2.text == "10B"
     assert c.key == ("9", "10")
+    assert c == BoundaryCandidate((9,), o2, (10,), o1, Fraction(1))
+    flip = BoundaryCandidate((True, 0), o1, (False, 0), o2, Fraction(1))
+    assert (flip.input1, flip.output1, flip.input2, flip.output2) == ((False, 0), o2, (True, 0), o1)
 
 
 def test_candidate_validity_tags():
     def cand(a, b):
-        return make_candidate((a,), execute(BC, (a,)), (b,), execute(BC, (b,)), STRLEN)
+        return executed_pair(BC, (a,), (b,))
     assert cand(999, 1000).validity == "VV"
     assert cand(999999999999994822656, 999999999999994822657).validity == "VE"
     assert cand(999999999999990520104160854016,
@@ -131,8 +142,8 @@ def test_candidate_is_a_frozen_value():
 
 def test_archive_deduplicates_both_orientations():
     archive = Archive()
-    a = make_candidate((9,), execute(BC, (9,)), (10,), execute(BC, (10,)), STRLEN)
-    b = make_candidate((10,), execute(BC, (10,)), (9,), execute(BC, (9,)), STRLEN)
+    a = executed_pair(BC, (9,), (10,))
+    b = executed_pair(BC, (10,), (9,))
     assert archive.add(a, ("lns",))
     assert not archive.add(b, ("bcs",))
     assert len(archive) == 1
@@ -141,21 +152,19 @@ def test_archive_deduplicates_both_orientations():
 
 def test_archive_threshold_is_strict():
     archive = Archive(threshold=Fraction(0))
-    flat = make_candidate((99948,), execute(BC, (99948,)),
-                          (99949,), execute(BC, (99949,)), STRLEN)
+    flat = executed_pair(BC, (99948,), (99949,))
     assert flat.score == 0
     assert not archive.add(flat)
     archive2 = Archive(threshold=Fraction(1, 2))
-    half = make_candidate((99949,), execute(BC, (99949,)),
-                          (99951,), execute(BC, (99951,)), STRLEN)
+    half = executed_pair(BC, (99949,), (99951,))
     assert half.score == Fraction(1, 2)
     assert not archive2.add(half)
 
 
 def scored(score, at: int):
     """A candidate with the given score on the key (at, at + 1)."""
-    return canonical_candidate((at,), valid_outcome("a"), (at + 1,), valid_outcome("b"),
-                               Fraction(score))
+    return BoundaryCandidate((at,), valid_outcome("a"), (at + 1,), valid_outcome("b"),
+                             Fraction(score))
 
 
 @pytest.mark.parametrize("threshold", ["-1/2", "0", "1/2"])
@@ -367,7 +376,7 @@ def _reference_lns_search(runner, inputs, output_distance=STRLEN):
     included."""
     run = runner.run
     base_outcome = run(inputs)
-    return [make_candidate(inputs, base_outcome, neighbor, run(neighbor), output_distance)
+    return [scored_pair(inputs, base_outcome, neighbor, run(neighbor), output_distance)
             for neighbor in detection._neighbors(inputs)]
 
 
@@ -387,7 +396,7 @@ def _reference_bcs_search(runner, output_distance, inputs, step, domains=None,
         first = head + (start + delta,) + tail
     base_outcome = run(inputs)
     next_outcome = run(first)
-    initial = make_candidate(inputs, base_outcome, first, next_outcome, output_distance)
+    initial = scored_pair(inputs, base_outcome, first, next_outcome, output_distance)
     if initial.score > 0 or isinstance(start, bool):
         return [initial]
 
@@ -416,7 +425,7 @@ def _reference_bcs_search(runner, output_distance, inputs, step, domains=None,
             low = mid
     i1 = head + (start + delta * (high - 1),) + tail
     i2 = head + (start + delta * high,) + tail
-    return [make_candidate(i1, run(i1), i2, run(i2), output_distance)]
+    return [scored_pair(i1, run(i1), i2, run(i2), output_distance)]
 
 
 def described(candidates):
@@ -448,6 +457,47 @@ def test_searches_return_the_reference_pairs_that_score_above_zero(sut, distance
             kept += len(found)
             dropped += len(scored) - len(found)
     assert kept > 0 and dropped > 0 and with_booleans > 0
+
+
+def counting(output_distance):
+    """``output_distance`` with a function that records each of its calls."""
+    calls = []
+
+    def function(s1, s2):
+        calls.append((s1, s2))
+        return output_distance.function(s1, s2)
+
+    return OutputDistance(output_distance.name, function), calls
+
+
+@pytest.mark.parametrize("distance", [STRLEN, JACCARD2, LEVENSHTEIN], ids=lambda d: d.name)
+@pytest.mark.parametrize("sut", ["bytecount", "bmi", "bmi-class", "date"])
+def test_searches_compute_each_output_distance_once(sut, distance):
+    """LNS computes one output distance per neighbour; BCS one per probe
+    compared with the start, and one for a bisected final pair, which it
+    runs again.  A returned pair reuses the distance its search computed."""
+    desc, rng = get_sut(sut), Random(23)
+    counted, calls = counting(distance)
+    returned = bisected = 0
+    for _ in range(300):
+        pairs = sample_arguments(desc, SamplerConfig(seed=23), rng)
+        inputs, domains = tuple(v for v, _ in pairs), tuple(d for _, d in pairs)
+        runner = Runner(desc)
+        returned += len(lns_search(runner, inputs, counted))
+        assert len(calls) == runner.executions - 1
+        calls.clear()
+        runner = Runner(desc)
+        found = bcs_search(runner, counted, inputs, bcs_first_step(rng, desc.arity), domains)
+        returned += len(found)
+        if runner.executions == 0:    # a boolean stepped out of {false, true}
+            assert calls == []
+        else:
+            # a bisected pair is at least one step from the start
+            final = bool(found) and inputs not in (found[0].input1, found[0].input2)
+            assert len(calls) == runner.executions - 1 - final
+            bisected += final
+        calls.clear()
+    assert returned > 0 and bisected > 0
 
 
 # ---------------------------------------------------------------------------

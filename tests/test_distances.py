@@ -100,15 +100,20 @@ def test_metric_axioms_on_random_triples():
 
 
 def test_pdq_examples():
-    assert pdq((9,), "9B", (10,), "10B", STRLEN) == 1
-    assert pdq((99949,), "99.9 kB", (99951,), "100.0 kB", STRLEN) == Fraction(1, 2)
-    assert pdq((99948,), "99.9 kB", (99949,), "99.9 kB", JACCARD1) == 0
-    assert pdq((9,), "9B", (10,), "10B", JACCARD1) == Fraction(3, 4)
+    assert pdq((9,), (10,), STRLEN("9B", "10B")) == 1
+    assert pdq((99949,), (99951,), STRLEN("99.9 kB", "100.0 kB")) == Fraction(1, 2)
+    assert pdq((99948,), (99949,), JACCARD1("99.9 kB", "99.9 kB")) == 0
+    assert pdq((9,), (10,), JACCARD1("9B", "10B")) == Fraction(3, 4)
+    assert pdq((0, 2, 1), (0, 2, 0), 33) == 33
+    assert pdq((False, 7), (True, 5), Fraction(3, 4)) == Fraction(1, 4)
 
 
 def test_pdq_requires_distinct_inputs():
-    with pytest.raises(ValueError):
-        pdq((5,), "a", (5,), "b", STRLEN)
+    # equal as numbers is equal: a bool is 0 or 1
+    for i1, i2, d_o in [((5,), (5,), 1), ((5,), (5,), 0), ((1,), (True,), 0),
+                        ((0, False), (False, 0), 2)]:
+        with pytest.raises(ValueError, match="two distinct inputs"):
+            pdq(i1, i2, d_o)
 
 
 def test_pdq_is_exact_and_symmetric():
@@ -119,8 +124,8 @@ def test_pdq_is_exact_and_symmetric():
             continue
         s1, s2 = str(a) * rng.randrange(3), str(b) * rng.randrange(3)
         for dist in (STRLEN, JACCARD1, JACCARD2, LEVENSHTEIN):
-            left = pdq((a,), s1, (b,), s2, dist)
-            right = pdq((b,), s2, (a,), s1, dist)
+            left = pdq((a,), (b,), dist(s1, s2))
+            right = pdq((b,), (a,), dist(s2, s1))
             assert isinstance(left, Fraction)
             assert left == right >= 0
 

@@ -34,7 +34,8 @@ DATE = get_sut("date")
 
 
 def bc_cand(a, b):
-    return make_candidate((a,), execute(BC, (a,)), (b,), execute(BC, (b,)), STRLEN)
+    o1, o2 = execute(BC, (a,)), execute(BC, (b,))
+    return make_candidate((a,), o1, (b,), o2, STRLEN(o1.text, o2.text))
 
 
 def text_cand(i1, t1, i2, t2, err1=False, err2=False):

@@ -4,6 +4,7 @@ import calendar
 import dataclasses
 import pickle
 import stat
+import sys
 import time
 from datetime import date as pydate
 from decimal import Decimal, getcontext
@@ -368,6 +369,25 @@ def test_external_failure_captures_stderr(tmp_path):
     assert not o.is_valid
     assert o.text == "broken 1"
     assert o.payload["exit_code"] == 3
+
+
+def test_external_output_that_is_not_utf8_keeps_its_bytes_as_escapes(tmp_path):
+    """Bytes that are not UTF-8 become backslash escapes, on stdout and on
+    stderr alike; UTF-8 text decodes as it is, with CRLF read as a newline."""
+    path = tmp_path / "bytes.py"
+    path.write_text(
+        f"#!{sys.executable}\n"
+        "import sys\n"
+        "out = sys.stdout if sys.argv[1] == '0' else sys.stderr\n"
+        "out.buffer.write(b'\\xff\\xfe bad ' + sys.argv[1].encode() + b'\\r\\n'\n"
+        "                 + 'caf\\u00e9\\r\\nend'.encode())\n"
+        "sys.exit(int(sys.argv[1]))\n")
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    sut = make_external_sut(str(path))
+    assert execute(sut, (0,)) == valid_outcome("\\xff\\xfe bad 0\ncafé\nend")
+    failed = execute(sut, (3,))
+    assert (failed.text, failed.error_kind, failed.payload) == \
+        ("\\xff\\xfe bad 3\ncafé\nend", "argument_error", {"exit_code": 3})
 
 
 def test_external_missing_command_is_an_outcome():
