@@ -221,9 +221,9 @@ def read_archive_json(path) -> Archive:
 
 
 def _decode(records, path, locate) -> Archive:
-    """An archive of every stored record, kept at any score.  A bad record
-    is a DataError at ``locate(index)``, a line and a message prefix."""
-    archive, decoded = Archive(Fraction(-1)), 0
+    """An archive of every stored record, at any score.  A bad record is a
+    DataError at ``locate(index)``, a line and a message prefix."""
+    archive, decoded = Archive(), 0
     try:
         for record in records:
             archive.add(*_candidate_from_record(record))
@@ -234,9 +234,13 @@ def _decode(records, path, locate) -> Archive:
     return archive
 
 
-def _string(value, what: str) -> str:
-    if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {type(value).__name__} {value!r}")
+_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "a JSON object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, so a bool is no integer."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__} {value!r}")
     return value
 
 
@@ -246,11 +250,17 @@ def _outcome_from_record(data: dict, side: str) -> ExecutionOutcome:
     if status not in ("valid", "error"):
         raise ValueError(f"{side}.status must be 'valid' or 'error', got {status!r}")
     if kind is not None:
-        _string(kind, f"{side}.error_kind")
+        _typed(kind, str, f"{side}.error_kind")
     if (status == "error") != bool(kind):
         raise ValueError(f"{side}: an error outcome needs an error_kind and a valid one has "
                          f"none, got status {status!r} with error_kind {kind!r}")
-    return ExecutionOutcome(_string(data["text"], f"{side}.text"), kind, data.get("payload"))
+    payload = data.get("payload")
+    if "payload" in data:
+        # the writer stores a payload only on an error side, as an object
+        if kind is None:
+            raise ValueError(f"{side}: only an error outcome has a payload, got {payload!r}")
+        _typed(payload, dict, f"{side}.payload")
+    return ExecutionOutcome(_typed(data["text"], str, f"{side}.text"), kind, payload)
 
 
 def _candidate_from_record(record: dict) -> tuple:
@@ -258,8 +268,8 @@ def _candidate_from_record(record: dict) -> tuple:
     stored candidates but the form of strategy names, which ``Archive.add``
     checks."""
     score = record["score"]
-    input1 = parse_tuple(_string(record["input1"], "input1"))
-    input2 = parse_tuple(_string(record["input2"], "input2"))
+    input1 = parse_tuple(_typed(record["input1"], str, "input1"))
+    input2 = parse_tuple(_typed(record["input2"], str, "input2"))
     # equal tuples include ones equal as numbers, such as 1 and true
     if not input1 or len(input1) != len(input2) or input1 == input2:
         raise ValueError(f"inputs must be distinct and non-empty, with one arity, "
@@ -267,26 +277,24 @@ def _candidate_from_record(record: dict) -> tuple:
     candidate = BoundaryCandidate(
         input1, _outcome_from_record(record["output1"], "output1"),
         input2, _outcome_from_record(record["output2"], "output2"),
-        Fraction(score["num"], score["den"]))
+        Fraction(_typed(score["num"], int, "score.num"), _typed(score["den"], int, "score.den")))
     if candidate.score < 0:
         raise ValueError(f"score must not be negative, got {candidate.score}")
     if record["validity"] != candidate.validity:
         raise ValueError(f"validity {record['validity']!r}, but the outcomes make {candidate.validity}")
-    tags = record["strategies"]
-    if not isinstance(tags, list):
-        raise ValueError(f"strategies must be a list, got {type(tags).__name__} {tags!r}")
+    tags = _typed(record["strategies"], list, "strategies")
     for tag in tags:
-        _string(tag, "strategy name")
+        _typed(tag, str, "strategy name")
     return candidate, tags
 
 
 def load_archives(paths) -> Archive:
     """Merge archive files (CSV or JSON by extension), re-deduplicating.
 
-    Candidates are kept as stored, even at score zero, so ranking can list
-    them last.  An unreadable file is a DataError.
+    Candidates are kept as stored, even at score zero, since an ``Archive``
+    has no threshold; ranking lists them last.  A bad file is a DataError.
     """
-    merged = Archive(Fraction(-1))
+    merged = Archive()
     for path in paths:
         path = Path(path)
         reader = read_archive_json if path.suffix == ".json" else read_archive_csv

@@ -34,7 +34,7 @@ from .archive_io import (
     write_report_json,
     write_report_markdown,
 )
-from .detection import Archive, DetectionConfig, detect
+from .detection import STRATEGIES, Archive, DetectionConfig, detect
 from .distances import parse_distance, pdq
 from .oracle import WindowTooLarge, scan_adjacent
 from .experiment import run_experiment, write_experiment
@@ -125,10 +125,10 @@ def _non_negative_rational(text: str) -> Fraction:
     return value
 
 
-def _add_detect_flags(p, default_strategy="bcs"):
+def _add_detect_flags(p):
     p.add_argument("--sut", required=True,
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
-    p.add_argument("--strategy", choices=["lns", "bcs"], default=default_strategy)
+    p.add_argument("--strategy", choices=STRATEGIES, default=DetectionConfig.strategy)
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--seconds", type=_positive_float, default=None)
     budget.add_argument("--iterations", type=_non_negative_int, default=None)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="repeated seeded runs with statistics")
     _add_detect_flags(p)
     p.add_argument("--reps", type=_positive_int, default=3)
-    p.add_argument("--strategies", default="lns,bcs")
+    p.add_argument("--strategies", default=",".join(STRATEGIES))
     p.add_argument("--restarts", type=_positive_int, default=100)
     p.set_defaults(func=cmd_experiment)
 

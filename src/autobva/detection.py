@@ -30,6 +30,8 @@ from .sampling import SamplerConfig, sample_arguments
 from .suts import SutDescriptor, execute
 from .values import ExecutionOutcome, InputTuple, render_tuple
 
+STRATEGIES = ("lns", "bcs")    # the local search strategies ``detect`` runs
+
 
 @dataclass(frozen=True, init=False)
 class BoundaryCandidate:
@@ -83,17 +85,17 @@ def make_candidate(i1: InputTuple, o1: ExecutionOutcome,
 
 
 class Archive:
-    """Insertion-ordered set of candidates above the boundariness threshold,
-    keyed by the rendered input pair in its canonical orientation."""
+    """Insertion-ordered set of candidates, keyed by the rendered input pair
+    in its canonical orientation.  It keeps every candidate it is given;
+    ``detect`` applies the detection threshold before it adds one."""
 
-    def __init__(self, threshold: Fraction = Fraction(0)):
-        self.threshold = Fraction(threshold)
+    def __init__(self):
         self._entries: dict = {}
         self.strategies: dict = {}    # key -> set of strategy names that found it
 
     def add(self, candidate: BoundaryCandidate, strategies: Collection[str] = ()) -> bool:
-        """Insert if above threshold and unseen, and tag it with
-        ``strategies``; returns True on insertion.
+        """Insert if unseen, and tag it with ``strategies``; returns True on
+        insertion.
 
         A strategy name must be non-empty and hold no ``;``, so that both
         archive formats can carry it; a bad name leaves the archive as it was.
@@ -101,8 +103,6 @@ class Archive:
         for name in strategies:
             if not name or ";" in name:
                 raise ValueError(f"strategy name must be non-empty and have no ';', got {name!r}")
-        if candidate.score <= self.threshold:
-            return False
         key = candidate.key
         fresh = key not in self._entries
         if fresh:
@@ -123,10 +123,6 @@ class Archive:
 
     def __iter__(self) -> Iterator[BoundaryCandidate]:
         return iter(self._entries.values())
-
-    @property
-    def candidates(self) -> list:
-        return list(self._entries.values())
 
 
 class Runner:
@@ -281,7 +277,7 @@ def _threaded_map(fn, items: Iterable, width: int) -> Iterator:
 
 @dataclass
 class DetectionConfig:
-    strategy: str = "bcs"                         # lns | bcs
+    strategy: str = "bcs"                         # one of STRATEGIES
     budget_seconds: Optional[float] = None
     budget_iterations: Optional[int] = None
     threshold: Fraction = Fraction(0)
@@ -289,7 +285,7 @@ class DetectionConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
     def __post_init__(self):
-        if self.strategy not in ("lns", "bcs"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.budget_seconds is None and self.budget_iterations is None:
             raise ValueError("a budget (seconds or iterations) is required")
@@ -320,7 +316,7 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
 
     Each iteration samples a fresh global starting point, runs the configured
     local strategy, and archives every returned candidate whose score exceeds
-    the threshold and whose ordered input pair is unseen.
+    ``config.threshold``; the archive keeps one entry per ordered input pair.
 
     Samples, with every random draw their searches need, are drawn here in
     order; up to ``sut.concurrency`` searches run at once, and their results
@@ -329,8 +325,8 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
     drawn after the deadline; searches already started finish and count.
     """
     rng = rng or random.Random(config.sampler.seed)
-    archive = Archive(config.threshold)
-    strategy, output_distance = config.strategy, config.output_distance
+    archive = Archive()
+    strategy, output_distance, threshold = config.strategy, config.output_distance, config.threshold
     iterations, seconds = config.budget_iterations, config.budget_seconds
     start = time.monotonic()
 
@@ -365,6 +361,7 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
         samples += 1
         executions += spent
         for candidate in found:
-            archive.add(candidate, tags)
+            if candidate.score > threshold:
+                archive.add(candidate, tags)
     return DetectionResult(archive, samples=samples, executions=executions,
                            elapsed=time.monotonic() - start)

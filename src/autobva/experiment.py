@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .detection import Archive, DetectionConfig, detect
+from .detection import STRATEGIES, Archive, DetectionConfig, detect
 from .summarization import ClusterReport, summarize
 from .suts import SutDescriptor
 
@@ -92,7 +92,7 @@ def write_experiment(out, result: ExperimentResult) -> None:
 
 
 def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
-                   strategies: Sequence[str] = ("lns", "bcs"),
+                   strategies: Sequence[str] = STRATEGIES,
                    repetitions: int = 3,
                    summarize_restarts: int = 100) -> ExperimentResult:
     """Run repetitions x strategies with distinct seeds and aggregate.
@@ -106,7 +106,7 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
     configs = [replace(base_config, strategy=strategy) for strategy in strategies]
     if len(set(strategies)) < len(strategies):
         raise ValueError(f"each strategy must be named once, got {list(strategies)}")
-    merged = Archive(base_config.threshold)
+    merged = Archive()
     keys = {}
     base_seed = seed = base_config.sampler.seed
     for strategy_config in configs:

@@ -429,7 +429,7 @@ def _strategy_counts(members: Sequence[BoundaryCandidate], strategies: dict) -> 
     return dict(sorted(counts.items()))
 
 
-def summarize(archive: Archive, rng: Optional[random.Random] = None,
+def summarize(archive: Archive, rng: random.Random,
               restarts: int = KMEANS_RESTARTS, block: int = DIVERSITY_BLOCK,
               window: int = DIVERSITY_WINDOW) -> ClusterReport:
     """Cluster an archive per validity group and return the report.
@@ -442,7 +442,6 @@ def summarize(archive: Archive, rng: Optional[random.Random] = None,
     distinct partition of its subset is scored once; the memo lives only
     while that group is clustered.
     """
-    rng = rng or random.Random(0)
     groups = []
     for validity in ("VV", "VE", "EE"):
         group = [c for c in archive if c.validity == validity]

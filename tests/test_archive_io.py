@@ -48,7 +48,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "archive.csv"
     write_archive_csv(path, result.archive)
     loaded = read_archive_csv(path)
-    original = result.archive.candidates
+    original = list(result.archive)
     assert len(loaded) == len(original)
     for a, b in zip(original, loaded):
         assert a.key == b.key
@@ -266,16 +266,15 @@ def test_cluster_labels_of_a_written_report(tmp_path):
 
 def test_readers_keep_stored_candidates_at_any_score(tmp_path):
     """Detection never archives a score of 0, but a stored one, from a file
-    written before that or by hand, reads back: the readers use an archive
-    with threshold -1."""
-    stored = Archive(Fraction(-1))
-    assert stored.threshold == -1
+    written before that or by hand, reads back: an archive applies no
+    threshold."""
+    stored = Archive()
     for a, b in ((99948, 99949), (9, 10)):
         assert stored.add(executed_pair(BC, (a,), (b,)), ("lns",))
     assert [c.score for c in stored] == [0, 1]
     csv_path, json_path = tmp_path / "archive.csv", tmp_path / "archive.json"
     for read in _both_round_trips(tmp_path, stored) + [load_archives([csv_path, json_path])]:
-        assert read.candidates == stored.candidates
+        assert list(read) == list(stored)
         assert read.strategies == stored.strategies
 
 
@@ -300,7 +299,7 @@ def test_load_archives_unions_strategies_and_renders_keys_once(tmp_path, monkeyp
     p1, p2 = tmp_path / "lns.json", tmp_path / "bcs.json"
     write_archive_json(p1, lns.archive)
     write_archive_json(p2, bcs.archive)
-    expected = Archive(Fraction(-1))
+    expected = Archive()
     expected.merge(lns.archive)
     expected.merge(bcs.archive)
     assert any(len(tags) == 2 for tags in expected.strategies.values())

@@ -376,6 +376,9 @@ SPOILED_ENTRIES = {
                            "output2.error_kind must be a string, got int 7"),
     "numeric strategy": (("strategies",), ["bcs", 3], "strategy name must be a string, got int 3"),
     "strategy string": (("strategies",), "bcs", "strategies must be a list, got str 'bcs'"),
+    "boolean score": (("score", "num"), True, "score.num must be an integer, got bool True"),
+    "list payload": (("output2", "payload"), [1, 2],
+                     "output2.payload must be a JSON object, got list [1, 2]"),
 }
 
 
@@ -427,6 +430,8 @@ CONTRADICTING_ENTRIES = {
                         "output1: an error outcome needs an error_kind and a valid one has "
                         "none, got status 'valid' with error_kind 'argument_error'"),
     "validity disagrees": (("validity",), "VV", "validity 'VV', but the outcomes make VE"),
+    "payload on a valid side": (("output1", "payload"), {"code": 1},
+                                "output1: only an error outcome has a payload, got {'code': 1}"),
     "semicolon in strategy": (("strategies",), ["bcs;lns"],
                               "strategy name must be non-empty and have no ';', got 'bcs;lns'"),
     "empty strategy": (("strategies",), [""], "strategy name must be non-empty and have no ';', got ''"),
@@ -606,8 +611,8 @@ def test_csv_and_json_archives_read_and_summarize_alike(tmp_path):
                        "--seed", str(seed), "--out", str(out)) == 0
         from_csv = read_archive_csv(out / "archive.csv")
         from_json = read_archive_json(out / "archive.json")
-        candidates, strategies = from_csv.candidates, from_csv.strategies
-        assert candidates == from_json.candidates
+        candidates, strategies = list(from_csv), from_csv.strategies
+        assert candidates == list(from_json)
         assert strategies == from_json.strategies
         assert [(c.output1.error_kind, c.output2.error_kind) for c in candidates] == \
             [(c.output1.error_kind, c.output2.error_kind) for c in from_json]

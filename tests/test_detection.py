@@ -150,53 +150,22 @@ def test_archive_deduplicates_both_orientations():
     assert archive.strategies[a.key] == {"lns", "bcs"}
 
 
-def test_archive_threshold_is_strict():
-    archive = Archive(threshold=Fraction(0))
-    flat = executed_pair(BC, (99948,), (99949,))
-    assert flat.score == 0
-    assert not archive.add(flat)
-    archive2 = Archive(threshold=Fraction(1, 2))
-    half = executed_pair(BC, (99949,), (99951,))
-    assert half.score == Fraction(1, 2)
-    assert not archive2.add(half)
-
-
 def scored(score, at: int):
     """A candidate with the given score on the key (at, at + 1)."""
     return BoundaryCandidate((at,), valid_outcome("a"), (at + 1,), valid_outcome("b"),
                              Fraction(score))
 
 
-@pytest.mark.parametrize("threshold", ["-1/2", "0", "1/2"])
-def test_archive_threshold_is_exact(threshold):
-    t = Fraction(threshold)
-    tiny = Fraction(1, 3 ** 60)    # far below float resolution around t
-    archive = Archive(threshold=t)
-    assert archive.threshold == t
-    assert not archive.add(scored(t - tiny, 1))
-    assert not archive.add(scored(t, 2))
-    assert archive.add(scored(t + tiny, 3))
-    assert [c.key for c in archive] == [("3", "4")]
-
-
-def test_archive_negative_threshold_admits_zero_scores():
-    archive = Archive(threshold=Fraction(-1, 2))
-    assert archive.add(scored(0, 1))
-    assert archive.add(scored(Fraction(-1, 3), 5))
-    assert not archive.add(scored(Fraction(-2, 3), 7))
-    assert len(archive) == 2
-
-
-def test_archive_merge_applies_own_threshold_and_unions_strategies():
-    target, source = Archive(threshold=Fraction(1, 2)), Archive()
-    low, high, shared = scored(Fraction(1, 4), 1), scored(1, 3), scored(2, 5)
+def test_archive_merge_unions_strategies():
+    target, source = Archive(), Archive()
+    low, high, shared = scored(0, 1), scored(1, 3), scored(2, 5)
     assert target.add(shared, ("lns",))
     for candidate, strategy in ((low, "lns"), (high, "lns"), (shared, "bcs")):
         assert source.add(candidate, (strategy,))
     target.merge(source)
-    assert [c.key for c in target] == [shared.key, high.key]
-    assert target.strategies == {shared.key: {"lns", "bcs"}, high.key: {"lns"}}
-    assert low.key not in target
+    assert [c.key for c in target] == [shared.key, low.key, high.key]
+    assert target.strategies == {shared.key: {"lns", "bcs"}, low.key: {"lns"},
+                                 high.key: {"lns"}}
 
 
 @pytest.mark.parametrize("bad", ["", "x;y"])
@@ -562,6 +531,29 @@ def test_detect_config_validation():
     assert DetectionConfig(threshold=Fraction(0), budget_iterations=1).threshold == 0
 
 
+@pytest.mark.parametrize("strategy", detection.STRATEGIES)
+@pytest.mark.parametrize("sut", ["bytecount", "bmi", "bmi-class", "date"])
+def test_detect_threshold_is_strict_and_exact(sut, strategy):
+    """A run at threshold t archives exactly the threshold-0 run's candidates
+    scoring above t, in its order and with its strategies, from the same
+    samples and executions.  t is a score that run archived, and t less
+    1/3^60, far below float resolution around t."""
+    def run(threshold):
+        return detect(get_sut(sut), DetectionConfig(
+            strategy=strategy, budget_iterations=300, threshold=threshold,
+            sampler=SamplerConfig(seed=7)))
+
+    base = run(Fraction(0))
+    scores = sorted({c.score for c in base.archive})
+    t = scores[len(scores) // 2]
+    for threshold in (t, t - Fraction(1, 3 ** 60)):
+        result = run(threshold)
+        kept = [c for c in base.archive if c.score > threshold]
+        assert list(result.archive) == kept
+        assert result.archive.strategies == {c.key: {strategy} for c in kept}
+        assert (result.samples, result.executions) == (base.samples, base.executions)
+
+
 # Seeded runs pinned byte for byte: sha256 of ``write_archive_csv``'s first
 # seven columns under their own header, the whole file before error kinds and
 # strategies were added, plus the sample and execution counts.  Any change to
@@ -790,15 +782,14 @@ def test_every_execution_goes_through_detection_execute(monkeypatch, strategy):
 
 @pytest.mark.parametrize("sut", ["bytecount", "date"])
 def test_detect_then_write_renders_each_archived_key_once(tmp_path, monkeypatch, sut):
-    """LNS builds a candidate only for a pair above the threshold of 0; that
-    pair renders its key once, for the archive's dedup, and the writers reuse
-    it."""
+    """LNS builds a candidate only for a pair above the threshold of 0, and
+    detect offers each to the archive; that pair renders its key once, for
+    the archive's dedup, and the writers reuse it."""
     renders, made, offered = [], [], []
     render, make, add = detection.render_tuple, detection.make_candidate, detection.Archive.add
 
     def offer(archive, candidate, strategies=()):
-        if candidate.score > archive.threshold:
-            offered.append(candidate)
+        offered.append(candidate)
         return add(archive, candidate, strategies)
 
     monkeypatch.setattr(detection, "render_tuple", lambda values: renders.append(1) or render(values))
