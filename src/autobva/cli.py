@@ -128,7 +128,6 @@ def _non_negative_rational(text: str) -> Fraction:
 def _add_detect_flags(p):
     p.add_argument("--sut", required=True,
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
-    p.add_argument("--strategy", choices=STRATEGIES, default=DetectionConfig.strategy)
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--seconds", type=_positive_float, default=None)
     budget.add_argument("--iterations", type=_non_negative_int, default=None)
@@ -245,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run one detection search")
     _add_detect_flags(p)
+    p.add_argument("--strategy", choices=STRATEGIES, default=DetectionConfig.strategy)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("summarize", help="cluster archives into a report")
@@ -277,12 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="boundaries.csv")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("experiment", help="repeated seeded runs with statistics")
+    # no abbreviations, so detect's --strategy is refused, not read as --strategies
+    p = sub.add_parser("experiment", help="repeated seeded runs with statistics",
+                       allow_abbrev=False)
     _add_detect_flags(p)
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--strategies", default=",".join(STRATEGIES))
     p.add_argument("--restarts", type=_positive_int, default=100)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, strategy=DetectionConfig.strategy)
 
     return parser
 

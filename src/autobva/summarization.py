@@ -3,18 +3,19 @@
 Candidates are first partitioned by whether each side of the pair returned
 normally (VV / VE / EE).  Within a group, each candidate is embedded in a
 four-attribute feature space: its within-pair output distance under both
-strlendist (min-max normalized) and 2-gram Jaccard, plus the mean 2-gram
-Jaccard distance of each of its outputs to the corresponding outputs of the
-whole group (uniqueness).  Restarted k-means with silhouette-based model
-selection then yields clusters, each summarized by its shortest member.
+strlendist (min-max normalized) and 2-gram Jaccard, read from the group's
+table, plus the mean 2-gram Jaccard distance of each of its outputs to the
+corresponding outputs of a reference set of the group (uniqueness).  The
+diversity rounds and the clustering address candidates by their position
+in the group.  Restarted k-means with silhouette-based model selection then
+yields clusters, each summarized by its shortest member.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,21 +39,22 @@ def _jaccard(inter: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.nd
 
 
 class TextDistances:
-    """2-gram Jaccard distances between the distinct output texts of a group.
+    """The feature table of one validity group.
 
     Texts are indexed in first-appearance order over both sides of every
     candidate.  Each text keeps only its gram ids, so a group's memory grows
     with its total text length; distances are computed on demand, a block at
     a time, from products of 0/1 gram incidence matrices.  The intersection
     counts are exact integers in float64, so each entry equals
-    ``float(jaccard_ngram(2, s, t))``.
+    ``float(jaccard_ngram(2, s, t))``.  Per candidate, by position, the table
+    keeps its two text indices (``rows``, 2 x n), raw strlendist (``wd``) and
+    within-pair distance (``pair``), each computed once.
     """
 
     def __init__(self, candidates: Sequence[BoundaryCandidate]):
         self.index: dict = {}
-        for c in candidates:
-            self.index.setdefault(c.output1.text, len(self.index))
-            self.index.setdefault(c.output2.text, len(self.index))
+        rows = [(self.index.setdefault(c.output1.text, len(self.index)),
+                 self.index.setdefault(c.output2.text, len(self.index))) for c in candidates]
         gram_ids: dict = {}
         per_text = [[gram_ids.setdefault(g, len(gram_ids)) for g in ngrams(text, 2)]
                     for text in self.index]
@@ -61,6 +63,10 @@ class TextDistances:
         self._grams = np.array([g for ids in per_text for g in ids], dtype=np.intp)
         self._sizes = self._counts.astype(float)   # >= 1: no text has zero grams
         self._gram_count = len(gram_ids)
+        self.rows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+        self.wd = np.array([strlendist(c.output1.text, c.output2.text) for c in candidates],
+                           dtype=np.intp)
+        self.pair = self.pairs(*self.rows)
 
     def _cells(self, rows: np.ndarray) -> tuple:
         """(position in ``rows``, gram id) of every gram of the rows' texts."""
@@ -107,36 +113,34 @@ class TextDistances:
 
 
 class FeatureSpace:
-    """Feature extraction context anchored to one reference set of candidates.
+    """Feature vectors of a group's candidates against one reference set,
+    both given as positions into the group's ``TextDistances``.
 
     The uniqueness attributes depend on the whole reference set, so vectors
     for candidates outside it (diversity-dropped ones) are computed against
-    the same set and the same strlendist normalization.  ``distances`` must
-    index the texts of every candidate that gets a vector; by default it
-    covers the reference set alone.
+    the same set and the same strlendist normalization.  The within-pair
+    attributes are read from the table.
     """
 
-    def __init__(self, reference: Sequence[BoundaryCandidate],
-                 distances: Optional[TextDistances] = None):
-        if not reference:
+    def __init__(self, distances: TextDistances, reference):
+        reference = np.asarray(reference, dtype=np.intp)
+        if not len(reference):
             raise ValueError("feature space needs a nonempty reference group")
-        self.reference = list(reference)
-        self.distances = distances or TextDistances(self.reference)
-        self._columns = [self._weighted_columns(c.output1.text for c in self.reference),
-                         self._weighted_columns(c.output2.text for c in self.reference)]
-        raw_wd = [strlendist(c.output1.text, c.output2.text) for c in self.reference]
-        self._wd_min = min(raw_wd)
-        self._wd_max = max(raw_wd)
-        self.matrix = self.vectors(self.reference)
+        self.distances = distances
+        self._size = len(reference)
+        self._columns = [self._weighted_columns(distances.rows[side, reference]) for side in (0, 1)]
+        wd = distances.wd[reference]
+        self._wd_min, self._wd_span = wd.min(), np.ptp(wd)
+        self.matrix = self.vectors(reference)
 
-    def _weighted_columns(self, texts: Iterable[str]) -> tuple:
-        """Matrix columns of the distinct texts in first-appearance order, and
-        how often each occurs."""
-        counts = Counter(texts)
-        return ([self.distances.index[t] for t in counts],
-                np.array(list(counts.values()), dtype=float))
+    @staticmethod
+    def _weighted_columns(rows: np.ndarray) -> tuple:
+        """The distinct rows in first-appearance order, and how often each occurs."""
+        distinct, first, counts = np.unique(rows, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return distinct[order], counts[order].astype(float)
 
-    def _uniqueness(self, rows: list, side: int) -> np.ndarray:
+    def _uniqueness(self, rows: np.ndarray, side: int) -> np.ndarray:
         # mean distance to the reference outputs keeps the attribute in [0, 1];
         # cumsum adds left to right, so each mean rounds as a plain loop would
         cols, weights = self._columns[side]
@@ -146,58 +150,52 @@ class FeatureSpace:
             weighted = self.distances.block(distinct[top:top + TEXT_ROWS], cols)
             weighted *= weights
             sums[top:top + TEXT_ROWS] = np.cumsum(weighted, axis=1)[:, -1]
-        return (sums / len(self.reference))[inverse]
+        return (sums / self._size)[inverse]
 
-    def vectors(self, candidates: Sequence[BoundaryCandidate]) -> np.ndarray:
-        """Feature vectors as the columns of a (4, len(candidates)) matrix."""
-        index = self.distances.index
-        rows1 = [index[c.output1.text] for c in candidates]
-        rows2 = [index[c.output2.text] for c in candidates]
-        wd = np.array([strlendist(c.output1.text, c.output2.text) for c in candidates])
-        span = self._wd_max - self._wd_min
+    def vectors(self, positions) -> np.ndarray:
+        """Feature vectors of the candidates at ``positions``, as the columns
+        of a (4, len(positions)) matrix."""
+        d, span = self.distances, self._wd_span
+        wd = d.wd[positions]
         wd = np.clip((wd - self._wd_min) / span, 0.0, 1.0) if span else np.zeros(len(wd))
         return np.array([
             wd,
-            self.distances.pairs(rows1, rows2),
-            self._uniqueness(rows1, 0),
-            self._uniqueness(rows2, 1),
+            d.pair[positions],
+            self._uniqueness(d.rows[0, positions], 0),
+            self._uniqueness(d.rows[1, positions], 1),
         ])
 
-    def vector(self, c: BoundaryCandidate) -> np.ndarray:
-        return self.vectors([c])[:, 0]
+    def vector(self, position: int) -> np.ndarray:
+        return self.vectors([position])[:, 0]
 
 
 def diversity_subset(candidates: Sequence[BoundaryCandidate], rng: random.Random,
+                     distances: TextDistances,
                      block: int = DIVERSITY_BLOCK,
-                     window: int = DIVERSITY_WINDOW,
-                     distances: Optional[TextDistances] = None) -> tuple:
-    """Select a diverse working set for clustering; returns (subset, dropped).
+                     window: int = DIVERSITY_WINDOW) -> tuple:
+    """Select a diverse working set for clustering; returns (subset, dropped)
+    as arrays of positions into ``candidates``, whose table is ``distances``.
 
     Groups within the window size pass through untouched.  Otherwise a random
     window is scored by the sum of its feature attributes, the lowest `block`
     are dropped (ties kept in insertion order) and replaced with unseen
-    candidates, until the unseen pool is exhausted.  ``distances`` must index
-    every candidate's texts; by default it is built here.
+    candidates, until the unseen pool is exhausted.
     """
-    candidates = list(candidates)
-    if len(candidates) <= window:
-        return candidates, []
-    distances = distances or TextDistances(candidates)
-    picked = sorted(rng.sample(range(len(candidates)), window))
-    chosen = set(picked)
-    working = [candidates[i] for i in picked]
-    pool = [c for i, c in enumerate(candidates) if i not in chosen]
-    dropped: list = []
-    while pool:
-        matrix = FeatureSpace(working, distances).matrix
-        scores = matrix.sum(axis=0)
-        order = sorted(range(len(working)), key=lambda j: (scores[j], j))
-        cut = set(order[:block])
-        dropped.extend(working[j] for j in sorted(cut))
-        working = [c for j, c in enumerate(working) if j not in cut]
-        refill, pool = pool[:block], pool[block:]
-        working.extend(refill)
-    return working, dropped
+    if block < 1:
+        raise ValueError(f"block={block} must be at least 1")
+    n = len(candidates)
+    if n <= window:
+        return np.arange(n), np.arange(0)
+    working = np.array(sorted(rng.sample(range(n), window)), dtype=np.intp)
+    pool = np.setdiff1d(np.arange(n), working)
+    dropped = []
+    while len(pool):
+        scores = FeatureSpace(distances, working).matrix.sum(axis=0)
+        cut = np.sort(np.argsort(scores, kind="stable")[:block])
+        dropped.append(working[cut])
+        working = np.concatenate([np.delete(working, cut), pool[:block]])
+        pool = pool[block:]
+    return working, np.concatenate(dropped)
 
 
 @dataclass
@@ -451,8 +449,8 @@ def summarize(archive: Archive, rng: random.Random,
             member_lists, score = [group], None
         else:
             distances = TextDistances(group)
-            subset, dropped = diversity_subset(group, rng, block, window, distances)
-            space = FeatureSpace(subset, distances)
+            subset, dropped = diversity_subset(group, rng, distances, block, window)
+            space = FeatureSpace(distances, subset)
             pairwise = point_distances(space.matrix)
             ks = list(range(2, min(K_MAX, len(subset)) + 1))
             scores: dict = {}
@@ -460,13 +458,11 @@ def summarize(archive: Archive, rng: random.Random,
                              distances=pairwise, scores=scores)
                       for i in range(restarts)]
             best = select_model(models)
+            nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
             member_lists = [[] for _ in range(best.k)]
-            for point, cluster in enumerate(best.assignment):
-                member_lists[cluster].append(subset[point])
-            if dropped:
-                nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
-                for candidate, cluster in zip(dropped, nearest):
-                    member_lists[cluster].append(candidate)
+            for position, cluster in zip(np.concatenate([subset, dropped]),
+                                         np.concatenate([best.assignment, nearest])):
+                member_lists[cluster].append(group[position])
             score = best.silhouette
         picked = sorted(((ms, _pick_representative(ms)) for ms in member_lists if ms),
                         key=lambda pair: (-len(pair[0]), pair[1].key))

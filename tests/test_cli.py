@@ -212,6 +212,8 @@ def test_unreadable_json_input_is_data_error(tmp_path, capsys, command):
     # argparse reads "-1/2" after a space as a flag, not as a negative number
     (["detect", "--threshold", "-1/2"], "argument --threshold: expected one argument"),
     (["experiment", "--threshold", "-1/2"], "argument --threshold: expected one argument"),
+    # each run's strategy comes from --strategies, so detect's flag is not taken
+    (["experiment", "--strategy", "lns"], "unrecognized arguments: --strategy lns"),
 ])
 def test_bad_count_or_strategy_list_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

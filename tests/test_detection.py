@@ -9,6 +9,7 @@ import json
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -763,6 +764,30 @@ def test_traced_names_exist():
         for name in names:
             # patched on the owner itself, so it must be defined there
             assert name in vars(owner), f"{owner.__name__}.{name}"
+
+
+def test_traced_summarize_writes_the_untraced_report(tmp_path, monkeypatch):
+    """The benchmark's tracer changes no output, and its diversity hook reads
+    each clustered group's subset and dropped counts from the real call."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    run = tmp_path / "run"
+    # EE holds 1831 candidates, so nine diversity rounds run past the 1000-candidate window
+    assert cli.main(["detect", "--sut", "date", "--strategy", "lns", "--iterations", "10000",
+                     "--seed", "0", "--out", str(run)]) == 0
+    summarize = ["summarize", str(run / "archive.json"), "--restarts", "4", "--seed", "0"]
+    assert cli.main([*summarize, "--out", str(tmp_path / "plain")]) == 0
+    tracer = Tracer()
+    with tracer.instrumented():
+        assert cli.main([*summarize, "--out", str(tmp_path / "traced")]) == 0
+    traced = (tmp_path / "traced" / "report.json").read_bytes()
+    assert traced == (tmp_path / "plain" / "report.json").read_bytes()
+    sizes = {g["validity"]: g["size"] for g in json.loads(traced)["groups"] if g["size"] >= 3}
+    assert {g["validity"]: g["subset"] + g["dropped"] for g in tracer.groups} == sizes
+    assert max(g["dropped"] for g in tracer.groups) > 0
+    layers = tracer.layer_metrics(1, summarization.DIVERSITY_WINDOW, {})
+    assert layers["summarization.diversity.rounds"] == 9
 
 
 @pytest.mark.parametrize("strategy", ["lns", "bcs"])

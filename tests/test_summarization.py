@@ -70,16 +70,21 @@ def _date_archive():
 # features
 
 
+def _whole(group):
+    """The feature space of a group against all of itself."""
+    return FeatureSpace(TextDistances(group), range(len(group)))
+
+
 def test_features_identical_outputs_have_zero_wd():
     group = [text_cand(1, "same", 2, "same"), text_cand(3, "aaaa", 4, "bbbb")]
-    m = FeatureSpace(group).matrix
+    m = _whole(group).matrix
     assert m.shape == (4, 2)
     assert m[0, 0] == 0 and m[1, 0] == 0
     assert np.all((m >= 0) & (m <= 1))
 
 
 def test_features_singleton_group_has_zero_uniqueness():
-    m = FeatureSpace([text_cand(1, "ab", 2, "cd")]).matrix
+    m = _whole([text_cand(1, "ab", 2, "cd")]).matrix
     assert m[2, 0] == 0 and m[3, 0] == 0
 
 
@@ -87,7 +92,7 @@ def test_features_shared_first_output():
     # direct evaluation of the uniqueness sum on a two-element group
     a = text_cand(1, "xx", 2, "yy")
     b = text_cand(3, "xx", 4, "zz")
-    m = FeatureSpace([a, b]).matrix
+    m = _whole([a, b]).matrix
     assert m[2, 0] == m[2, 1] == 0          # identical first outputs
     assert m[3, 0] == m[3, 1] == 0.5        # d("yy","zz")=1 over group size 2
 
@@ -109,6 +114,14 @@ def test_text_distances_equal_exact_jaccard_on_date_outputs():
     # blocks over row and column subsets, in any order, keep every entry
     picked = rows[::-7]
     assert (distances.block(picked, rows[5:40]) == block[np.ix_(picked, rows[5:40])]).all()
+    # each candidate's own features, by its position in the group
+    assert distances.rows.shape == (2, len(group))
+    assert distances.wd.shape == distances.pair.shape == (len(group),)
+    for i, c in enumerate(group):
+        s, t = c.output1.text, c.output2.text
+        assert distances.rows[:, i].tolist() == [distances.index[s], distances.index[t]]
+        assert distances.wd[i] == strlendist(s, t)
+        assert distances.pair[i] == float(jaccard_ngram(2, s, t)), (s, t)
 
 
 def test_text_distances_hold_no_text_by_text_array():
@@ -142,26 +155,29 @@ def _reference_vector(c, reference):
 def test_feature_vector_outside_reference_set():
     # the diversity-dropped path: texts indexed for the group, absent from the subset
     ve = [c for c in _date_archive() if c.validity == "VE"]
-    reference, outside = ve[:10], ve[10:]
+    reference = ve[:10]
     reference_texts = {r.output1.text for r in reference} | {r.output2.text for r in reference}
-    strangers = [c for c in outside if c.output1.text not in reference_texts
-                 and c.output2.text not in reference_texts]
+    strangers = [p for p in range(10, len(ve)) if ve[p].output1.text not in reference_texts
+                 and ve[p].output2.text not in reference_texts]
     assert strangers
-    space = FeatureSpace(reference, TextDistances(ve))
-    for c in strangers + reference:
-        assert space.vector(c).tolist() == _reference_vector(c, reference)
+    space = FeatureSpace(TextDistances(ve), range(10))
+    for p in strangers + list(range(10)):
+        assert space.vector(p).tolist() == _reference_vector(ve[p], reference)
     assert space.matrix.T.tolist() == [_reference_vector(c, reference) for c in reference]
+    alone = TextDistances(reference)
     with pytest.raises(KeyError):
-        FeatureSpace(reference).vector(strangers[0])   # its texts were never indexed
+        alone.index[ve[strangers[0]].output1.text]   # its texts were never indexed
+    with pytest.raises(IndexError):
+        FeatureSpace(alone, range(10)).vector(strangers[0])   # nor was its position
 
 
 def test_feature_wd_min_max_normalization():
     group = [text_cand(1, "a", 2, "abc"),      # strlendist 2
              text_cand(3, "a", 4, "ab"),       # strlendist 1
              text_cand(5, "a", 6, "abcde")]    # strlendist 4
-    m = FeatureSpace(group).matrix
+    m = _whole(group).matrix
     assert m[0].tolist() == [pytest.approx(1 / 3), 0.0, 1.0]
-    flat = FeatureSpace([text_cand(1, "q", 2, "z"), text_cand(3, "r", 4, "s")]).matrix
+    flat = _whole([text_cand(1, "q", 2, "z"), text_cand(3, "r", 4, "s")]).matrix
     assert flat[0].tolist() == [0.0, 0.0]   # max == min collapses the row
 
 
@@ -175,25 +191,48 @@ def _many(n):
 
 def test_diversity_below_window_is_identity():
     group = _many(500)
-    subset, dropped = diversity_subset(group, Random(0))
-    assert subset == group and dropped == []
+    subset, dropped = diversity_subset(group, Random(0), TextDistances(group))
+    assert subset.tolist() == list(range(500)) and dropped.tolist() == []
 
 
 def test_diversity_single_cycle_at_1100():
     group = _many(1100)
-    subset, dropped = diversity_subset(group, Random(0), block=100, window=1000)
+    subset, dropped = diversity_subset(group, Random(0), TextDistances(group),
+                                       block=100, window=1000)
     assert len(subset) == 1000
     assert len(dropped) == 100
-    assert set(c.key for c in subset) | set(c.key for c in dropped) == {c.key for c in group}
+    assert sorted([*subset, *dropped]) == list(range(1100))
 
 
 def test_diversity_exhausts_pool():
     # 1350 -> four cycles; the last refill only has 50 unseen left
     group = _many(1350)
-    subset, dropped = diversity_subset(group, Random(1), block=100, window=1000)
+    subset, dropped = diversity_subset(group, Random(1), TextDistances(group),
+                                       block=100, window=1000)
     assert len(subset) + len(dropped) == 1350
     assert len(subset) == 950
     assert len(dropped) == 400
+
+
+@pytest.mark.parametrize("block", [0, -1])
+def test_diversity_block_below_one_is_refused(monkeypatch, block):
+    # such a block never empties the pool; rounds are counted so that a
+    # diversity loop fails here instead of running forever
+    archive = Archive()
+    for c in _many(30):
+        archive.add(c)
+    rounds = []
+    space = summarization.FeatureSpace
+
+    def counted(*args):
+        rounds.append(1)
+        if len(rounds) > 50:
+            raise RuntimeError("the diversity pool never empties")
+        return space(*args)
+
+    monkeypatch.setattr(summarization, "FeatureSpace", counted)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        summarize(archive, Random(0), restarts=2, block=block, window=20)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +698,25 @@ def test_summarize_memo_selects_what_scoring_every_restart_selects(tmp_path, mon
                         lambda *args, scores=None, **kwargs: memoizing(*args, **kwargs))
     assert report_bytes("scored.json") == (memoized, 200)   # VE and EE, 100 restarts each
     assert memo_calls < 200
+
+
+def test_summarize_computes_candidate_features_once_per_group(monkeypatch):
+    # VE 28 and EE 143 are clustered, with diversity rounds on both; VV 2 is not
+    calls = {"strlendist": 0, "pairs": 0}
+    strlendist_, pairs = summarization.strlendist, TextDistances.pairs
+
+    def counted_strlendist(*args):
+        calls["strlendist"] += 1
+        return strlendist_(*args)
+
+    def counted_pairs(*args):
+        calls["pairs"] += 1
+        return pairs(*args)
+
+    monkeypatch.setattr(summarization, "strlendist", counted_strlendist)
+    monkeypatch.setattr(TextDistances, "pairs", counted_pairs)
+    summarize(_date_archive(), Random(0), restarts=20, block=6, window=20)
+    assert calls == {"strlendist": 28 + 143, "pairs": 2}
 
 
 def test_summarize_memory_is_bounded_by_the_window():
