@@ -30,7 +30,6 @@ from .distances import (
     strlendist,
 )
 from .sampling import SamplerConfig, TypeDomain, compatible_types, sample_input, sample_value
-from .summarization import ClusterReport, kmeans, select_model, silhouette, summarize
 from .suts import BUILTIN_SUTS, SutDescriptor, execute, get_sut, make_external_sut
 from .values import ExecutionOutcome, render_value
 
@@ -46,3 +45,14 @@ __all__ = [
     "silhouette", "summarize", "BUILTIN_SUTS", "SutDescriptor",
     "execute", "get_sut", "make_external_sut", "ExecutionOutcome", "render_value",
 ]
+
+# Clustering needs numpy, which detection, ranking and the oracle never use,
+# so these names import ``summarization`` on first access (PEP 562).
+_SUMMARIZATION_NAMES = ("ClusterReport", "kmeans", "select_model", "silhouette", "summarize")
+
+
+def __getattr__(name):
+    if name in _SUMMARIZATION_NAMES:
+        from . import summarization
+        return getattr(summarization, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,12 +20,14 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .detection import Archive, BoundaryCandidate, DetectionResult
 from .sampling import SamplerConfig
-from .summarization import ClusterReport
 from .values import ExecutionOutcome, parse_tuple, display_tuple
+
+if TYPE_CHECKING:   # summarization loads numpy, which reading and writing archives never use
+    from .summarization import ClusterReport
 
 # An error kind is empty on a valid side; strategies are sorted names joined
 # by ";".  Error payloads are not stored in CSV.

@@ -37,9 +37,7 @@ from .archive_io import (
 from .detection import STRATEGIES, Archive, DetectionConfig, detect
 from .distances import parse_distance, pdq
 from .oracle import WindowTooLarge, scan_adjacent
-from .experiment import run_experiment, write_experiment
 from .sampling import SamplerConfig
-from .summarization import summarize
 from .suts import UsageError, get_sut
 from .values import parse_value
 
@@ -169,6 +167,13 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def summarize(archive, rng, restarts):
+    """``summarization.summarize``, imported on first call: clustering loads
+    numpy, which the other commands never use."""
+    from .summarization import summarize
+    return summarize(archive, rng, restarts=restarts)
+
+
 def cmd_summarize(args) -> int:
     archive = load_archives(args.archives)
     rng = random.Random(_effective_seed(args.seed))
@@ -219,6 +224,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .experiment import run_experiment, write_experiment   # clusters, so loads numpy
+
     sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
                   external_jobs=args.jobs)
     if args.seconds is None and args.iterations is None:

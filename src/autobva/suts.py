@@ -13,9 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import shlex
-import signal
-import subprocess
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -289,6 +287,54 @@ class UsageError(Exception):
     """A request the command line cannot carry out as given."""
 
 
+# Bytes an external run may write to each of stdout and stderr; a run that
+# writes more is stopped, so a flood cannot exhaust memory before its timeout.
+MAX_OUTPUT_BYTES = 1 << 20
+
+
+class _OutputTooLarge(Exception):
+    pass
+
+
+def _read_output(proc, timeout: float) -> tuple:
+    """The bytes a run wrote to stdout and to stderr, read as ``communicate``
+    reads them but with each stream capped at ``MAX_OUTPUT_BYTES``.
+
+    Raises ``subprocess.TimeoutExpired`` once ``timeout`` seconds have gone
+    and ``_OutputTooLarge`` once a stream passes the cap; either way the
+    run is still going.
+    """
+    import selectors
+    import subprocess
+
+    deadline = time.monotonic() + timeout
+    output = {proc.stdout: bytearray(), proc.stderr: bytearray()}
+    with selectors.PollSelector() as selector:
+        for stream in output:
+            selector.register(stream, selectors.EVENT_READ)
+        while selector.get_map():
+            ready = selector.select(deadline - time.monotonic())
+            if time.monotonic() > deadline:
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            for key, _ in ready:
+                data = os.read(key.fd, 32768)
+                if not data:
+                    selector.unregister(key.fileobj)
+                    continue
+                buffer = output[key.fileobj]
+                buffer += data
+                if len(buffer) > MAX_OUTPUT_BYTES:
+                    raise _OutputTooLarge
+    proc.wait(timeout=deadline - time.monotonic())
+    return output[proc.stdout], output[proc.stderr]
+
+
+def _decode(data: bytearray) -> str:
+    # what text-mode pipes would give: UTF-8, escapes for other bytes, and
+    # CRLF and CR read as newlines
+    return data.decode("utf-8", "backslashreplace").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
                       concurrency: int = 1) -> SutDescriptor:
     """Adapter for user programs: argv in, stdout out, nonzero exit = error.
@@ -299,10 +345,16 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
     concurrent runs when that is above 1.  Each run gets its own pipes, and
     ``subprocess`` closes every other descriptor in the child, so no child
     holds another's pipe open.  Each run is also the leader of its
-    own session: on a timeout its whole process group is killed, so nothing
-    it started outlives the timeout outcome.  A command with no program word
-    (blank, or an empty quoted word first) is a ``UsageError``.
+    own session: on a timeout, or once it writes more than
+    ``MAX_OUTPUT_BYTES`` to stdout or stderr, its whole process group is
+    killed, so nothing it started outlives the outcome.  A command with no
+    program word (blank, or an empty quoted word first) is a ``UsageError``.
     """
+    # imported here: only external programs need them
+    import shlex
+    import signal
+    import subprocess
+
     argv_prefix = shlex.split(command)
     if not argv_prefix or not argv_prefix[0]:   # Popen would run the first input
         raise UsageError("external SUT needs a command: external:<cmd>")
@@ -312,7 +364,6 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
         try:
             # a session of its own, so a timeout can kill all the program started
             proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                    text=True, encoding="utf-8", errors="backslashreplace",
                                     close_fds=True, start_new_session=True)
         except FileNotFoundError:
             return error_outcome(ARGUMENT_ERROR, f"command not found: {argv_prefix[0]}")
@@ -320,17 +371,19 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
             return error_outcome(ARGUMENT_ERROR, f"cannot execute: {exc}")
         with proc:
             try:
-                stdout, stderr = proc.communicate(timeout=timeout)
+                stdout, stderr = _read_output(proc, timeout)
             except subprocess.TimeoutExpired:
                 return error_outcome(ARGUMENT_ERROR, f"timeout after {timeout}s")
+            except _OutputTooLarge:
+                return error_outcome(ARGUMENT_ERROR, f"output over {MAX_OUTPUT_BYTES} bytes")
             finally:
-                if proc.returncode is None:   # timed out or interrupted
+                if proc.returncode is None:   # timed out, over the cap or interrupted
                     with contextlib.suppress(ProcessLookupError):
                         os.killpg(proc.pid, signal.SIGKILL)
                     proc.wait()
         if proc.returncode == 0:
-            return valid_outcome(stdout.strip())
-        message = stderr.strip() or f"exit code {proc.returncode}"
+            return valid_outcome(_decode(stdout).strip())
+        message = _decode(stderr).strip() or f"exit code {proc.returncode}"
         return ExecutionOutcome(text=message, error_kind=ARGUMENT_ERROR,
                                 payload={"exit_code": proc.returncode})
 

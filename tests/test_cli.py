@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import stat
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -690,3 +693,42 @@ def test_config_run_golden_manifest(tmp_path):
     masked = re.sub(rb'"elapsed_seconds": [0-9.e-]+', b'"elapsed_seconds": 0',
                     (out / "manifest.json").read_bytes())
     assert hashlib.sha256(masked).hexdigest() == GOLDEN_CONFIG_MANIFEST
+
+
+# Run in a fresh interpreter, so the modules it loads are its own.
+IMPORT_GRAPH_SCRIPT = """
+import sys
+from pathlib import Path
+from autobva import cli
+
+out = Path(sys.argv[1])
+archive = str(out / "run" / "archive.json")
+assert cli.main(["detect", "--sut", "bytecount", "--iterations", "300", "--seed", "0",
+                 "--out", str(out / "run")]) == 0
+assert cli.main(["rank", archive, "--out", str(out / "ranked.csv")]) == 0
+assert cli.main(["oracle", "--sut", "bytecount", "--from", "0", "--to", "2000",
+                 "--out", str(out / "boundaries.csv")]) == 0
+loaded = [name for name in ("numpy", "autobva.summarization", "subprocess")
+          if name in sys.modules]
+assert not loaded, f"loaded {loaded}"
+assert cli.main(["summarize", archive, "--restarts", "5", "--out", str(out / "report")]) == 0
+import autobva
+from autobva import kmeans
+assert autobva.summarize.__module__ == kmeans.__module__ == "autobva.summarization"
+print("ok")
+"""
+
+
+def test_detect_rank_and_oracle_load_no_numpy_or_subprocess(tmp_path):
+    """Only clustering loads numpy and summarization, and only an external
+    SUT loads subprocess; summarize still works in the same process."""
+    import subprocess
+
+    import autobva
+
+    env = {**os.environ, "PYTHONPATH": str(Path(autobva.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"
+    assert (tmp_path / "report" / "report.json").exists()

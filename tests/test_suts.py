@@ -3,6 +3,7 @@
 import calendar
 import dataclasses
 import pickle
+import shutil
 import stat
 import sys
 import time
@@ -13,6 +14,7 @@ from random import Random
 import pytest
 
 from autobva.suts import (
+    MAX_OUTPUT_BYTES,
     UsageError,
     civil_from_rata_die,
     days_in_month,
@@ -414,6 +416,36 @@ def test_external_timeout_kills_what_the_program_started(tmp_path):
                                                   "argument_error")
     time.sleep(1.5)
     assert not marker.exists()
+
+
+OVER_CAP = ExecutionOutcome(f'ArgumentError("output over {MAX_OUTPUT_BYTES} bytes")',
+                            "argument_error")
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_external_output_is_capped_per_stream(tmp_path, stream):
+    """A stream may carry MAX_OUTPUT_BYTES; one byte more, or 2 MiB from a
+    run that exits 0, ends the run with the cap outcome, not the timeout."""
+    path = tmp_path / "writer.py"
+    path.write_text(f"#!{sys.executable}\n"
+                    "import sys\n"
+                    f"sys.{stream}.buffer.write(b'x' * int(sys.argv[1]))\n")
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    sut = make_external_sut(str(path), timeout=0.5)
+    at_cap = execute(sut, (MAX_OUTPUT_BYTES,))
+    assert at_cap.is_valid and at_cap.text == ("x" * MAX_OUTPUT_BYTES if stream == "stdout"
+                                               else "")
+    assert execute(sut, (MAX_OUTPUT_BYTES + 1,)) == OVER_CAP
+    assert execute(sut, (2 * MAX_OUTPUT_BYTES,)) == OVER_CAP
+
+
+@pytest.mark.skipif(shutil.which("yes") is None, reason="needs yes(1)")
+def test_external_flood_ends_at_the_cap_well_before_its_timeout():
+    """``yes`` writes until it is killed; the run stops at the cap."""
+    sut = make_external_sut(shutil.which("yes"), timeout=0.5)
+    t0 = time.perf_counter()
+    assert execute(sut, ("y",)) == OVER_CAP
+    assert time.perf_counter() - t0 < 0.25
 
 
 @pytest.mark.parametrize("command", ["", " ", '""', "'' -n"])
