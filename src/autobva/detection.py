@@ -7,7 +7,10 @@ direction, expands the step exponentially until the output partition
 changes, then binary-searches down to the adjacent input pair straddling
 the change.  Both return only pairs whose outputs differ under the output
 distance: a pair at distance 0 scores 0, which no detection threshold (never
-below 0) keeps, so it is neither scored nor built.
+below 0) keeps, so it is neither scored nor built.  A search compares each
+probe's crossing key with the start's (``OutputDistance.key``, which differs
+exactly when the distance is nonzero) and computes the output distance only
+for a pair it returns.
 
 Every random draw of a sample happens before its search starts, so searches
 can run concurrently (on SUTs that allow it) while the archive, counts and
@@ -160,14 +163,15 @@ def lns_search(runner: Runner, inputs: InputTuple,
                output_distance: OutputDistance = STRLEN) -> list:
     """Probe every one-step neighbor of the starting point; return the pairs
     whose outputs differ, in neighbor order."""
-    run = runner.run
+    run, key = runner.run, output_distance.key
     base_outcome = run(inputs)
-    base_text, distance = base_outcome.text, output_distance.function
+    base_text = base_outcome.text
+    base_key = key(base_text)
     found = []
     for neighbor in _neighbors(inputs):
         outcome = run(neighbor)
-        d_o = distance(base_text, outcome.text)
-        if d_o:
+        if key(outcome.text) != base_key:
+            d_o = output_distance.function(base_text, outcome.text)
             found.append(make_candidate(inputs, base_outcome, neighbor, outcome, d_o))
     return found
 
@@ -206,9 +210,10 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
         first = head + (start + delta,) + tail
     base_outcome = run(inputs)
     next_outcome = run(first)
-    base_text, distance = base_outcome.text, output_distance.function
-    d_o = distance(base_text, next_outcome.text)
-    if d_o:
+    base_text, key = base_outcome.text, output_distance.key
+    base_key = key(base_text)
+    if key(next_outcome.text) != base_key:
+        d_o = output_distance.function(base_text, next_outcome.text)
         return [make_candidate(inputs, base_outcome, first, next_outcome, d_o)]
     # chained steps leave {false, true} at once, so a boolean never expands
     if isinstance(start, bool):
@@ -222,7 +227,7 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
         value = start + delta * (1 << k)
         if not lowest <= value <= highest:
             break  # left the sampled domain: truncate the expansion
-        if distance(base_text, run(head + (value,) + tail).text) > 0:
+        if key(run(head + (value,) + tail).text) != base_key:
             crossing = k
             break
     if crossing is None:
@@ -233,14 +238,14 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     low, high = 1 << (crossing - 1), 1 << crossing
     while high - low > 1:
         mid = (low + high) // 2
-        if distance(base_text, run(head + (start + delta * mid,) + tail).text) > 0:
+        if key(run(head + (start + delta * mid,) + tail).text) != base_key:
             high = mid
         else:
             low = mid
     i1 = head + (start + delta * (high - 1),) + tail
     i2 = head + (start + delta * high,) + tail
     o1, o2 = run(i1), run(i2)
-    return [make_candidate(i1, o1, i2, o2, distance(o1.text, o2.text))]
+    return [make_candidate(i1, o1, i2, o2, output_distance.function(o1.text, o2.text))]
 
 
 def _ordered_map(fn, items: Iterable, width: int) -> Iterator:

@@ -3,6 +3,11 @@
 Boundariness of an input pair is output distance over input distance.  All
 scores are kept as exact rationals so threshold tests and rankings are
 reproducible across platforms.
+
+Each output distance also has a per-text crossing key (length for strlen,
+the n-gram set for Jaccard, the text itself for Levenshtein): two texts'
+keys differ exactly when their distance is nonzero, so a search can tell
+whether a probe crossed a boundary without computing the distance.
 """
 
 from __future__ import annotations
@@ -68,21 +73,27 @@ def input_distance(i1: InputTuple, i2: InputTuple) -> int:
 class OutputDistance:
     """A named output distance usable as a callable on two strings.
 
+    ``key`` maps one text to its crossing key: ``key(a) != key(b)`` exactly
+    when ``function(a, b) > 0``.  The searches compare keys with the start's
+    and compute the distance only for a pair they return.
+
     Equality, hashing and ``repr`` go by ``name`` alone.  Hot loops call
-    ``function`` directly instead of going through ``__call__``.
+    ``function`` and ``key`` directly instead of going through ``__call__``.
     """
 
     name: str
     function: Callable[[str, str], Distance] = field(repr=False, compare=False)
+    key: Callable[[str], object] = field(repr=False, compare=False)
 
     def __call__(self, s1: str, s2: str) -> Distance:
         return self.function(s1, s2)
 
 
-STRLEN = OutputDistance("strlen", strlendist)
-JACCARD1 = OutputDistance("jaccard1", partial(jaccard_ngram, 1))
-JACCARD2 = OutputDistance("jaccard2", partial(jaccard_ngram, 2))
-LEVENSHTEIN = OutputDistance("levenshtein", levenshtein)
+STRLEN = OutputDistance("strlen", strlendist, len)
+JACCARD1 = OutputDistance("jaccard1", partial(jaccard_ngram, 1), partial(ngrams, n=1))
+JACCARD2 = OutputDistance("jaccard2", partial(jaccard_ngram, 2), partial(ngrams, n=2))
+# str() returns a str argument itself: the edit distance is 0 only between equal texts
+LEVENSHTEIN = OutputDistance("levenshtein", levenshtein, str)
 
 _BY_NAME = {
     "strlen": STRLEN,

@@ -3,7 +3,9 @@ results are validated against.
 
 Walks every pair (x, x+1) of one argument over a finite window, holding the
 other arguments fixed, and reports the pairs whose outputs differ under the
-configured distance.
+configured distance.  It calls the output distance itself, never its
+crossing key, so it stays an independent check on the keys the searches
+compare.
 """
 
 from __future__ import annotations

@@ -430,43 +430,56 @@ def test_searches_return_the_reference_pairs_that_score_above_zero(sut, distance
 
 
 def counting(output_distance):
-    """``output_distance`` with a function that records each of its calls."""
-    calls = []
+    """``output_distance`` with a function and a key that record each of
+    their calls."""
+    calls, keyed = [], []
 
     def function(s1, s2):
         calls.append((s1, s2))
         return output_distance.function(s1, s2)
 
-    return OutputDistance(output_distance.name, function), calls
+    def key(s):
+        keyed.append(s)
+        return output_distance.key(s)
+
+    return OutputDistance(output_distance.name, function, key), calls, keyed
 
 
 @pytest.mark.parametrize("distance", [STRLEN, JACCARD2, LEVENSHTEIN], ids=lambda d: d.name)
 @pytest.mark.parametrize("sut", ["bytecount", "bmi", "bmi-class", "date"])
 def test_searches_compute_each_output_distance_once(sut, distance):
-    """LNS computes one output distance per neighbour; BCS one per probe
-    compared with the start, and one for a bisected final pair, which it
-    runs again.  A returned pair reuses the distance its search computed."""
+    """The searches compute one crossing key per probe compared with the
+    start, the start's own included, and one output distance per returned
+    pair.  LNS compares every execution; BCS every one but a bisected final
+    pair's two, which it runs again."""
     desc, rng = get_sut(sut), Random(23)
-    counted, calls = counting(distance)
+    counted, calls, keyed = counting(distance)
+
+    def scored(found):
+        return [{c.output1.text, c.output2.text} for c in found]
+
     returned = bisected = 0
     for _ in range(300):
         pairs = sample_arguments(desc, SamplerConfig(seed=23), rng)
         inputs, domains = tuple(v for v, _ in pairs), tuple(d for _, d in pairs)
         runner = Runner(desc)
-        returned += len(lns_search(runner, inputs, counted))
-        assert len(calls) == runner.executions - 1
+        found = lns_search(runner, inputs, counted)
+        returned += len(found)
+        assert len(keyed) == runner.executions
+        assert [set(pair) for pair in calls] == scored(found)
         calls.clear()
+        keyed.clear()
         runner = Runner(desc)
         found = bcs_search(runner, counted, inputs, bcs_first_step(rng, desc.arity), domains)
         returned += len(found)
-        if runner.executions == 0:    # a boolean stepped out of {false, true}
-            assert calls == []
-        else:
-            # a bisected pair is at least one step from the start
-            final = bool(found) and inputs not in (found[0].input1, found[0].input2)
-            assert len(calls) == runner.executions - 1 - final
-            bisected += final
+        # a bisected pair is at least one step from the start; a boolean
+        # stepped out of {false, true} executes nothing
+        final = bool(found) and inputs not in (found[0].input1, found[0].input2)
+        assert len(keyed) == runner.executions - 2 * final
+        assert [set(pair) for pair in calls] == scored(found)
+        bisected += final
         calls.clear()
+        keyed.clear()
     assert returned > 0 and bisected > 0
 
 

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from autobva.distances import (
+    _BY_NAME,
     JACCARD1,
     JACCARD2,
     LEVENSHTEIN,
@@ -147,9 +148,39 @@ def test_output_distance_resolves_its_function():
     for dist, reference in expected.items():
         for a, b in pairs:
             assert dist(a, b) == dist.function(a, b) == reference(a, b)
-    # a distance is known by its name: the function takes no part in
+    # a distance is known by its name: the function and key take no part in
     # equality, hashing or repr
-    same = OutputDistance("jaccard2", lambda a, b: jaccard_ngram(2, a, b))
+    same = OutputDistance("jaccard2", lambda a, b: jaccard_ngram(2, a, b),
+                          lambda s: ngrams(s, 2))
     assert same == JACCARD2 and hash(same) == hash(JACCARD2)
     assert repr(JACCARD2) == "OutputDistance(name='jaccard2')"
     assert [d.name for d in expected] == ["strlen", "levenshtein", "jaccard1", "jaccard2"]
+
+
+def test_crossing_key_differs_exactly_when_the_distance_is_positive():
+    """The searches compare crossing keys in place of the distance, so the
+    two must agree on every pair of texts."""
+    fixed = ["", "a", "b", "aa", "aaa", "ab", "ba", "aba", "9B", "10B", "1.0 kB",
+             "é", "café", "cafe", "日本", "本日", "🙂",
+             # the built-ins' error texts
+             'DomainError("height or weight negative")',
+             'ArgumentError("Month: 0 out of range (1:12)")',
+             'ArgumentError("Day: 30 out of range (1:29)")',
+             'ArgumentError("Day: 31 out of range (1:30)")',
+             'BoundsError("kMGTPE", 7)', 'BoundsError("kMGTPE", 10)']
+    rng = Random(20)
+    drawn = ["".join(rng.choice("abé") for _ in range(rng.randrange(9))) for _ in range(80)]
+    distances = {parse_distance(name) for name in _BY_NAME}
+    assert {d.name for d in distances} == {"strlen", "jaccard1", "jaccard2", "levenshtein"}
+    for corpus in (fixed, drawn):
+        for dist in distances:
+            outcomes = set()
+            for a in corpus:
+                for b in corpus:
+                    differ = dist.key(a) != dist.key(b)
+                    assert differ == (dist.function(a, b) > 0), (dist.name, a, b)
+                    outcomes.add((differ, a == b))
+            # keys differ between some distinct texts, and, but for
+            # Levenshtein's, agree between others
+            assert (True, False) in outcomes
+            assert ((False, False) in outcomes) == (dist is not LEVENSHTEIN), dist.name

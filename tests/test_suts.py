@@ -25,7 +25,14 @@ from autobva.suts import (
     rata_die,
     render_float,
 )
-from autobva.values import ExecutionOutcome, render_value, valid_outcome
+from autobva.values import (
+    ARGUMENT_ERROR,
+    DOMAIN_ERROR,
+    ExecutionOutcome,
+    error_outcome,
+    render_value,
+    valid_outcome,
+)
 
 BC = get_sut("bytecount")
 BMI = get_sut("bmi")
@@ -321,6 +328,31 @@ def test_overflowed_years_render_inconsistently_with_inputs():
 def test_boolean_arguments_convert_before_validation():
     assert out(DATE, True, True, True) == "0001-01-01"
     assert out(DATE, 0, False, 1) == 'ArgumentError("Month: 0 out of range (1:12)")'
+
+
+# ---------------------------------------------------------------------------
+# error outcomes
+
+
+@pytest.mark.parametrize("sut,args,kind,message,payload", [
+    (DATE, (2000, 13, 1), ARGUMENT_ERROR, "Month: 13 out of range (1:12)",
+     {"field": "month", "value": 13}),
+    (DATE, (2001, 2, 29), ARGUMENT_ERROR, "Day: 29 out of range (1:28)",
+     {"field": "day", "value": 29, "last": 28}),
+    (BMI, (-1, 70), DOMAIN_ERROR, "height or weight negative", {}),
+    (BMI_CLASS, (170, -1), DOMAIN_ERROR, "height or weight negative", {}),
+], ids=["month", "day", "bmi", "bmi-class"])
+def test_one_call_outcomes_equal_error_outcome(sut, args, kind, message, payload):
+    """The built-ins build their errors in one constructor call, to the
+    bytes the generic ``error_outcome`` gives, payload order included."""
+    got, expected = execute(sut, args), error_outcome(kind, message, **payload)
+    assert (got.text, got.error_kind, got.payload, list(got.payload)) == \
+        (expected.text, expected.error_kind, expected.payload, list(expected.payload))
+
+
+def test_negative_bmi_inputs_share_one_outcome_with_an_empty_payload():
+    shared = execute(BMI, (-1, 70))
+    assert execute(BMI_CLASS, (170, -1)) is shared and shared.payload == {}
 
 
 # ---------------------------------------------------------------------------
