@@ -295,13 +295,18 @@ def load_archives(paths) -> Archive:
 
     Candidates are kept as stored, even at score zero, since an ``Archive``
     has no threshold; ranking lists them last.  A bad file is a DataError.
+    The merge starts from the first file's archive, as its reader built it.
     """
-    merged = Archive()
-    for path in paths:
-        path = Path(path)
-        reader = read_archive_json if path.suffix == ".json" else read_archive_csv
-        merged.merge(reader(path))
+    archives = (_read_archive(Path(path)) for path in paths)
+    merged = next(archives, Archive())
+    for archive in archives:
+        merged.merge(archive)
     return merged
+
+
+def _read_archive(path: Path) -> Archive:
+    reader = read_archive_json if path.suffix == ".json" else read_archive_csv
+    return reader(path)
 
 
 def write_manifest(path, manifest: RunManifest) -> None:

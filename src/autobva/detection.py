@@ -147,32 +147,24 @@ class Runner:
         return execute(self.sut, inputs)
 
 
-def _neighbors(inputs: InputTuple) -> Iterator[InputTuple]:
-    """Every one-step neighbor of ``inputs``, argument by argument, the
-    increment before the decrement.  A boolean has exactly one, its flip."""
-    for index, v in enumerate(inputs):
-        head, tail = inputs[:index], inputs[index + 1:]
-        if isinstance(v, bool):
-            yield head + (not v,) + tail
-        else:
-            yield head + (v + 1,) + tail
-            yield head + (v - 1,) + tail
-
-
 def lns_search(runner: Runner, inputs: InputTuple,
                output_distance: OutputDistance = STRLEN) -> list:
-    """Probe every one-step neighbor of the starting point; return the pairs
-    whose outputs differ, in neighbor order."""
+    """Probe every one-step neighbor of the starting point, argument by
+    argument, the increment before the decrement (a boolean has one, its
+    flip); return the pairs whose outputs differ, in that order."""
     run, key = runner.run, output_distance.key
     base_outcome = run(inputs)
     base_text = base_outcome.text
     base_key = key(base_text)
     found = []
-    for neighbor in _neighbors(inputs):
-        outcome = run(neighbor)
-        if key(outcome.text) != base_key:
-            d_o = output_distance.function(base_text, outcome.text)
-            found.append(make_candidate(inputs, base_outcome, neighbor, outcome, d_o))
+    for index, v in enumerate(inputs):
+        head, tail = inputs[:index], inputs[index + 1:]
+        for value in (not v,) if isinstance(v, bool) else (v + 1, v - 1):
+            neighbor = head + (value,) + tail
+            outcome = run(neighbor)
+            if key(outcome.text) != base_key:
+                d_o = output_distance.function(base_text, outcome.text)
+                found.append(make_candidate(inputs, base_outcome, neighbor, outcome, d_o))
     return found
 
 

@@ -5,6 +5,12 @@ Plain uniform sampling over a wide integer domain almost always yields huge
 magnitudes; bituniform sampling first draws a bit length and then a value of
 that length, spreading the mass over magnitudes.  CTS additionally picks a
 concrete compatible type (down to Bool) per argument before sampling.
+
+The generator is a ``random.Random``.  Every draw below a bound n calls its
+``getrandbits`` directly and runs the loop ``Random._randbelow`` runs, inline,
+so values and generator state equal those of ``randrange`` and ``choice``.
+Each configuration's domains and per-domain draw specs are computed once and
+cached (``_plan``), as ``compatible_types`` is.
 """
 
 from __future__ import annotations
@@ -105,6 +111,53 @@ class SamplerConfig:
         return replace(self, **changes)
 
 
+# A domain's draw spec: (kind, n, k, lo, signed).  The first draw is below
+# n, with k = n.bit_length() bits a try; what it means depends on the kind.
+_BOOL, _UNIFORM, _BITUNIFORM = 0, 1, 2
+
+
+@lru_cache(maxsize=None)
+def _spec(domain: TypeDomain, method: str) -> tuple:
+    """The draw spec of ``domain`` under a sampling method."""
+    if domain.signedness == "boolean":
+        return (_BOOL, 2, 2, 0, False)
+    if method == "uniform":
+        lo, hi = domain.bounds()
+        n = hi - lo + 1
+        return (_UNIFORM, n, n.bit_length(), lo, False)
+    width = domain.bit_width
+    return (_BITUNIFORM, width, width.bit_length(), 0, domain.signedness in ("signed", "big"))
+
+
+def _draw(getrandbits, spec: tuple) -> Value:
+    """One value by its draw spec.  Each draw below n runs the loop of
+    ``Random._randbelow`` inline: ``getrandbits(n.bit_length())`` until
+    the result is below n."""
+    kind, n, k, lo, signed = spec
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    if kind == _UNIFORM:
+        return lo + r
+    if kind == _BOOL:
+        return bool(r)
+    # bituniform: r is the bit length; the magnitude is drawn below half
+    # = 2^(r-1) with r bits a try, as _randbelow(half) draws it
+    if r:
+        half = 1 << (r - 1)
+        m = getrandbits(r)
+        while m >= half:
+            m = getrandbits(r)
+        r = half + m
+    if signed:
+        s = getrandbits(2)
+        while s >= 2:
+            s = getrandbits(2)
+        if s:
+            return -r
+    return r
+
+
 def sample_value(domain: TypeDomain, config: SamplerConfig, rng: random.Random) -> Value:
     """Draw one value from a concrete domain.
 
@@ -113,34 +166,41 @@ def sample_value(domain: TypeDomain, config: SamplerConfig, rng: random.Random) 
     two's-complement extreme negative is never produced, so every value
     survives a +/-1 mutation inside the domain.
 
-    Draws call ``rng._randbelow`` directly: ``randrange``, ``randint`` and
-    ``choice`` reduce to exactly that call for the non-empty ranges drawn
-    here, so values and the generator's state are the same as through them.
+    ``rng`` must be a ``random.Random``: draws call its ``getrandbits`` and
+    run the loop of ``Random._randbelow`` inline.  ``randrange``,
+    ``randint`` and ``choice`` reduce to exactly that loop for the non-empty
+    ranges drawn here, so values and the generator's state are the same as
+    through them.
     """
-    below = rng._randbelow
-    if domain.signedness == "boolean":
-        return bool(below(2))
-    if config.method == "uniform":
-        lo, hi = domain.bounds()
-        return lo + below(hi - lo + 1)
-    length = below(domain.bit_width)
-    magnitude = 0 if length == 0 else (1 << (length - 1)) + below(1 << (length - 1))
-    if domain.signedness in ("signed", "big") and below(2):
-        return -magnitude
-    return magnitude
+    return _draw(rng.getrandbits, _spec(domain, config.method))
+
+
+@lru_cache(maxsize=None)
+def _plan(method: str, cts: bool, big_int_bit_cap: int) -> tuple:
+    """The sampling plan of a configuration: the domains an argument is
+    drawn from, the bound and bit length of the draw that picks one (0 and
+    0 without CTS, which draws none), and each domain's draw spec."""
+    domains = compatible_types(big_int_bit_cap) if cts else (_big(big_int_bit_cap),)
+    n = len(domains) if cts else 0
+    return domains, n, n.bit_length(), tuple(_spec(d, method) for d in domains)
 
 
 def sample_arguments(sut: SutDescriptor, config: SamplerConfig,
                      rng: random.Random) -> list:
-    """Per-argument (value, domain) pairs; the domain feeds search truncation."""
+    """Per-argument (value, domain) pairs; the domain feeds search truncation.
+
+    Draws as ``sample_value`` does, after drawing each argument's domain
+    the way ``rng.choice(compatible_types(...))`` would."""
+    domains, n, k, specs = _plan(config.method, config.cts, config.big_int_bit_cap)
+    getrandbits = rng.getrandbits
     out = []
     for _ in range(sut.arity):
-        if config.cts:
-            domains = compatible_types(config.big_int_bit_cap)
-            domain = domains[rng._randbelow(len(domains))]
-        else:
-            domain = _big(config.big_int_bit_cap)
-        out.append((sample_value(domain, config, rng), domain))
+        i = 0
+        if n:
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+        out.append((_draw(getrandbits, specs[i]), domains[i]))
     return out
 
 

@@ -314,6 +314,24 @@ def test_load_archives_unions_strategies_and_renders_keys_once(tmp_path, monkeyp
     assert len(renders) == 2 * (len(lns.archive) + len(bcs.archive))
 
 
+def test_load_archives_of_one_file_is_the_read_archive(tmp_path, monkeypatch):
+    _, lns = _run(seed=1, strategy="lns")
+    for path, read in ((tmp_path / "lns.json", read_archive_json),
+                       (tmp_path / "lns.csv", read_archive_csv)):
+        (write_archive_json if path.suffix == ".json" else write_archive_csv)(path, lns.archive)
+        # the reader adds each candidate once; nothing copies them into a
+        # second archive
+        adds = []
+        add = Archive.add
+        monkeypatch.setattr(Archive, "add", lambda self, *args: adds.append(1) or add(self, *args))
+        loaded = load_archives([path])
+        monkeypatch.setattr(Archive, "add", add)
+        assert len(adds) == len(lns.archive)
+        reread = read(path)
+        assert list(loaded) == list(reread) == list(lns.archive)
+        assert loaded.strategies == reread.strategies == lns.archive.strategies
+
+
 def test_manifest_file(tmp_path):
     cfg, result = _run(seed=3, iterations=200)
     manifest = RunManifest.from_result("bytecount", cfg, result)

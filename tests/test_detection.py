@@ -85,6 +85,9 @@ def test_bcs_first_step_draws_randrange_then_choice():
         direction = reference.choice(("increment", "decrement"))
         assert bcs_first_step(rng, arity) == (argument, 1 if direction == "increment" else -1)
     assert rng.getstate() == reference.getstate()
+    # randrange refuses an empty range
+    with pytest.raises(ValueError):
+        bcs_first_step(rng, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +349,12 @@ def _reference_lns_search(runner, inputs, output_distance=STRLEN):
     included."""
     run = runner.run
     base_outcome = run(inputs)
+    neighbors = []
+    for index, v in enumerate(inputs):
+        steps = [not v] if type(v) is bool else [v + 1, v - 1]
+        neighbors += [inputs[:index] + (value,) + inputs[index + 1:] for value in steps]
     return [scored_pair(inputs, base_outcome, neighbor, run(neighbor), output_distance)
-            for neighbor in detection._neighbors(inputs)]
+            for neighbor in neighbors]
 
 
 def _reference_bcs_search(runner, output_distance, inputs, step, domains=None,

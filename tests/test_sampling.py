@@ -147,18 +147,45 @@ def _reference_sample_arguments(sut, config, rng):
     return out
 
 
+def test_randbelow_is_the_getrandbits_loop():
+    # sampling and bcs_first_step run this loop inline; should a Python
+    # change the algorithm behind randrange and choice, seeded runs would
+    # no longer match them, so fail here first
+    assert Random._randbelow is Random._randbelow_with_getrandbits
+
+
 @pytest.mark.parametrize("method", ["uniform", "bituniform"])
 @pytest.mark.parametrize("cts", [True, False])
 @pytest.mark.parametrize("sut", ["bytecount", "bmi", "bmi-class", "date"])
 def test_sample_arguments_equals_randrange_reference(method, cts, sut):
-    cfg = SamplerConfig(method=method, cts=cts, big_int_bit_cap=80)
+    # BigInt caps at the minimum, between and past the fixed 64- and
+    # 128-bit domains
     desc = get_sut(sut)
-    rng, ref = Random(sut), Random(sut)
+    for cap in (64, 80, 129):
+        cfg = SamplerConfig(method=method, cts=cts, big_int_bit_cap=cap)
+        rng, ref = Random(sut), Random(sut)
+        for _ in range(3000):
+            got = sample_arguments(desc, cfg, rng)
+            want = _reference_sample_arguments(desc, cfg, ref)
+            assert got == want, cap
+            assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+        assert rng.getstate() == ref.getstate(), cap
+
+
+@pytest.mark.parametrize("method", ["uniform", "bituniform"])
+@pytest.mark.parametrize(
+    "domain",
+    compatible_types() + (TypeDomain("BigInt", "big", 64), TypeDomain("BigInt", "big", 129)),
+    ids=lambda d: f"{d.name}-{d.bit_width}",
+)
+def test_sample_value_equals_randrange_reference(domain, method):
+    cfg = SamplerConfig(method=method)
+    rng, ref = Random(domain.name), Random(domain.name)
     for _ in range(3000):
-        got = sample_arguments(desc, cfg, rng)
-        want = _reference_sample_arguments(desc, cfg, ref)
+        got = sample_value(domain, cfg, rng)
+        want = _reference_sample_value(domain, cfg, ref)
         assert got == want
-        assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+        assert type(got) is type(want)
     assert rng.getstate() == ref.getstate()
 
 
