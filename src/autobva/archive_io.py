@@ -55,7 +55,7 @@ class RunManifest:
     sut: str
     strategy: str
     seed: int
-    budget: dict                     # {"seconds": x} or {"iterations": n}
+    budget: dict                     # {"seconds": x}, {"iterations": n} or {"executions": n}
     sampling: dict = field(default_factory=dict)
     distance: str = "strlen"
     threshold: str = "0"

@@ -77,6 +77,7 @@ def _detection_config(args) -> DetectionConfig:
         strategy=args.strategy,
         budget_seconds=args.seconds,
         budget_iterations=args.iterations,
+        budget_executions=args.executions,
         threshold=args.threshold,
         output_distance=parse_distance(args.distance),
         sampler=replace(sampler, seed=_effective_seed(sampler.seed)),
@@ -129,6 +130,9 @@ def _add_detect_flags(p):
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--seconds", type=_positive_float, default=None)
     budget.add_argument("--iterations", type=_non_negative_int, default=None)
+    budget.add_argument("--executions", type=_non_negative_int, default=None,
+                        help="stop drawing samples once the searches have made this "
+                             "many SUT executions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampling", choices=["uniform", "bituniform"], default="bituniform")
     p.add_argument("--cts", choices=["on", "off"], default="on")
@@ -151,7 +155,7 @@ def _add_detect_flags(p):
 def cmd_detect(args) -> int:
     sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
                   external_jobs=args.jobs)
-    if args.seconds is None and args.iterations is None:
+    if args.seconds is None and args.iterations is None and args.executions is None:
         args.seconds = 30.0
     config = _detection_config(args)
     result = detect(sut, config)
@@ -228,7 +232,7 @@ def cmd_experiment(args) -> int:
 
     sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
                   external_jobs=args.jobs)
-    if args.seconds is None and args.iterations is None:
+    if args.seconds is None and args.iterations is None and args.executions is None:
         args.iterations = 1000  # iteration budgets keep repetitions deterministic
     config = _detection_config(args)
     strategies = [s.strip() for s in args.strategies.split(",")]

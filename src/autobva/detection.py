@@ -25,7 +25,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Collection, Iterable, Iterator, Optional
 
 from .distances import STRLEN, Distance, OutputDistance, pdq
@@ -43,6 +42,10 @@ class BoundaryCandidate:
     The constructor puts the sides in ascending input order, so the same
     boundary discovered from either side deduplicates to one entry.  Both
     distances are symmetric, so the score is orientation-independent.
+    ``key``, the rendered input pair, is the candidate's identity in
+    archives and reports.  The constructor renders it, since nearly every
+    candidate built is offered to an archive; under a ``detect`` threshold
+    above 0, pairs at or below it are rendered too.
     """
 
     input1: InputTuple
@@ -63,13 +66,7 @@ class BoundaryCandidate:
         d["input2"] = input2
         d["output2"] = output2
         d["score"] = score
-
-    @cached_property
-    def key(self) -> tuple:
-        """The rendered input pair, the candidate's identity in archives and
-        reports; rendered on first use and kept, so pairs that never reach
-        an archive never pay for it."""
-        return (render_tuple(self.input1), render_tuple(self.input2))
+        d["key"] = (render_tuple(input1), render_tuple(input2))
 
     @property
     def validity(self) -> str:
@@ -277,6 +274,7 @@ class DetectionConfig:
     strategy: str = "bcs"                         # one of STRATEGIES
     budget_seconds: Optional[float] = None
     budget_iterations: Optional[int] = None
+    budget_executions: Optional[int] = None
     threshold: Fraction = Fraction(0)
     output_distance: OutputDistance = STRLEN
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -284,8 +282,9 @@ class DetectionConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.budget_seconds is None and self.budget_iterations is None:
-            raise ValueError("a budget (seconds or iterations) is required")
+        if self.budget_seconds is None and self.budget_iterations is None \
+                and self.budget_executions is None:
+            raise ValueError("a budget (seconds, iterations or executions) is required")
         # scores are never negative: a threshold below 0 would only admit
         # equal-output pairs, which the searches do not return
         if self.threshold < 0:
@@ -293,9 +292,12 @@ class DetectionConfig:
 
     @property
     def budget(self) -> dict:
-        """The budget as manifests and reports record it."""
+        """The budget as manifests and reports record it: iterations, else
+        executions, else seconds, whichever is set first in that order."""
         if self.budget_iterations is not None:
             return {"iterations": self.budget_iterations}
+        if self.budget_executions is not None:
+            return {"executions": self.budget_executions}
         return {"seconds": self.budget_seconds}
 
 
@@ -320,11 +322,17 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
     are archived in sample order.  Archive, counts and generator state are
     therefore those of a serial run.  Under a seconds budget no sample is
     drawn after the deadline; searches already started finish and count.
+    Under an executions budget no sample is drawn once the searches already
+    archived have made that many executions, so a run overshoots by less
+    than one search.  Searches drawn ahead of that point, when several run
+    at once, are dropped uncounted, so archive and counts are those of a
+    serial run; only the generator has advanced past their draws.
     """
     rng = rng or random.Random(config.sampler.seed)
     archive = Archive()
     strategy, output_distance, threshold = config.strategy, config.output_distance, config.threshold
     iterations, seconds = config.budget_iterations, config.budget_seconds
+    cap = config.budget_executions if iterations is None else None
     start = time.monotonic()
 
     def draws() -> Iterator[tuple]:
@@ -332,6 +340,9 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
         while True:
             if iterations is not None:
                 if drawn >= iterations:
+                    return
+            elif cap is not None:
+                if executions >= cap:
                     return
             elif time.monotonic() - start >= seconds:
                 return
@@ -355,6 +366,8 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
 
     samples, executions, tags = 0, 0, (strategy,)
     for found, spent in _ordered_map(search, draws(), sut.concurrency):
+        if cap is not None and executions >= cap:
+            break   # drawn ahead of the spent budget: dropped, and the pool shuts down
         samples += 1
         executions += spent
         for candidate in found:

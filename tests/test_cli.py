@@ -591,6 +591,53 @@ def test_external_detect_is_identical_at_any_jobs(tmp_path, strategy):
     assert json.loads(runs[0]["manifest.json"])["counts"]["samples"] == 12
 
 
+# A Python external SUT: errors below zero, and an odd last digit adds a
+# word, so one-step pairs differ in length above zero; below it, BCS expands
+# until the number of digits changes.
+PYTHON_SUT = """#!{python} -IS
+import sys
+v = sys.argv[1]
+if v.startswith("-"):
+    sys.stderr.write("negative " + v + "\\n")
+    sys.exit(3)
+print(str(len(v)) + " digits" + (" odd" if v[-1] in "13579" else ""))
+"""
+
+
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_external_detect_executions_budget_is_identical_at_any_jobs(tmp_path, strategy):
+    script = tmp_path / "sut.py"
+    script.write_text(PYTHON_SUT.format(python=sys.executable))
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    elapsed = re.compile(rb'"elapsed_seconds": [0-9.e-]+')
+    runs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("detect", "--sut", f"external:{script}", "--strategy", strategy,
+                       "--executions", "30", "--seed", "2", "--jobs", jobs,
+                       "--out", str(out)) == 0
+        runs.append({name: elapsed.sub(b'"elapsed_seconds": 0', (out / name).read_bytes())
+                     for name in ("archive.csv", "archive.json", "manifest.json")})
+    assert runs[0] == runs[1]
+    manifest = json.loads(runs[0]["manifest.json"])
+    assert manifest["budget"] == {"executions": 30}
+    assert manifest["counts"]["executions"] >= 30
+    assert b"negative " in runs[0]["archive.json"] and b" digits odd" in runs[0]["archive.json"]
+
+
+@pytest.mark.parametrize("command", ["detect", "experiment"])
+def test_budget_flags_exclude_each_other(command, capsys):
+    for flags in (["--executions", "5", "--iterations", "5"],
+                  ["--executions", "5", "--seconds", "1"]):
+        assert run_cli(command, "--sut", "bytecount", *flags) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_detect_executions_below_zero_is_usage_error(capsys):
+    assert run_cli("detect", "--sut", "bytecount", "--executions", "-1") == 1
+    assert capsys.readouterr().err.startswith("usage error: argument --executions: ")
+
+
 # An external SUT that errs below zero and on inputs ending in 7, so its VE
 # pairs have the error on either side; its error texts carry no prefix.
 EITHER_SIDE_SUT = """#!/bin/sh

@@ -518,6 +518,53 @@ def test_detect_wall_clock_budget():
     assert result.samples > 0
 
 
+def _archived(result):
+    return [(c, c.score, sorted(result.archive.strategies[c.key])) for c in result.archive]
+
+
+@pytest.mark.parametrize("sut_name", ["bytecount", "bmi", "bmi-class", "date"])
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_detect_executions_budget_overshoots_by_less_than_one_search(sut_name, strategy):
+    """The run is the serial run of as many samples as it took to reach the
+    budget: one sample fewer stays below it."""
+    sut, budget = get_sut(sut_name), 3000
+
+    def run(**budgets):
+        return detect(sut, DetectionConfig(strategy=strategy, sampler=SamplerConfig(seed=4),
+                                           **budgets))
+
+    result = run(budget_executions=budget)
+    by_samples = run(budget_iterations=result.samples)
+    assert (result.samples, result.executions) == (by_samples.samples, by_samples.executions)
+    assert _archived(result) == _archived(by_samples)
+    assert run(budget_iterations=result.samples - 1).executions < budget <= result.executions
+
+
+def test_detect_zero_executions_draws_nothing():
+    result = detect(BC, DetectionConfig(strategy="lns", budget_executions=0))
+    assert (len(result.archive), result.samples, result.executions) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_concurrent_detect_executions_budget_drops_searches_drawn_ahead(monkeypatch, strategy):
+    drawn = []
+    sample = detection.sample_arguments
+    monkeypatch.setattr(detection, "sample_arguments",
+                        lambda *args: drawn.append(1) or sample(*args))
+
+    def run(sut):
+        drawn.clear()
+        result = detect(sut, DetectionConfig(strategy=strategy, budget_executions=2000,
+                                             sampler=SamplerConfig(seed=6)))
+        return _archived(result), result.samples, result.executions, len(drawn)
+
+    serial = run(DATE)
+    concurrent = run(dataclasses.replace(DATE, concurrency=4))
+    assert concurrent[:3] == serial[:3]
+    assert serial[3] == serial[1]       # a serial run draws no sample it drops
+    assert concurrent[3] > concurrent[1]
+
+
 def test_detect_fixed_seed_is_deterministic():
     def run():
         cfg = DetectionConfig(strategy="bcs", budget_iterations=400,
@@ -539,6 +586,11 @@ def test_detection_config_budget():
     assert DetectionConfig(budget_iterations=5).budget == {"iterations": 5}
     assert DetectionConfig(budget_seconds=1.5).budget == {"seconds": 1.5}
     assert DetectionConfig(budget_iterations=0, budget_seconds=2.0).budget == {"iterations": 0}
+    assert DetectionConfig(budget_executions=7).budget == {"executions": 7}
+    assert DetectionConfig(budget_executions=7, budget_seconds=2.0).budget == {"executions": 7}
+    assert DetectionConfig(budget_iterations=3, budget_executions=7).budget == {"iterations": 3}
+    with pytest.raises(ValueError, match="budget"):
+        DetectionConfig()
 
 
 def test_detect_config_validation():

@@ -555,6 +555,49 @@ def test_silhouette_bits_survive_relabelling():
         assert silhouette(matrix, rng.permutation(k)[assignment]).hex() == expected, trial
 
 
+def _shared_cluster_partitions(rng, n, k):
+    """Partitions of n points that share clusters: a base partition, the
+    same under permuted labels, with two clusters merged, with one split,
+    with a few points moved, and with the last members of two clusters
+    swapped, which keeps every cluster's size and first member."""
+    base = rng.randint(0, k, size=n)
+    base[:k] = rng.permutation(k)                   # every label occurs
+    merged = np.where(base == k - 1, 0, base)       # k - 1 clusters
+    split = base.copy()
+    members = np.flatnonzero(base == 0)
+    split[members[len(members) // 2:]] = k          # k + 1 clusters
+    moved = base.copy()
+    moved[rng.randint(k, n, size=3)] = 1
+    swapped = base.copy()
+    last0, last1 = np.flatnonzero(base == 0)[-1], np.flatnonzero(base == 1)[-1]
+    swapped[[last0, last1]] = 1, 0
+    return [base, rng.permutation(k)[base], merged, split, moved,
+            rng.permutation(k + 1)[split], swapped, base]
+
+
+def test_silhouette_cluster_memo_keeps_every_bit():
+    rng = np.random.RandomState(21)
+    reused = 0
+    for trial in range(32):
+        k = 2 + trial % 8
+        n = int(rng.randint(300, 700)) if trial % 4 == 0 else int(rng.randint(k + 2, 160))
+        if trial % 3 == 0:   # repeated columns, as feature matrices have
+            matrix = rng.rand(4, 2 * k + 3)[:, rng.randint(0, 2 * k + 3, size=n)]
+        else:
+            matrix = rng.rand(4, n)
+        distances = point_distances(matrix)
+        cluster_sums: dict = {}
+        for assignment in _shared_cluster_partitions(rng, n, k):
+            if len(np.unique(assignment)) < 2:
+                continue
+            held = len(cluster_sums)
+            got = silhouette(matrix, assignment, distances, cluster_sums)
+            reused += len(np.unique(assignment)) - (len(cluster_sums) - held)
+            assert got.hex() == silhouette(matrix, assignment, distances).hex(), trial
+            assert got.hex() == silhouette(matrix, assignment).hex(), trial
+    assert reused > 100     # the memo answered most clusters
+
+
 def test_silhouette_two_tight_far_clusters():
     m = _four_point_matrix()
     assert silhouette(m, np.array([0, 0, 1, 1])) > 0.9
@@ -698,6 +741,54 @@ def test_summarize_memo_selects_what_scoring_every_restart_selects(tmp_path, mon
                         lambda *args, scores=None, **kwargs: memoizing(*args, **kwargs))
     assert report_bytes("scored.json") == (memoized, 200)   # VE and EE, 100 restarts each
     assert memo_calls < 200
+
+
+def test_summarize_cluster_memo_changes_no_report(tmp_path, monkeypatch):
+    archive = _date_archive()
+
+    def report_bytes(name):
+        path = tmp_path / name
+        write_report_json(path, summarize(archive, Random(0), restarts=100))
+        return path.read_bytes()
+
+    memoized = report_bytes("memoized.json")
+    summing = summarization.kmeans
+    monkeypatch.setattr(summarization, "kmeans",
+                        lambda *args, cluster_sums=None, **kwargs: summing(*args, **kwargs))
+    assert report_bytes("summed.json") == memoized
+
+
+class _CountingMemo(dict):
+    def __init__(self):
+        super().__init__()
+        self.inserts = 0
+
+    def __setitem__(self, key, value):
+        self.inserts += 1
+        super().__setitem__(key, value)
+
+
+def test_summarize_sums_each_distinct_cluster_once_per_group(monkeypatch):
+    memos, member_sets = {}, {}
+    clustering = summarization.kmeans
+
+    def counting(matrix, k, rng, cluster_sums=None, **kwargs):
+        # a group's own memo stays referenced, so its id names the group
+        group = id(cluster_sums)
+        memo = memos.setdefault(group, (cluster_sums, _CountingMemo()))[1]
+        model = clustering(matrix, k, rng, cluster_sums=memo, **kwargs)
+        member_sets.setdefault(group, set()).update(
+            np.flatnonzero(model.assignment == label).tobytes()
+            for label in np.unique(model.assignment))
+        return model
+
+    monkeypatch.setattr(summarization, "kmeans", counting)
+    summarize(_date_archive(), Random(0), restarts=100)
+    assert len(memos) == 2     # VE and EE; VV is too small to cluster
+    for group, (_, memo) in memos.items():
+        # keyed by ascending member indices, each inserted once
+        assert set(memo) == member_sets[group]
+        assert memo.inserts == len(memo)
 
 
 def test_summarize_computes_candidate_features_once_per_group(monkeypatch):
