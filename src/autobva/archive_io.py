@@ -24,13 +24,17 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .detection import Archive, BoundaryCandidate, DetectionResult
 from .sampling import SamplerConfig
+from .suts import MAX_OUTPUT_BYTES
 from .values import ExecutionOutcome, parse_tuple, display_tuple
 
 if TYPE_CHECKING:   # summarization loads numpy, which reading and writing archives never use
     from .summarization import ClusterReport
 
 # An error kind is empty on a valid side; strategies are sorted names joined
-# by ";".  Error payloads are not stored in CSV.
+# by ";".  Error payloads are not stored in CSV.  The longest text an outcome
+# holds is an external stream of MAX_OUTPUT_BYTES, each byte at worst kept
+# as a 4-character escape.
+CSV_FIELD_LIMIT = 4 * MAX_OUTPUT_BYTES
 CSV_HEADER = ["input1", "input2", "output1", "output2", "validity", "score_num", "score_den",
               "error_kind1", "error_kind2", "strategies"]
 
@@ -93,6 +97,8 @@ def _reading(path) -> Iterator[None]:
         raise DataError(f"not UTF-8 text: {exc}", path) from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc}", path, exc.lineno) from exc
+    except RecursionError as exc:
+        raise DataError("nested too deeply to parse", path) from exc
 
 
 def load_json(path):
@@ -144,9 +150,13 @@ def _record_from_row(row: list) -> dict:
 def read_archive_csv(path) -> Archive:
     """The stored candidates, kept at any score; a bad row is a DataError
     naming its line."""
+    csv.field_size_limit(max(csv.field_size_limit(), CSV_FIELD_LIMIT))
     with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise DataError(str(exc), path, 1) from exc
         if header == CSV_HEADER[:7]:
             raise DataError("old 7-column format without error sides; use the run's archive.json", path, 1)
         if header != CSV_HEADER:
@@ -230,7 +240,7 @@ def _decode(records, path, locate) -> Archive:
         for record in records:
             archive.add(*_candidate_from_record(record))
             decoded += 1
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, csv.Error) as exc:
         line, prefix = locate(decoded)
         raise DataError(f"{prefix}{exc}", path, line) from exc
     return archive

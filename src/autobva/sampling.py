@@ -16,6 +16,7 @@ cached (``_plan``), as ``compatible_types`` is.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -92,6 +93,16 @@ class SamplerConfig:
             raise ValueError(f"sampling.method must be 'uniform' or 'bituniform', got {self.method!r}")
         if self.big_int_bit_cap < 64:
             raise ValueError(f"sampling.big_int_bit_cap must be at least 64, got {self.big_int_bit_cap}")
+        # inputs are rendered as decimal text, so the cap's largest magnitude,
+        # 2 ** (cap - 1), must have at most the digits Python converts; 10 ** d
+        # is no power of two, so that holds for caps up to its bit length.
+        # Pythons before 3.10.7 have no such limit
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        most = (10 ** digits).bit_length()
+        if digits and self.big_int_bit_cap > most:
+            raise ValueError(f"sampling.big_int_bit_cap must be at most {most}, "
+                             f"since Python converts integers of at most {digits} digits "
+                             f"(sys.get_int_max_str_digits()), got {self.big_int_bit_cap}")
 
     def settings(self) -> dict:
         """The configuration under the setting names manifests record."""

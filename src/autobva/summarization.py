@@ -48,7 +48,8 @@ class TextDistances:
     counts are exact integers in float64, so each entry equals
     ``float(jaccard_ngram(2, s, t))``.  Per candidate, by position, the table
     keeps its two text indices (``rows``, 2 x n), raw strlendist (``wd``) and
-    within-pair distance (``pair``), each computed once.
+    within-pair distance (``pair``, from the two texts' gram id sets), each
+    computed once.
     """
 
     def __init__(self, candidates: Sequence[BoundaryCandidate]):
@@ -66,7 +67,9 @@ class TextDistances:
         self.rows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
         self.wd = np.array([strlendist(c.output1.text, c.output2.text) for c in candidates],
                            dtype=np.intp)
-        self.pair = self.pairs(*self.rows)
+        sets = [frozenset(ids) for ids in per_text]
+        inter = np.array([len(sets[i] & sets[j]) for i, j in rows], dtype=float)
+        self.pair = _jaccard(inter, self._sizes[self.rows[0]], self._sizes[self.rows[1]])
 
     def _cells(self, rows: np.ndarray) -> tuple:
         """(position in ``rows``, gram id) of every gram of the rows' texts."""
@@ -98,18 +101,6 @@ class TextDistances:
         present = self._grams_of(cols)
         inter = self._incidence(rows, present) @ self._incidence(cols, present).T
         return _jaccard(inter, self._sizes[rows][:, None], self._sizes[cols][None, :])
-
-    def pairs(self, rows1, rows2) -> np.ndarray:
-        """Distance from text ``rows1[i]`` to text ``rows2[i]`` for each i,
-        ``TEXT_ROWS`` pairs at a time."""
-        rows1, rows2 = np.asarray(rows1, dtype=np.intp), np.asarray(rows2, dtype=np.intp)
-        inter = np.empty(len(rows1))
-        for top in range(0, len(rows1), TEXT_ROWS):
-            chunk1, chunk2 = rows1[top:top + TEXT_ROWS], rows2[top:top + TEXT_ROWS]
-            present = self._grams_of(chunk2)
-            inter[top:top + TEXT_ROWS] = np.einsum("ij,ij->i", self._incidence(chunk1, present),
-                                                   self._incidence(chunk2, present))
-        return _jaccard(inter, self._sizes[rows1], self._sizes[rows2])
 
 
 class FeatureSpace:
@@ -223,17 +214,16 @@ def _squared_distances(matrix: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
            max_iter: int = KMEANS_MAX_ITER,
            distances: Optional[np.ndarray] = None,
-           scores: Optional[dict] = None,
-           cluster_sums: Optional[dict] = None) -> ClusteringModel:
+           memo: Optional[dict] = None) -> ClusteringModel:
     """Lloyd's algorithm on the feature matrix columns, Euclidean metric.
 
     Initial centroids are k distinct random data points; an emptied cluster
     is reseeded with the point farthest from its assigned centroid among
     the clusters of two or more points.
-    ``distances`` is the matrix's ``point_distances``, passed on to
-    ``silhouette`` so restarts on one matrix can share it.  Centroids are
-    per-cluster bincount sums, which add each cluster's points in index
-    order exactly as a masked mean does.
+    ``distances`` is the matrix's ``point_distances`` and ``memo`` the
+    silhouette memo of restarts on one matrix; both are passed on to
+    ``silhouette``.  Centroids are per-cluster bincount sums, which add each
+    cluster's points in index order exactly as a masked mean does.
 
     After the first iteration each assignment is a function of the one
     before: the centroids are its bincount means and reseeding draws
@@ -242,15 +232,6 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
     ``max_iter - 1`` would reach is one already computed; it is returned
     without running the rest.  Every transition of the cycle has run, so
     ``reseeded`` is already what the full loop would give.
-
-    ``scores`` memoizes silhouettes across restarts on one matrix and
-    ``distances``: it maps an assignment, relabelled in first-appearance
-    order, to its score.  Relabelling leaves every bit of the score alone,
-    since ``silhouette`` sums each cluster's columns in index order, takes
-    ``b`` as a minimum and adds the points' scores in point order.
-    ``cluster_sums``, the same restarts' memo of cluster row sums, goes to
-    ``silhouette`` with each partition not yet scored, so a cluster shared
-    by several partitions is summed once.
     """
     features, n = matrix.shape
     if not 2 <= k <= n:
@@ -289,14 +270,8 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
                            minlength=features * k)
         centroids = (sums.reshape(features, k) / counts).T
         states.append((assignment, centroids))
-    scores = {} if scores is None else scores
-    first = np.unique(assignment, return_index=True)[1]
-    relabel = np.empty(k, dtype=np.min_scalar_type(k))
-    relabel[np.argsort(first)] = np.arange(len(first))
-    key = relabel[assignment].tobytes()
-    if key not in scores:
-        scores[key] = silhouette(matrix, assignment, distances, cluster_sums)
-    return ClusteringModel(k, centroids, assignment, scores[key], reseeded)
+    return ClusteringModel(k, centroids, assignment,
+                           silhouette(matrix, assignment, distances, memo), reseeded)
 
 
 def point_distances(matrix: np.ndarray) -> np.ndarray:
@@ -312,7 +287,7 @@ def point_distances(matrix: np.ndarray) -> np.ndarray:
 
 def silhouette(matrix: np.ndarray, assignment: np.ndarray,
                distances: Optional[np.ndarray] = None,
-               cluster_sums: Optional[dict] = None) -> float:
+               memo: Optional[dict] = None) -> float:
     """Mean silhouette score over all points; singleton clusters contribute 0.
 
     ``distances`` defaults to ``point_distances(matrix)``.  The columns are
@@ -322,26 +297,33 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
     ``SILHOUETTE_ROWS`` at a time, so the sums read a block that is still
     in cache.  The per-point scores then add left to right.
 
-    ``cluster_sums`` memoizes row sums across partitions of one matrix and
-    ``distances``: it maps a cluster's member indices, ascending, as bytes,
-    to each point's summed distance to those members.  Only the clusters it
-    lacks are gathered and summed, over the same slices, so every sum keeps
-    its bits.  It holds one float64 row of the matrix's width per distinct
-    cluster: on the bench's seed-0 ``date`` EE group (950 points) that is
-    1.6, 2.5 and 3.9 MiB at 100, 300 and 1000 restarts.
+    ``memo`` carries work across partitions of one matrix and
+    ``distances``.  A cluster's key is its member indices, ascending, as
+    bytes; it maps to each point's summed distance to those members.  A
+    partition's key is the frozenset of its cluster keys; it maps to the
+    partition's score, which does not depend on the labels, since ``b`` is
+    a minimum.  A partition already scored returns at once, and only the
+    clusters the memo lacks are gathered and summed, over the same slices,
+    so every score keeps its bits.  The memo holds one float64 row of the
+    matrix's width per distinct cluster: on the bench's seed-0 ``date`` EE
+    group (950 points) that is 1.6, 2.5 and 3.9 MiB at 100, 300 and 1000
+    restarts.  Each distinct partition's key adds up to 8 bytes per point.
     """
     labels, sizes = np.unique(assignment, return_counts=True)
     if len(labels) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    if distances is None:
-        distances = point_distances(matrix)
-    cluster_sums = {} if cluster_sums is None else cluster_sums
-    n = len(assignment)
+    memo = {} if memo is None else memo
     order = np.argsort(assignment, kind="stable")
     ends = np.cumsum(sizes)
     starts = ends - sizes
     keys = [order[start:end].tobytes() for start, end in zip(starts, ends)]
-    missing = [i for i, key in enumerate(keys) if key not in cluster_sums]
+    partition = frozenset(keys)
+    if partition in memo:
+        return memo[partition]
+    if distances is None:
+        distances = point_distances(matrix)
+    n = len(assignment)
+    missing = [i for i, key in enumerate(keys) if key not in memo]
     if missing:
         members = np.concatenate([order[starts[i]:ends[i]] for i in missing])
         bounds = np.cumsum(sizes[missing])
@@ -356,8 +338,8 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
             for cluster, cluster_columns in zip(fresh, columns):
                 np.add.reduce(grouped[:, cluster_columns], axis=1, out=cluster[rows])
         for i, cluster in zip(missing, fresh):
-            cluster_sums[keys[i]] = cluster
-    sums = np.array([cluster_sums[key] for key in keys]).T
+            memo[keys[i]] = cluster
+    sums = np.array([memo[key] for key in keys]).T
     own = np.searchsorted(labels, assignment)
     points = np.arange(n)
     own_size = sizes[own]
@@ -369,7 +351,8 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
     scores = np.zeros(n)
     counted = (own_size > 1) & (denom > 0)   # singletons contribute 0
     scores[counted] = (b[counted] - a[counted]) / denom[counted]
-    return float(np.cumsum(scores)[-1]) / n
+    memo[partition] = score = float(np.cumsum(scores)[-1]) / n
+    return score
 
 
 def select_model(models: Sequence[ClusteringModel]) -> ClusteringModel:
@@ -455,7 +438,7 @@ def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
              restarts: int, block: int, window: int) -> tuple:
     """(member lists, silhouette) of a group of three or more candidates.
 
-    Everything built here, from the group's feature table to its memos and
+    Everything built here, from the group's feature table to its memo and
     pairwise distances, is freed on return, before the next group starts.
     """
     distances = TextDistances(group)
@@ -463,10 +446,9 @@ def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
     space = FeatureSpace(distances, subset)
     pairwise = point_distances(space.matrix)
     ks = list(range(2, min(K_MAX, len(subset)) + 1))
-    scores: dict = {}
-    cluster_sums: dict = {}
+    memo: dict = {}
     models = [kmeans(space.matrix, ks[i % len(ks)], random.Random(rng.getrandbits(64)),
-                     distances=pairwise, scores=scores, cluster_sums=cluster_sums)
+                     distances=pairwise, memo=memo)
               for i in range(restarts)]
     best = select_model(models)
     nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
@@ -486,11 +468,10 @@ def summarize(archive: Archive, rng: random.Random,
     groups go through diversity subsetting, `restarts` k-means runs cycling
     k over 2..min(K_MAX, subset size), silhouette model selection, and
     nearest-centroid attachment of the diversity-dropped candidates.
-    A group's restarts share one silhouette memo (see ``kmeans``), so each
-    distinct partition of its subset is scored once, and one memo of
-    cluster row sums (see ``silhouette``), so each distinct cluster among
-    those partitions is summed once; both live only while that group is
-    clustered.
+    A group's restarts share one silhouette memo (see ``silhouette``), so
+    each distinct partition of its subset is scored once and each distinct
+    cluster among those partitions is summed once; the memo lives only
+    while that group is clustered.
     """
     groups = []
     for validity in ("VV", "VE", "EE"):

@@ -461,3 +461,21 @@ def test_write_archive_json_equals_json_dumps(tmp_path, json_cases, case):
         assert kinds == {"bounds_error", "argument_error"}
         payloads = [c.output2.payload for c in archive]
         assert {"exit_code": 3} in payloads and {"accessed": "kMGTPE", "index": 7} in payloads
+
+
+def test_csv_round_trip_of_the_longest_texts(tmp_path):
+    """Texts as long as an external run can print: 1 MiB of bytes that are
+    not UTF-8 decode to four characters each."""
+    from autobva.suts import MAX_OUTPUT_BYTES, _decode
+    from autobva.values import ExecutionOutcome
+    longest = _decode(bytearray(b"\x80" * MAX_OUTPUT_BYTES))
+    assert len(longest) == 4 * 2**20
+    archive = Archive()
+    for i, text in enumerate(("y" * 200000, longest)):
+        archive.add(make_candidate((2 * i,), ExecutionOutcome(text), (2 * i + 1,),
+                                   ExecutionOutcome("short"), Fraction(1)), ("lns",))
+    path = tmp_path / "archive.csv"
+    write_archive_csv(path, archive)
+    loaded = read_archive_csv(path)
+    assert [(c.key, c.output1.text, c.output2.text) for c in loaded] == \
+        [(c.key, c.output1.text, c.output2.text) for c in archive]

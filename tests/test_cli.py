@@ -779,3 +779,91 @@ def test_detect_rank_and_oracle_load_no_numpy_or_subprocess(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
     assert (tmp_path / "report" / "report.json").exists()
+
+
+def _deep_json(path):
+    path.write_text("[" * 100000 + "]" * 100000)
+    return path
+
+
+@pytest.mark.parametrize("command", ["summarize", "config", "report"])
+def test_deeply_nested_json_is_data_error(tmp_path, capsys, command):
+    deep = _deep_json(tmp_path / "deep.json")
+    if command == "summarize":
+        argv = ["summarize", str(deep), "--out", str(tmp_path / "rep")]
+    elif command == "config":
+        argv = ["detect", "--sut", "bytecount", "--iterations", "1", "--config", str(deep),
+                "--out", str(tmp_path / "run")]
+    else:
+        run = tmp_path / "run"
+        assert run_cli("detect", "--sut", "bytecount", "--iterations", "50",
+                       "--out", str(run)) == 0
+        capsys.readouterr()
+        argv = ["rank", str(run / "archive.json"), "--report", str(deep),
+                "--out", str(tmp_path / "ranked.csv")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"data error: {deep}: nested too deeply to parse\n"
+
+
+@pytest.mark.parametrize("line", [1, 3])
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+def test_csv_field_over_the_limit_is_data_error(tmp_path, capsys, command, line):
+    from autobva.archive_io import CSV_FIELD_LIMIT
+    rows = [",".join(CSV_HEADER), "1,2,a,b,VV,1,1,,,", "3,4,a,y,VV,1,1,,,"]
+    rows[line - 1] = rows[line - 1].replace("a", "a" * (CSV_FIELD_LIMIT + 1), 1)
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / ("rep" if command == "summarize" else "ranked.csv")
+    assert run_cli(command, str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {path}:{line}: field larger than field limit")
+    assert not out.exists()
+
+
+@pytest.fixture
+def int_digits():
+    """The default limit on decimal digits in int-string conversion, set for
+    the test and restored after it."""
+    held = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(held)
+
+
+def test_big_int_cap_past_decimal_digit_limit_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                             int_digits):
+    # 2 ** 14284 has 4300 digits, 2 ** 14285 has 4301
+    assert len(str(1 << 14284)) == int_digits
+    import autobva.detection as detection
+
+    def drawn(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(detection, "sample_arguments", drawn)
+    out = tmp_path / "run"
+    assert run_cli("detect", "--sut", "date", "--strategy", "lns", "--iterations", "500",
+                   "--seed", "1", "--big-int-bit-cap", "14286", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "usage error: sampling.big_int_bit_cap must be at most 14285, since Python converts "
+        "integers of at most 4300 digits (sys.get_int_max_str_digits()), got 14286\n")
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sampling.big_int_bit_cap": 14286}))
+    assert run_cli("detect", "--sut", "date", "--iterations", "500", "--config", str(cfg),
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"data error: {cfg}: sampling.big_int_bit_cap must be at most 14285")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sut", ["date", "bytecount"])
+@pytest.mark.parametrize("strategy", ["lns", "bcs"])
+def test_big_int_cap_at_decimal_digit_limit_runs_and_reads_back(tmp_path, sut, strategy,
+                                                                int_digits):
+    out = tmp_path / "run"
+    assert run_cli("detect", "--sut", sut, "--strategy", strategy, "--iterations", "300",
+                   "--seed", "1", "--big-int-bit-cap", "14285", "--out", str(out)) == 0
+    from_csv, from_json = read_archive_csv(out / "archive.csv"), read_archive_json(out / "archive.json")
+    assert len(from_json) and [c.key for c in from_csv] == [c.key for c in from_json]
+    if sut == "date":   # bytecount's boundaries all sit at small magnitudes
+        assert max(len(part) for c in from_json for part in c.key) > 1000

@@ -105,12 +105,10 @@ def test_text_distances_equal_exact_jaccard_on_date_outputs():
     assert {c.output1.text for c in group} | {c.output2.text for c in group} == set(texts)
     rows = list(distances.index.values())
     block = distances.block(rows, rows)
-    firsts, seconds = np.repeat(rows, len(rows)), np.tile(rows, len(rows))
-    pairs = distances.pairs(firsts, seconds).reshape(len(rows), len(rows))
     for s, i in distances.index.items():
         for t, j in distances.index.items():
-            expected = float(jaccard_ngram(2, s, t))
-            assert block[i, j] == expected and pairs[i, j] == expected, (s, t)
+            assert block[i, j] == float(jaccard_ngram(2, s, t)), (s, t)
+    assert not np.diagonal(block).any()
     # blocks over row and column subsets, in any order, keep every entry
     picked = rows[::-7]
     assert (distances.block(picked, rows[5:40]) == block[np.ix_(picked, rows[5:40])]).all()
@@ -453,13 +451,13 @@ def test_kmeans_silhouette_memo_changes_no_model():
     distinct = rng.rand(4, 6)
     matrix = distinct[:, rng.randint(0, 6, size=600)]
     distances = point_distances(matrix)
-    scores: dict = {}
+    memo: dict = {}
     memoized, scored = [], []
     for restart in range(100):
         k = 2 + restart % 9
-        memoized.append(kmeans(matrix, k, Random(restart), distances=distances, scores=scores))
+        memoized.append(kmeans(matrix, k, Random(restart), distances=distances, memo=memo))
         scored.append(kmeans(matrix, k, Random(restart), distances=distances))
-    assert len(scores) < 60
+    assert _partition_keys(memo) < 60
     for got, expected in zip(memoized, scored):
         assert got.assignment.tolist() == expected.assignment.tolist()
         assert got.centroids.tolist() == expected.centroids.tolist()
@@ -575,6 +573,14 @@ def _shared_cluster_partitions(rng, n, k):
             rng.permutation(k + 1)[split], swapped, base]
 
 
+def _cluster_keys(memo):
+    return sum(isinstance(key, bytes) for key in memo)
+
+
+def _partition_keys(memo):
+    return sum(isinstance(key, frozenset) for key in memo)
+
+
 def test_silhouette_cluster_memo_keeps_every_bit():
     rng = np.random.RandomState(21)
     reused = 0
@@ -586,16 +592,41 @@ def test_silhouette_cluster_memo_keeps_every_bit():
         else:
             matrix = rng.rand(4, n)
         distances = point_distances(matrix)
-        cluster_sums: dict = {}
+        memo: dict = {}
         for assignment in _shared_cluster_partitions(rng, n, k):
             if len(np.unique(assignment)) < 2:
                 continue
-            held = len(cluster_sums)
-            got = silhouette(matrix, assignment, distances, cluster_sums)
-            reused += len(np.unique(assignment)) - (len(cluster_sums) - held)
+            held = _cluster_keys(memo)
+            got = silhouette(matrix, assignment, distances, memo)
+            reused += len(np.unique(assignment)) - (_cluster_keys(memo) - held)
             assert got.hex() == silhouette(matrix, assignment, distances).hex(), trial
             assert got.hex() == silhouette(matrix, assignment).hex(), trial
     assert reused > 100     # the memo answered most clusters
+
+
+def test_silhouette_memo_answers_a_relabelled_partition(monkeypatch):
+    rng = np.random.RandomState(8)
+    matrix = rng.rand(4, 90)
+    assignment = rng.randint(0, 5, size=90)
+    assignment[:5] = range(5)
+    memo: dict = {}
+    first = silhouette(matrix, assignment, point_distances(matrix), memo)
+    held = dict(memo)
+    assert _partition_keys(memo) == 1
+
+    def recomputed(matrix):
+        raise AssertionError("a scored partition was recomputed")
+
+    monkeypatch.setattr(summarization, "point_distances", recomputed)
+    for permutation in ([4, 3, 2, 1, 0], [1, 0, 2, 4, 3], [2, 4, 0, 3, 1]):
+        relabelled = np.array(permutation)[assignment]
+        assert silhouette(matrix, relabelled, memo=memo).hex() == first.hex()
+    assert memo == held
+    # a partition it has not scored is computed, with the same bits as alone
+    moved = assignment.copy()
+    moved[10] = (moved[10] + 1) % 5
+    monkeypatch.undo()
+    assert silhouette(matrix, moved, memo=memo).hex() == silhouette(matrix, moved).hex()
 
 
 def test_silhouette_two_tight_far_clusters():
@@ -724,23 +755,33 @@ def test_summarize_golden_report(tmp_path, seed, digest, options):
 
 def test_summarize_memo_selects_what_scoring_every_restart_selects(tmp_path, monkeypatch):
     archive = _date_archive()
-    calls = []
-    scored = summarization.silhouette
-    monkeypatch.setattr(summarization, "silhouette",
-                        lambda *args: calls.append(1) or scored(*args))
+    clustering = summarization.kmeans
+    memos = {}
 
-    def report_bytes(name):
-        calls.clear()
+    def keeping(*args, memo=None, **kwargs):
+        memos[id(memo)] = memo
+        return clustering(*args, memo=memo, **kwargs)
+
+    def report_bytes(name, kmeans):
+        monkeypatch.setattr(summarization, "kmeans", kmeans)
         path = tmp_path / name
         write_report_json(path, summarize(archive, Random(0), restarts=100))
-        return path.read_bytes(), len(calls)
+        return path.read_bytes()
 
-    memoized, memo_calls = report_bytes("memoized.json")
-    memoizing = summarization.kmeans
-    monkeypatch.setattr(summarization, "kmeans",
-                        lambda *args, scores=None, **kwargs: memoizing(*args, **kwargs))
-    assert report_bytes("scored.json") == (memoized, 200)   # VE and EE, 100 restarts each
-    assert memo_calls < 200
+    memoized = report_bytes("memoized.json", keeping)
+    scored = report_bytes("scored.json",
+                          lambda *args, memo=None, **kwargs: clustering(*args, **kwargs))
+    assert scored == memoized
+    assert len(memos) == 2     # VE and EE, 100 restarts each
+    assert 0 < sum(map(_partition_keys, memos.values())) < 200
+
+
+class _ClusterSumsOnly(dict):
+    """A silhouette memo that keeps cluster row sums but no partition score."""
+
+    def __setitem__(self, key, value):
+        if isinstance(key, bytes):
+            super().__setitem__(key, value)
 
 
 def test_summarize_cluster_memo_changes_no_report(tmp_path, monkeypatch):
@@ -752,10 +793,13 @@ def test_summarize_cluster_memo_changes_no_report(tmp_path, monkeypatch):
         return path.read_bytes()
 
     memoized = report_bytes("memoized.json")
-    summing = summarization.kmeans
-    monkeypatch.setattr(summarization, "kmeans",
-                        lambda *args, cluster_sums=None, **kwargs: summing(*args, **kwargs))
+    # every restart scores its partition, over the row sums its group's
+    # restarts share; holding the group's own memo keeps its id unique
+    summing, shared = summarization.kmeans, {}
+    monkeypatch.setattr(summarization, "kmeans", lambda *args, memo=None, **kwargs: summing(
+        *args, memo=shared.setdefault(id(memo), (memo, _ClusterSumsOnly()))[1], **kwargs))
     assert report_bytes("summed.json") == memoized
+    assert len(shared) == 2     # VE and EE
 
 
 class _CountingMemo(dict):
@@ -772,11 +816,11 @@ def test_summarize_sums_each_distinct_cluster_once_per_group(monkeypatch):
     memos, member_sets = {}, {}
     clustering = summarization.kmeans
 
-    def counting(matrix, k, rng, cluster_sums=None, **kwargs):
+    def counting(matrix, k, rng, memo=None, **kwargs):
         # a group's own memo stays referenced, so its id names the group
-        group = id(cluster_sums)
-        memo = memos.setdefault(group, (cluster_sums, _CountingMemo()))[1]
-        model = clustering(matrix, k, rng, cluster_sums=memo, **kwargs)
+        group = id(memo)
+        counted = memos.setdefault(group, (memo, _CountingMemo()))[1]
+        model = clustering(matrix, k, rng, memo=counted, **kwargs)
         member_sets.setdefault(group, set()).update(
             np.flatnonzero(model.assignment == label).tobytes()
             for label in np.unique(model.assignment))
@@ -787,27 +831,28 @@ def test_summarize_sums_each_distinct_cluster_once_per_group(monkeypatch):
     assert len(memos) == 2     # VE and EE; VV is too small to cluster
     for group, (_, memo) in memos.items():
         # keyed by ascending member indices, each inserted once
-        assert set(memo) == member_sets[group]
+        assert {key for key in memo if isinstance(key, bytes)} == member_sets[group]
         assert memo.inserts == len(memo)
 
 
 def test_summarize_computes_candidate_features_once_per_group(monkeypatch):
     # VE 28 and EE 143 are clustered, with diversity rounds on both; VV 2 is not
-    calls = {"strlendist": 0, "pairs": 0}
-    strlendist_, pairs = summarization.strlendist, TextDistances.pairs
+    calls = {"strlendist": 0, "TextDistances": 0}
+    strlendist_ = summarization.strlendist
 
     def counted_strlendist(*args):
         calls["strlendist"] += 1
         return strlendist_(*args)
 
-    def counted_pairs(*args):
-        calls["pairs"] += 1
-        return pairs(*args)
+    class CountedTextDistances(TextDistances):
+        def __init__(self, *args):
+            calls["TextDistances"] += 1
+            super().__init__(*args)
 
     monkeypatch.setattr(summarization, "strlendist", counted_strlendist)
-    monkeypatch.setattr(TextDistances, "pairs", counted_pairs)
+    monkeypatch.setattr(summarization, "TextDistances", CountedTextDistances)
     summarize(_date_archive(), Random(0), restarts=20, block=6, window=20)
-    assert calls == {"strlendist": 28 + 143, "pairs": 2}
+    assert calls == {"strlendist": 28 + 143, "TextDistances": 2}
 
 
 def test_summarize_memory_is_bounded_by_the_window():
