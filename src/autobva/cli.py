@@ -74,10 +74,8 @@ def _detection_config(args) -> DetectionConfig:
     if args.config:
         sampler = read_sampler_config(args.config, sampler)
     return DetectionConfig(
+        budget=args.budget,
         strategy=args.strategy,
-        budget_seconds=args.seconds,
-        budget_iterations=args.iterations,
-        budget_executions=args.executions,
         threshold=args.threshold,
         output_distance=parse_distance(args.distance),
         sampler=replace(sampler, seed=_effective_seed(sampler.seed)),
@@ -124,13 +122,23 @@ def _non_negative_rational(text: str) -> Fraction:
     return value
 
 
+class _Budget(argparse.Action):
+    """Stores ``--KIND AMOUNT`` as the budget ``{KIND: AMOUNT}``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, {self.option_strings[0][2:]: values})
+
+
 def _add_detect_flags(p):
     p.add_argument("--sut", required=True,
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
     budget = p.add_mutually_exclusive_group()
-    budget.add_argument("--seconds", type=_positive_float, default=None)
-    budget.add_argument("--iterations", type=_non_negative_int, default=None)
-    budget.add_argument("--executions", type=_non_negative_int, default=None,
+    budget.add_argument("--seconds", dest="budget", metavar="SECONDS", action=_Budget,
+                        type=_positive_float)
+    budget.add_argument("--iterations", dest="budget", metavar="ITERATIONS", action=_Budget,
+                        type=_non_negative_int)
+    budget.add_argument("--executions", dest="budget", metavar="EXECUTIONS", action=_Budget,
+                        type=_non_negative_int,
                         help="stop drawing samples once the searches have made this "
                              "many SUT executions")
     p.add_argument("--seed", type=int, default=0)
@@ -155,8 +163,6 @@ def _add_detect_flags(p):
 def cmd_detect(args) -> int:
     sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
                   external_jobs=args.jobs)
-    if args.seconds is None and args.iterations is None and args.executions is None:
-        args.seconds = 30.0
     config = _detection_config(args)
     result = detect(sut, config)
     out = Path(args.out)
@@ -232,8 +238,6 @@ def cmd_experiment(args) -> int:
 
     sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
                   external_jobs=args.jobs)
-    if args.seconds is None and args.iterations is None and args.executions is None:
-        args.iterations = 1000  # iteration budgets keep repetitions deterministic
     config = _detection_config(args)
     strategies = [s.strip() for s in args.strategies.split(",")]
     result = run_experiment(sut, config, strategies=strategies,
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run one detection search")
     _add_detect_flags(p)
     p.add_argument("--strategy", choices=STRATEGIES, default=DetectionConfig.strategy)
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, budget={"seconds": 30.0})
 
     p = sub.add_parser("summarize", help="cluster archives into a report")
     p.add_argument("archives", nargs="+", help="archive.csv / archive.json files")
@@ -295,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--strategies", default=",".join(STRATEGIES))
     p.add_argument("--restarts", type=_positive_int, default=100)
-    p.set_defaults(func=cmd_experiment, strategy=DetectionConfig.strategy)
+    # an iterations budget keeps repetitions deterministic
+    p.set_defaults(func=cmd_experiment, strategy=DetectionConfig.strategy,
+                   budget={"iterations": 1000})
 
     return parser
 

@@ -19,6 +19,7 @@ generator state stay those of a serial run.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -271,10 +272,8 @@ def _threaded_map(fn, items: Iterable, width: int) -> Iterator:
 
 @dataclass
 class DetectionConfig:
+    budget: dict                                  # {"seconds": s}, {"iterations": n} or {"executions": n}
     strategy: str = "bcs"                         # one of STRATEGIES
-    budget_seconds: Optional[float] = None
-    budget_iterations: Optional[int] = None
-    budget_executions: Optional[int] = None
     threshold: Fraction = Fraction(0)
     output_distance: OutputDistance = STRLEN
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -282,23 +281,22 @@ class DetectionConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.budget_seconds is None and self.budget_iterations is None \
-                and self.budget_executions is None:
-            raise ValueError("a budget (seconds, iterations or executions) is required")
+        if not (isinstance(self.budget, dict) and len(self.budget) == 1
+                and next(iter(self.budget)) in ("seconds", "iterations", "executions")):
+            raise ValueError("budget must map one of seconds, iterations or executions to "
+                             f"an amount, got {self.budget!r}")
+        (kind, amount), = self.budget.items()
+        # what the CLI accepts: a NaN or infinite deadline is never reached,
+        # and a bool would be recorded as true or false
+        if kind == "seconds":
+            if type(amount) not in (int, float) or not 0 < amount < math.inf:
+                raise ValueError(f"budget seconds must be finite and above 0, got {amount!r}")
+        elif type(amount) is not int or amount < 0:
+            raise ValueError(f"budget {kind} must be an integer at least 0, got {amount!r}")
         # scores are never negative: a threshold below 0 would only admit
         # equal-output pairs, which the searches do not return
         if self.threshold < 0:
             raise ValueError(f"threshold must be at least 0, got {self.threshold}")
-
-    @property
-    def budget(self) -> dict:
-        """The budget as manifests and reports record it: iterations, else
-        executions, else seconds, whichever is set first in that order."""
-        if self.budget_iterations is not None:
-            return {"iterations": self.budget_iterations}
-        if self.budget_executions is not None:
-            return {"executions": self.budget_executions}
-        return {"seconds": self.budget_seconds}
 
 
 @dataclass
@@ -331,24 +329,21 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
     rng = rng or random.Random(config.sampler.seed)
     archive = Archive()
     strategy, output_distance, threshold = config.strategy, config.output_distance, config.threshold
-    iterations, seconds = config.budget_iterations, config.budget_seconds
-    cap = config.budget_executions if iterations is None else None
+    (kind, amount), = config.budget.items()
+    drops = kind == "executions"
     start = time.monotonic()
+    # the budget spent so far, read once before each draw
+    if kind == "iterations":
+        spent = itertools.count().__next__     # so it returns the samples drawn
+    elif drops:
+        spent = lambda: executions
+    else:
+        spent = lambda: time.monotonic() - start
 
     def draws() -> Iterator[tuple]:
-        drawn = 0
-        while True:
-            if iterations is not None:
-                if drawn >= iterations:
-                    return
-            elif cap is not None:
-                if executions >= cap:
-                    return
-            elif time.monotonic() - start >= seconds:
-                return
+        while spent() < amount:
             pairs = sample_arguments(sut, config.sampler, rng)
             inputs = tuple(v for v, _ in pairs)
-            drawn += 1
             if strategy == "lns":
                 yield inputs, None, None
             else:
@@ -365,11 +360,11 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
         return found, runner.executions
 
     samples, executions, tags = 0, 0, (strategy,)
-    for found, spent in _ordered_map(search, draws(), sut.concurrency):
-        if cap is not None and executions >= cap:
+    for found, cost in _ordered_map(search, draws(), sut.concurrency):
+        if drops and executions >= amount:
             break   # drawn ahead of the spent budget: dropped, and the pool shuts down
         samples += 1
-        executions += spent
+        executions += cost
         for candidate in found:
             if candidate.score > threshold:
                 archive.add(candidate, tags)

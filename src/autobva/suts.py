@@ -27,7 +27,6 @@ from .values import (
     bounds_error,
     error_outcome,
     render_value,
-    valid_outcome,
 )
 
 
@@ -124,7 +123,7 @@ def bytecount(inputs: InputTuple) -> ExecutionOutcome:
     """
     (b,) = inputs
     if b < 1000:
-        return valid_outcome(render_value(b) + "B")
+        return ExecutionOutcome(render_value(b) + "B")
     f = _to_float(b)
     if math.isinf(f):
         exp = (len(str(b)) - 1) // 3
@@ -138,7 +137,7 @@ def bytecount(inputs: InputTuple) -> ExecutionOutcome:
         if exp > len(_BYTE_UNITS):
             return bounds_error(_BYTE_UNITS, exp)
         num = format(f / (1000.0 ** exp), ".1f")
-    return valid_outcome(f"{num} {_BYTE_UNITS[exp - 1]}B")
+    return ExecutionOutcome(f"{num} {_BYTE_UNITS[exp - 1]}B")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +161,7 @@ def bmi_value(inputs: InputTuple) -> ExecutionOutcome:
     height, weight = inputs
     if height < 0 or weight < 0:
         return _NEGATIVE_INPUT
-    return valid_outcome(render_float(_bmi_number(height, weight)))
+    return ExecutionOutcome(render_float(_bmi_number(height, weight)))
 
 
 def bmi_classification(inputs: InputTuple) -> ExecutionOutcome:
@@ -186,7 +185,7 @@ def bmi_classification(inputs: InputTuple) -> ExecutionOutcome:
         label = "Obese"
     else:
         label = "Severely obese"
-    return valid_outcome(label)
+    return ExecutionOutcome(label)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def date_ctor(inputs: InputTuple) -> ExecutionOutcome:
         return ExecutionOutcome(f'ArgumentError("Day: {day} out of range (1:{last})")',
                                 ARGUMENT_ERROR, {"field": "day", "value": day, "last": last})
     y, m, d = civil_from_rata_die(rata_die(year, month, day))
-    return valid_outcome(render_date(y, m, d))
+    return ExecutionOutcome(render_date(y, m, d))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +383,7 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
                         os.killpg(proc.pid, signal.SIGKILL)
                     proc.wait()
         if proc.returncode == 0:
-            return valid_outcome(_decode(stdout).strip())
+            return ExecutionOutcome(_decode(stdout).strip())
         message = _decode(stderr).strip() or f"exit code {proc.returncode}"
         return ExecutionOutcome(text=message, error_kind=ARGUMENT_ERROR,
                                 payload={"exit_code": proc.returncode})

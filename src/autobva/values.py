@@ -93,11 +93,6 @@ class ExecutionOutcome:
         return "valid" if self.error_kind is None else "error"
 
 
-# a valid outcome is one with no error kind; an alias, so building one is a
-# single constructor call
-valid_outcome = ExecutionOutcome
-
-
 def error_outcome(kind: str, message: str, **payload) -> ExecutionOutcome:
     """Build an error outcome with the canonical ``Kind("message")`` text."""
     label = _ERROR_LABELS.get(kind, "Error")

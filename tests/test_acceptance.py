@@ -39,16 +39,16 @@ RESULTS = []  # (label, PASS/FAIL, seconds); echoed by the conftest summary hook
 
 
 @contextmanager
-def criterion(label, budget_seconds=None):
-    # the budget is checked before the outcome is recorded, so the summary
+def criterion(label, time_limit=None):
+    # the time limit is checked before the outcome is recorded, so the summary
     # line always agrees with the pytest outcome
     start = time.perf_counter()
     status = "FAIL"
     try:
         yield
-        if budget_seconds is not None:
+        if time_limit is not None:
             elapsed = time.perf_counter() - start
-            assert elapsed < budget_seconds, f"{label} exceeded {budget_seconds}s"
+            assert elapsed < time_limit, f"{label} exceeded {time_limit}s"
         status = "PASS"
     finally:
         elapsed = time.perf_counter() - start
@@ -75,7 +75,7 @@ def test_criterion_1_quotient_table():
         (99951, 99952, "100.0 kB", "100.0 kB", 0, Fraction(0), 1, Fraction(0), 0.0),
         (99948, 99949, "99.9 kB", "99.9 kB", 0, Fraction(0), 1, Fraction(0), 0.0),
     ]
-    with criterion("1 quotient table", budget_seconds=1.0):
+    with criterion("1 quotient table", time_limit=1.0):
         for a, b, o1, o2, sd, j1, di, p1, p2 in rows:
             t1, t2 = out(BC, a), out(BC, b)
             assert (t1, t2) == (o1, o2)
@@ -155,7 +155,7 @@ DATE_ROWS = [
 
 def test_criterion_2_sut_golden_fixtures():
     """Every reproducible golden row across the four subject programs."""
-    with criterion("2 golden fixtures", budget_seconds=5.0):
+    with criterion("2 golden fixtures", time_limit=5.0):
         for value, text in BYTECOUNT_ROWS:
             assert out(BC, value) == text, value
         for args, label in BMI_CLASS_ROWS:
@@ -206,19 +206,19 @@ def test_criterion_2_bytecount_mixed_precision_rows():
 def test_criterion_3_detection_capability():
     """30-second runs: BCS >= 40 uniques incl. VE+EE, LNS >= 5, controls find 0."""
     with criterion("3 detection capability"):
-        bcs = detect(BC, DetectionConfig(strategy="bcs", budget_seconds=30.0,
+        bcs = detect(BC, DetectionConfig(strategy="bcs", budget={"seconds": 30.0},
                                          sampler=SamplerConfig(seed=0)))
         tags = {c.validity for c in bcs.archive}
         assert len(bcs.archive) >= 40, len(bcs.archive)
         assert "VE" in tags and "EE" in tags
 
-        lns = detect(BC, DetectionConfig(strategy="lns", budget_seconds=30.0,
+        lns = detect(BC, DetectionConfig(strategy="lns", budget={"seconds": 30.0},
                                          sampler=SamplerConfig(seed=0)))
         assert len(lns.archive) >= 5, len(lns.archive)
 
         plain = SamplerConfig(method="uniform", cts=False, seed=0)
         for strategy in ("bcs", "lns"):
-            control = detect(BC, DetectionConfig(strategy=strategy, budget_seconds=30.0,
+            control = detect(BC, DetectionConfig(strategy=strategy, budget={"seconds": 30.0},
                                                  sampler=plain))
             assert len(control.archive) == 0, (strategy, len(control.archive))
 
@@ -231,9 +231,9 @@ def test_criterion_3_detection_capability():
 def test_criterion_4_strategy_contrast():
     """On bmi-class, plain neighbor sampling out-collects the crossing search."""
     with criterion("4 strategy contrast"):
-        lns = detect(BMI_CLASS, DetectionConfig(strategy="lns", budget_seconds=30.0,
+        lns = detect(BMI_CLASS, DetectionConfig(strategy="lns", budget={"seconds": 30.0},
                                                 sampler=SamplerConfig(seed=42)))
-        bcs = detect(BMI_CLASS, DetectionConfig(strategy="bcs", budget_seconds=30.0,
+        bcs = detect(BMI_CLASS, DetectionConfig(strategy="bcs", budget={"seconds": 30.0},
                                                 sampler=SamplerConfig(seed=42)))
         assert len(lns.archive) > len(bcs.archive), (len(lns.archive), len(bcs.archive))
 
@@ -249,13 +249,13 @@ ORACLE_WINDOW_PAIRS = [
 
 def test_criterion_5_oracle_equivalence():
     """Exhaustive scan equals the frozen set; search results stay inside it."""
-    with criterion("5 oracle equivalence", budget_seconds=60.0):
+    with criterion("5 oracle equivalence", time_limit=60.0):
         scanned = boundary_pairs(BC, 0, 10**6)
         assert scanned == ORACLE_WINDOW_PAIRS
 
         window_set = set(ORACLE_WINDOW_PAIRS)
         for strategy in ("bcs", "lns"):
-            run = detect(BC, DetectionConfig(strategy=strategy, budget_iterations=4000,
+            run = detect(BC, DetectionConfig(strategy=strategy, budget={"iterations": 4000},
                                              sampler=SamplerConfig(seed=5)))
             for c in run.archive:
                 a, b = c.input1[0], c.input2[0]
@@ -285,7 +285,7 @@ def test_criterion_5_oracle_equivalence():
 def _merged_bcs_archives(seeds=range(10), iterations=3000):
     merged = Archive()
     for seed in seeds:
-        run = detect(BC, DetectionConfig(strategy="bcs", budget_iterations=iterations,
+        run = detect(BC, DetectionConfig(strategy="bcs", budget={"iterations": iterations},
                                          sampler=SamplerConfig(seed=seed)))
         for c in run.archive:
             merged.add(c, ("bcs",))
@@ -294,7 +294,7 @@ def _merged_bcs_archives(seeds=range(10), iterations=3000):
 
 def test_criterion_6_summarization():
     """Merged archives cluster into 1 VE + 1 EE + 5..8 VV at silhouette >= 0.90."""
-    with criterion("6 summarization", budget_seconds=120.0):
+    with criterion("6 summarization", time_limit=120.0):
         merged = _merged_bcs_archives()
         report = summarize(merged, Random(0), restarts=100)
         ve, ee, vv = report.group("VE"), report.group("EE"), report.group("VV")
@@ -356,7 +356,7 @@ def test_criterion_7_property_suites(tmp_path):
             assert levenshtein(a, b) >= strlendist(a, b)
 
         # archive uniqueness and threshold invariants on a seeded run
-        run = detect(BC, DetectionConfig(strategy="bcs", budget_iterations=2000,
+        run = detect(BC, DetectionConfig(strategy="bcs", budget={"iterations": 2000},
                                          sampler=SamplerConfig(seed=31)))
         keys = [c.key for c in run.archive]
         assert len(keys) == len(set(keys))
@@ -402,7 +402,7 @@ def test_criterion_7_property_suites(tmp_path):
 
         # fixed-seed determinism: byte-identical archives and reports
         def artifacts(tag):
-            run = detect(BC, DetectionConfig(strategy="bcs", budget_iterations=1500,
+            run = detect(BC, DetectionConfig(strategy="bcs", budget={"iterations": 1500},
                                              sampler=SamplerConfig(seed=77)))
             csv_path = tmp_path / f"{tag}.csv"
             json_path = tmp_path / f"{tag}.json"

@@ -38,7 +38,7 @@ def executed_pair(sut, i1, i2):
 
 
 def _run(seed=0, iterations=1500, strategy="bcs"):
-    cfg = DetectionConfig(strategy=strategy, budget_iterations=iterations,
+    cfg = DetectionConfig(strategy=strategy, budget={"iterations": iterations},
                           sampler=SamplerConfig(seed=seed))
     return cfg, detect(BC, cfg)
 
@@ -424,7 +424,7 @@ def json_cases():
     merged.merge(result.archive)
     _, bcs = _run(seed=5)
     merged.merge(bcs.archive)
-    bmi = detect(get_sut("bmi"), DetectionConfig(strategy="lns", budget_iterations=100))
+    bmi = detect(get_sut("bmi"), DetectionConfig(strategy="lns", budget={"iterations": 100}))
     for c in bmi.archive:
         merged.add(c)  # no strategy: written as an empty list
     assert any(len(tags) == 2 for tags in merged.strategies.values())

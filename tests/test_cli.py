@@ -14,6 +14,7 @@ import pytest
 
 from autobva.archive_io import CSV_HEADER, read_archive_csv, read_archive_json
 from autobva.cli import main
+from autobva.detection import DetectionConfig
 from autobva.sampling import SamplerConfig, sample_input
 from autobva.suts import get_sut
 from autobva.values import render_value
@@ -537,6 +538,19 @@ def test_experiment_harness(tmp_path):
     assert all(s["unique"] <= doc["union_total"] for s in doc["strategies"].values())
 
 
+@pytest.mark.parametrize("repetitions", [0, -1])
+def test_run_experiment_refuses_fewer_than_one_repetition(monkeypatch, repetitions):
+    """Refused before any run or summary: with no runs, experiment.md would
+    have no mean to show."""
+    import autobva.experiment as experiment
+
+    for name in ("detect", "summarize"):
+        monkeypatch.setattr(experiment, name, lambda *args, **kwargs: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=f"repetitions must be at least 1, got {repetitions}"):
+        experiment.run_experiment(get_sut("bytecount"), DetectionConfig(budget={"iterations": 10}),
+                                  repetitions=repetitions)
+
+
 def test_external_sut_through_cli(tmp_path):
     script = tmp_path / "wrap.sh"
     script.write_text("#!/bin/sh\nif [ \"$1\" -lt 100 ]; then echo small; else echo big; fi\n")
@@ -628,9 +642,36 @@ def test_external_detect_executions_budget_is_identical_at_any_jobs(tmp_path, st
 @pytest.mark.parametrize("command", ["detect", "experiment"])
 def test_budget_flags_exclude_each_other(command, capsys):
     for flags in (["--executions", "5", "--iterations", "5"],
-                  ["--executions", "5", "--seconds", "1"]):
+                  ["--executions", "5", "--seconds", "1"],
+                  ["--seconds", "1", "--iterations", "5"]):
         assert run_cli(command, "--sut", "bytecount", *flags) == 1
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, budget", [
+    ("detect", {"seconds": 30.0}),
+    ("experiment", {"iterations": 1000}),
+])
+def test_default_budgets(monkeypatch, tmp_path, command, budget):
+    """Without a budget flag, detect searches for 30 seconds and each
+    experiment run draws 1000 samples."""
+    import autobva.cli as cli
+    import autobva.experiment as experiment
+
+    configs = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(sut, config, *args, **kwargs):
+        configs.append(config)
+        raise Captured   # stops the command before any search
+
+    monkeypatch.setattr(cli, "detect", capture)
+    monkeypatch.setattr(experiment, "run_experiment", capture)
+    with pytest.raises(Captured):
+        run_cli(command, "--sut", "bytecount", "--out", str(tmp_path / "out"))
+    assert [config.budget for config in configs] == [budget]
 
 
 def test_detect_executions_below_zero_is_usage_error(capsys):

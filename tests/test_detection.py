@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -34,7 +35,7 @@ from autobva.distances import JACCARD2, LEVENSHTEIN, STRLEN, OutputDistance, par
 from autobva.oracle import boundary_pairs, is_boundary_pair
 from autobva.sampling import SamplerConfig, TypeDomain, sample_arguments
 from autobva.suts import SutDescriptor, execute, get_sut
-from autobva.values import valid_outcome
+from autobva.values import ExecutionOutcome
 
 BC = get_sut("bytecount")
 DATE = get_sut("date")
@@ -42,14 +43,14 @@ DATE = get_sut("date")
 
 def flat(arity):
     """A SUT whose output never changes."""
-    return SutDescriptor("flat", arity, lambda inputs: valid_outcome("x"))
+    return SutDescriptor("flat", arity, lambda inputs: ExecutionOutcome("x"))
 
 
 def parity(arity):
     """A SUT whose output length changes on every +/-1 step of any argument
     and on every boolean flip: one character more when the sum is odd."""
     return SutDescriptor("parity", arity,
-                         lambda inputs: valid_outcome("x" * (1 + sum(map(int, inputs)) % 2)))
+                         lambda inputs: ExecutionOutcome("x" * (1 + sum(map(int, inputs)) % 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def executed_pair(sut, i1, i2):
 
 
 def test_candidate_canonical_orientation():
-    o1, o2 = valid_outcome("10B"), valid_outcome("9B")
+    o1, o2 = ExecutionOutcome("10B"), ExecutionOutcome("9B")
     c = BoundaryCandidate((10,), o1, (9,), o2, Fraction(1))
     assert c.input1 == (9,) and c.input2 == (10,)
     assert c.output1.text == "9B" and c.output2.text == "10B"
@@ -124,7 +125,7 @@ def test_candidate_validity_tags():
 
 
 def test_candidate_is_a_frozen_value():
-    o1, o2 = valid_outcome("9B"), valid_outcome("10B")
+    o1, o2 = ExecutionOutcome("9B"), ExecutionOutcome("10B")
     c = BoundaryCandidate((9,), o1, (10,), o2, Fraction(1))
     fresh = BoundaryCandidate((9,), o1, (10,), o2, Fraction(1))
     assert c.key == ("9", "10")    # kept on c only; identity stays the five fields
@@ -156,7 +157,7 @@ def test_archive_deduplicates_both_orientations():
 
 def scored(score, at: int):
     """A candidate with the given score on the key (at, at + 1)."""
-    return BoundaryCandidate((at,), valid_outcome("a"), (at + 1,), valid_outcome("b"),
+    return BoundaryCandidate((at,), ExecutionOutcome("a"), (at + 1,), ExecutionOutcome("b"),
                              Fraction(score))
 
 
@@ -495,7 +496,7 @@ def test_searches_compute_each_output_distance_once(sut, distance):
 
 
 def test_detect_iteration_budget_and_counts():
-    cfg = DetectionConfig(strategy="lns", budget_iterations=50,
+    cfg = DetectionConfig(strategy="lns", budget={"iterations": 50},
                           sampler=SamplerConfig(seed=9))
     result = detect(BC, cfg)
     assert result.samples == 50
@@ -505,13 +506,13 @@ def test_detect_iteration_budget_and_counts():
 
 
 def test_detect_zero_iterations():
-    cfg = DetectionConfig(strategy="bcs", budget_iterations=0)
+    cfg = DetectionConfig(strategy="bcs", budget={"iterations": 0})
     result = detect(BC, cfg)
     assert len(result.archive) == 0 and result.samples == 0
 
 
 def test_detect_wall_clock_budget():
-    cfg = DetectionConfig(strategy="lns", budget_seconds=0.1,
+    cfg = DetectionConfig(strategy="lns", budget={"seconds": 0.1},
                           sampler=SamplerConfig(seed=1))
     result = detect(BC, cfg)
     assert result.elapsed >= 0.1
@@ -533,15 +534,15 @@ def test_detect_executions_budget_overshoots_by_less_than_one_search(sut_name, s
         return detect(sut, DetectionConfig(strategy=strategy, sampler=SamplerConfig(seed=4),
                                            **budgets))
 
-    result = run(budget_executions=budget)
-    by_samples = run(budget_iterations=result.samples)
+    result = run(budget={"executions": budget})
+    by_samples = run(budget={"iterations": result.samples})
     assert (result.samples, result.executions) == (by_samples.samples, by_samples.executions)
     assert _archived(result) == _archived(by_samples)
-    assert run(budget_iterations=result.samples - 1).executions < budget <= result.executions
+    assert run(budget={"iterations": result.samples - 1}).executions < budget <= result.executions
 
 
 def test_detect_zero_executions_draws_nothing():
-    result = detect(BC, DetectionConfig(strategy="lns", budget_executions=0))
+    result = detect(BC, DetectionConfig(strategy="lns", budget={"executions": 0}))
     assert (len(result.archive), result.samples, result.executions) == (0, 0, 0)
 
 
@@ -554,7 +555,7 @@ def test_concurrent_detect_executions_budget_drops_searches_drawn_ahead(monkeypa
 
     def run(sut):
         drawn.clear()
-        result = detect(sut, DetectionConfig(strategy=strategy, budget_executions=2000,
+        result = detect(sut, DetectionConfig(strategy=strategy, budget={"executions": 2000},
                                              sampler=SamplerConfig(seed=6)))
         return _archived(result), result.samples, result.executions, len(drawn)
 
@@ -567,7 +568,7 @@ def test_concurrent_detect_executions_budget_drops_searches_drawn_ahead(monkeypa
 
 def test_detect_fixed_seed_is_deterministic():
     def run():
-        cfg = DetectionConfig(strategy="bcs", budget_iterations=400,
+        cfg = DetectionConfig(strategy="bcs", budget={"iterations": 400},
                               sampler=SamplerConfig(seed=1234))
         archive = detect(BC, cfg).archive
         return [(c.key, c.score) for c in archive]
@@ -575,7 +576,7 @@ def test_detect_fixed_seed_is_deterministic():
 
 
 def test_detect_archives_known_boundary():
-    cfg = DetectionConfig(strategy="bcs", budget_iterations=2000,
+    cfg = DetectionConfig(strategy="bcs", budget={"iterations": 2000},
                           sampler=SamplerConfig(seed=0))
     result = detect(BC, cfg)
     keys = {c.key for c in result.archive}
@@ -583,25 +584,54 @@ def test_detect_archives_known_boundary():
 
 
 def test_detection_config_budget():
-    assert DetectionConfig(budget_iterations=5).budget == {"iterations": 5}
-    assert DetectionConfig(budget_seconds=1.5).budget == {"seconds": 1.5}
-    assert DetectionConfig(budget_iterations=0, budget_seconds=2.0).budget == {"iterations": 0}
-    assert DetectionConfig(budget_executions=7).budget == {"executions": 7}
-    assert DetectionConfig(budget_executions=7, budget_seconds=2.0).budget == {"executions": 7}
-    assert DetectionConfig(budget_iterations=3, budget_executions=7).budget == {"iterations": 3}
-    with pytest.raises(ValueError, match="budget"):
+    assert DetectionConfig(budget={"iterations": 5}).budget == {"iterations": 5}
+    assert DetectionConfig(budget={"seconds": 1.5}).budget == {"seconds": 1.5}
+    assert DetectionConfig(budget={"seconds": 2}).budget == {"seconds": 2}
+    assert DetectionConfig(budget={"executions": 7}).budget == {"executions": 7}
+    assert DetectionConfig(budget={"iterations": 0}).budget == {"iterations": 0}
+    assert DetectionConfig(budget={"executions": 0}).budget == {"executions": 0}
+    with pytest.raises(TypeError, match="budget"):
         DetectionConfig()
+
+
+@pytest.mark.parametrize("budget, message", [
+    ({}, "budget must map one of seconds, iterations or executions to an amount, got {}"),
+    ({"iterations": 0, "seconds": 2.0}, "budget must map one of"),
+    ({"iterations": 3, "executions": 7}, "budget must map one of"),
+    (None, "budget must map one of seconds, iterations or executions to an amount, got None"),
+    ([("iterations", 5)], "budget must map one of"),
+    ({"samples": 5}, "budget must map one of seconds, iterations or executions to an amount, "
+                     "got {'samples': 5}"),
+    ({"seconds": math.nan}, "budget seconds must be finite and above 0, got nan"),
+    ({"seconds": math.inf}, "budget seconds must be finite and above 0, got inf"),
+    ({"seconds": 0.0}, "budget seconds must be finite and above 0, got 0.0"),
+    ({"seconds": -1}, "budget seconds must be finite and above 0, got -1"),
+    ({"seconds": True}, "budget seconds must be finite and above 0, got True"),
+    ({"seconds": "30"}, "budget seconds must be finite and above 0, got '30'"),
+    ({"seconds": Fraction(1, 2)}, "budget seconds must be finite and above 0, got Fraction"),
+    ({"iterations": True}, "budget iterations must be an integer at least 0, got True"),
+    ({"executions": False}, "budget executions must be an integer at least 0, got False"),
+    ({"iterations": -1}, "budget iterations must be an integer at least 0, got -1"),
+    ({"executions": -5}, "budget executions must be an integer at least 0, got -5"),
+    ({"iterations": 5.0}, "budget iterations must be an integer at least 0, got 5.0"),
+    ({"executions": "7"}, "budget executions must be an integer at least 0, got '7'"),
+])
+def test_detection_config_refuses_a_budget_the_cli_refuses(budget, message):
+    """Configs only: a detect under a NaN or infinite deadline would never stop."""
+    with pytest.raises(ValueError) as refused:
+        DetectionConfig(budget=budget)
+    assert str(refused.value).startswith(message)
 
 
 def test_detect_config_validation():
     with pytest.raises(ValueError):
-        DetectionConfig(strategy="tabu", budget_iterations=1)
-    with pytest.raises(ValueError):
+        DetectionConfig(strategy="tabu", budget={"iterations": 1})
+    with pytest.raises(TypeError, match="budget"):
         DetectionConfig(strategy="bcs")
     for threshold in (Fraction(-1), Fraction(-1, 3 ** 60)):
         with pytest.raises(ValueError, match="threshold must be at least 0"):
-            DetectionConfig(threshold=threshold, budget_iterations=1)
-    assert DetectionConfig(threshold=Fraction(0), budget_iterations=1).threshold == 0
+            DetectionConfig(threshold=threshold, budget={"iterations": 1})
+    assert DetectionConfig(threshold=Fraction(0), budget={"iterations": 1}).threshold == 0
 
 
 @pytest.mark.parametrize("strategy", detection.STRATEGIES)
@@ -613,7 +643,7 @@ def test_detect_threshold_is_strict_and_exact(sut, strategy):
     1/3^60, far below float resolution around t."""
     def run(threshold):
         return detect(get_sut(sut), DetectionConfig(
-            strategy=strategy, budget_iterations=300, threshold=threshold,
+            strategy=strategy, budget={"iterations": 300}, threshold=threshold,
             sampler=SamplerConfig(seed=7)))
 
     base = run(Fraction(0))
@@ -695,7 +725,7 @@ GOLDEN_ARCHIVE_JSON = {
     GOLDEN_ARCHIVES)
 def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, iterations,
                                seed, samples, executions, candidates, digest):
-    cfg = DetectionConfig(strategy=strategy, budget_iterations=iterations,
+    cfg = DetectionConfig(strategy=strategy, budget={"iterations": iterations},
                           threshold=Fraction(threshold),
                           output_distance=parse_distance(distance),
                           sampler=SamplerConfig(seed=seed))
@@ -727,7 +757,7 @@ def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, ite
 def run_detect(sut, strategy, iterations, seed):
     """Archive entries, counts and the generator's final state of one run."""
     rng = Random(seed)
-    result = detect(sut, DetectionConfig(strategy=strategy, budget_iterations=iterations,
+    result = detect(sut, DetectionConfig(strategy=strategy, budget={"iterations": iterations},
                                          sampler=SamplerConfig(seed=seed)), rng)
     entries = [(c, c.score, sorted(result.archive.strategies[c.key])) for c in result.archive]
     return entries, result.samples, result.executions, rng.getstate()
@@ -766,7 +796,7 @@ def test_serial_detect_starts_no_thread(monkeypatch):
         return lns(*args)
 
     monkeypatch.setattr(detection, "lns_search", search)
-    detect(BC, DetectionConfig(strategy="lns", budget_iterations=50))
+    detect(BC, DetectionConfig(strategy="lns", budget={"iterations": 50}))
     assert searched_in == {threading.current_thread()}
     assert threading.active_count() == threads
 
@@ -781,7 +811,7 @@ def test_concurrent_detect_draws_in_the_calling_thread(monkeypatch):
 
     monkeypatch.setattr(detection, "sample_arguments", sample_arguments)
     detect(dataclasses.replace(BC, concurrency=4),
-           DetectionConfig(strategy="bcs", budget_iterations=100))
+           DetectionConfig(strategy="bcs", budget={"iterations": 100}))
     assert drawn_in == {threading.current_thread()}
 
 
@@ -791,7 +821,7 @@ def test_concurrent_detect_wall_clock_budget_counts_every_drawn_sample(monkeypat
     monkeypatch.setattr(detection, "sample_arguments",
                         lambda *args: drawn.append(1) or sample(*args))
     result = detect(dataclasses.replace(BC, concurrency=4),
-                    DetectionConfig(strategy="bcs", budget_seconds=0.1,
+                    DetectionConfig(strategy="bcs", budget={"seconds": 0.1},
                                     sampler=SamplerConfig(seed=1)))
     assert result.elapsed >= 0.1
     assert result.samples == len(drawn) > 0
@@ -804,7 +834,7 @@ def test_concurrent_detect_raises_a_search_error(monkeypatch):
     monkeypatch.setattr(detection, "bcs_search", broken)
     with pytest.raises(RuntimeError, match="search failed"):
         detect(dataclasses.replace(BC, concurrency=2),
-               DetectionConfig(strategy="bcs", budget_iterations=20))
+               DetectionConfig(strategy="bcs", budget={"iterations": 20}))
 
 
 def test_concurrency_is_at_least_one():
@@ -872,7 +902,7 @@ def test_every_execution_goes_through_detection_execute(monkeypatch, strategy):
         return original(sut, inputs)
 
     monkeypatch.setattr(detection, "execute", counting)
-    result = detect(DATE, DetectionConfig(strategy=strategy, budget_iterations=200,
+    result = detect(DATE, DetectionConfig(strategy=strategy, budget={"iterations": 200},
                                           sampler=SamplerConfig(seed=3)))
     assert len(calls) == result.executions > 200
 

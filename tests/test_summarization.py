@@ -60,7 +60,7 @@ def _date_archive():
     """A seeded date archive: EE 143, VE 28, VV 2 candidates."""
     archive = Archive()
     for strategy, iterations in (("lns", 400), ("bcs", 200)):
-        cfg = DetectionConfig(strategy=strategy, budget_iterations=iterations,
+        cfg = DetectionConfig(strategy=strategy, budget={"iterations": iterations},
                               sampler=SamplerConfig(seed=0))
         archive.merge(detect(DATE, cfg).archive)
     return archive
@@ -670,7 +670,7 @@ def _seeded_archive(seeds=(0, 1), budget=1500):
     from autobva.sampling import SamplerConfig
     merged = Archive()
     for seed in seeds:
-        cfg = DetectionConfig(strategy="bcs", budget_iterations=budget,
+        cfg = DetectionConfig(strategy="bcs", budget={"iterations": budget},
                               sampler=SamplerConfig(seed=seed))
         merged.merge(detect(BC, cfg).archive)
     return merged
@@ -724,7 +724,7 @@ def test_summarize_representative_is_shortest():
 
 def _date_lns_archive():
     """The seeded date LNS archive at bench scale: EE 1831, VE 569, VV 17."""
-    cfg = DetectionConfig(strategy="lns", budget_iterations=10000, sampler=SamplerConfig(seed=0))
+    cfg = DetectionConfig(strategy="lns", budget={"iterations": 10000}, sampler=SamplerConfig(seed=0))
     return detect(DATE, cfg).archive
 
 
