@@ -29,7 +29,7 @@ from .distances import (
     pdq,
     strlendist,
 )
-from .sampling import SamplerConfig, TypeDomain, compatible_types, sample_input, sample_value
+from .sampling import SamplerConfig, TypeDomain, compatible_types, sample_arguments, sample_value
 from .suts import BUILTIN_SUTS, SutDescriptor, execute, get_sut, make_external_sut
 from .values import ExecutionOutcome, render_value
 
@@ -41,7 +41,7 @@ __all__ = [
     "JACCARD1", "JACCARD2", "LEVENSHTEIN", "STRLEN", "OutputDistance",
     "input_distance", "jaccard_ngram", "levenshtein", "parse_distance", "pdq",
     "strlendist", "SamplerConfig", "TypeDomain", "compatible_types",
-    "sample_input", "sample_value", "ClusterReport", "kmeans", "select_model",
+    "sample_arguments", "sample_value", "ClusterReport", "kmeans", "select_model",
     "silhouette", "summarize", "BUILTIN_SUTS", "SutDescriptor",
     "execute", "get_sut", "make_external_sut", "ExecutionOutcome", "render_value",
 ]

@@ -36,7 +36,7 @@ from .archive_io import (
 )
 from .detection import STRATEGIES, Archive, DetectionConfig, detect
 from .distances import parse_distance, pdq
-from .oracle import WindowTooLarge, scan_adjacent
+from .oracle import scan_adjacent
 from .sampling import SamplerConfig
 from .suts import UsageError, get_sut
 from .values import parse_value
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError, WindowTooLarge) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -34,6 +34,7 @@ from .suts import SutDescriptor, execute
 from .values import ExecutionOutcome, InputTuple, render_tuple
 
 STRATEGIES = ("lns", "bcs")    # the local search strategies ``detect`` runs
+MAX_DOUBLINGS = 96             # the most times a BCS expansion doubles its step
 
 
 @dataclass(frozen=True, init=False)
@@ -99,8 +100,11 @@ class Archive:
         insertion.
 
         A strategy name must be non-empty and hold no ``;``, so that both
-        archive formats can carry it; a bad name leaves the archive as it was.
+        archive formats can carry it; a bad name, or one string in place of
+        a collection of names, leaves the archive as it was.
         """
+        if isinstance(strategies, str):
+            raise ValueError(f"strategy names must come in a collection, got the str {strategies!r}")
         for name in strategies:
             if not name or ";" in name:
                 raise ValueError(f"strategy name must be non-empty and have no ';', got {name!r}")
@@ -115,9 +119,6 @@ class Archive:
     def merge(self, other: "Archive") -> None:
         for candidate in other:
             self.add(candidate, other.strategies.get(candidate.key, ()))
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -174,15 +175,15 @@ def bcs_first_step(rng: random.Random, arity: int) -> tuple:
 
 def bcs_search(runner: Runner, output_distance: OutputDistance,
                inputs: InputTuple, step: tuple,
-               domains: Optional[tuple] = None,
-               max_doublings: int = 96) -> list:
+               domains: Optional[tuple] = None) -> list:
     """Boundary Crossing Search from one starting point along ``step``,
     the (argument index, +1 or -1) pair ``bcs_first_step`` draws.
 
     Returns the initial one-step pair when its outputs already differ;
-    otherwise expands along the step's direction in steps of 2^k until the
-    output partition changes, then squeezes the bracket down to the adjacent
-    pair right at the change.  Returns nothing when no crossing is reachable.
+    otherwise expands along the step's direction in steps of 2^k, k up to
+    ``MAX_DOUBLINGS``, until the output partition changes, then squeezes the
+    bracket down to the adjacent pair right at the change.  Returns nothing
+    when no crossing is reachable.
     Expansion and bisection probes stay in the sampled value domain; the
     first one-step neighbour may lie one past its edge, as LNS neighbours may.
     A boolean argument steps only from false up or from true down, to its
@@ -213,7 +214,7 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     lowest, highest = domain.bounds() if domain is not None else (-math.inf, math.inf)
 
     crossing = None
-    for k in range(1, max_doublings + 1):
+    for k in range(1, MAX_DOUBLINGS + 1):
         value = start + delta * (1 << k)
         if not lowest <= value <= highest:
             break  # left the sampled domain: truncate the expansion
@@ -342,12 +343,11 @@ def detect(sut: SutDescriptor, config: DetectionConfig,
 
     def draws() -> Iterator[tuple]:
         while spent() < amount:
-            pairs = sample_arguments(sut, config.sampler, rng)
-            inputs = tuple(v for v, _ in pairs)
+            inputs, domains = sample_arguments(sut, config.sampler, rng)
             if strategy == "lns":
                 yield inputs, None, None
             else:
-                yield inputs, bcs_first_step(rng, sut.arity), tuple(d for _, d in pairs)
+                yield inputs, bcs_first_step(rng, sut.arity), domains
 
     # a Runner per search, so no count is shared between threads
     def search(draw: tuple) -> tuple:

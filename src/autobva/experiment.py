@@ -50,17 +50,18 @@ class ExperimentResult:
     budget: dict
     keys: dict                        # strategy -> per-run candidate key sets, in run order
     covered: dict                     # strategy -> per-run sets of (validity, cluster id)
-    union_total: int
-    report: ClusterReport
-    total_clusters: int
+    report: ClusterReport             # the summary of every run's candidates, merged
 
     def to_json(self) -> dict:
         """The experiment.json document; "unique" counts the candidates, and
-        "unique_clusters" lists the clusters, no other strategy found."""
+        "unique_clusters" lists the clusters, no other strategy found.  Each
+        merged candidate falls in one validity group of the report, so
+        "union_total" is the report's candidate count."""
         unique_keys, unique_clusters = _exclusive(self.keys), _exclusive(self.covered)
         return {
             "sut": self.sut, "repetitions": self.repetitions, "budget": self.budget,
-            "union_total": self.union_total, "total_clusters": self.total_clusters,
+            "union_total": self.report.total_candidates,
+            "total_clusters": sum(len(g.clusters) for g in self.report.groups),
             "strategies": {
                 name: {
                     "found": [len(keys) for keys in runs],
@@ -73,13 +74,14 @@ class ExperimentResult:
 
     def to_markdown(self) -> str:
         """The experiment.md tables, drawn from the experiment.json document."""
-        strategies = self.to_json()["strategies"].items()
+        doc = self.to_json()
+        strategies = doc["strategies"].items()
         return "\n".join([
             f"# Experiment: {self.sut}", "",
             f"{self.repetitions} repetitions per strategy, budget {self.budget}",
-            *_table("Candidates", "Total", self.union_total, "found",
+            *_table("Candidates", "Total", doc["union_total"], "found",
                     [(name, s["found"], s["unique"]) for name, s in strategies]),
-            *_table("Cluster coverage", "Total clusters", self.total_clusters, "covered",
+            *_table("Cluster coverage", "Total clusters", doc["total_clusters"], "covered",
                     [(name, list(map(len, s["covered"])), len(s["unique_clusters"]))
                      for name, s in strategies]),
             ""])
@@ -126,6 +128,4 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
                for name, runs in keys.items()}
     return ExperimentResult(
         sut=sut.name, repetitions=repetitions, budget=base_config.budget, keys=keys,
-        covered=covered, union_total=len(merged), report=report,
-        total_clusters=sum(len(g.clusters) for g in report.groups),
-    )
+        covered=covered, report=report)

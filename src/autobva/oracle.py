@@ -20,10 +20,6 @@ from .values import InputTuple
 MAX_UNFORCED_EVALUATIONS = 10 ** 8
 
 
-class WindowTooLarge(Exception):
-    pass
-
-
 def scan_adjacent(sut: SutDescriptor, start: int, stop: int,
                   output_distance: OutputDistance = STRLEN,
                   vary: int = 0, fixed: Optional[InputTuple] = None,
@@ -38,7 +34,7 @@ def scan_adjacent(sut: SutDescriptor, start: int, stop: int,
         raise ValueError("empty or negative window: stop must be >= start")
     evaluations = stop - start + 1
     if evaluations > MAX_UNFORCED_EVALUATIONS and not force:
-        raise WindowTooLarge(
+        raise ValueError(
             f"window needs {evaluations} evaluations (> {MAX_UNFORCED_EVALUATIONS}); "
             "pass force to run anyway")
     if fixed is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .suts import SutDescriptor
-from .values import InputTuple, Value
+from .values import Value
 
 DEFAULT_BIG_INT_BIT_CAP = 128
 
@@ -89,6 +89,11 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the JSON type each setting has in manifests; a bool is no integer
+        for name, (attr, kind, kind_name) in _SETTINGS.items():
+            value = getattr(self, attr)
+            if type(value) is not kind:
+                raise ValueError(f"{name} must be {kind_name}, got {type(value).__name__} {value!r}")
         if self.method not in ("uniform", "bituniform"):
             raise ValueError(f"sampling.method must be 'uniform' or 'bituniform', got {self.method!r}")
         if self.big_int_bit_cap < 64:
@@ -109,17 +114,11 @@ class SamplerConfig:
         return {name: getattr(self, attr) for name, (attr, _, _) in _SETTINGS.items()}
 
     def with_settings(self, settings: dict) -> "SamplerConfig":
-        """A copy with ``settings``, keyed as ``settings()`` keys them, laid
-        over; a value must have the JSON type ``settings()`` gives it."""
-        changes = {}
-        for name, value in settings.items():
+        """A copy with ``settings``, keyed as ``settings()`` keys them, laid over."""
+        for name in settings:
             if name not in _SETTINGS:
                 raise ValueError(f"unknown key {name!r}")
-            attr, kind, kind_name = _SETTINGS[name]
-            if type(value) is not kind:
-                raise ValueError(f"{name} must be {kind_name}, got {type(value).__name__} {value!r}")
-            changes[attr] = value
-        return replace(self, **changes)
+        return replace(self, **{_SETTINGS[name][0]: value for name, value in settings.items()})
 
 
 # A domain's draw spec: (kind, n, k, lo, signed).  The first draw is below
@@ -197,24 +196,21 @@ def _plan(method: str, cts: bool, big_int_bit_cap: int) -> tuple:
 
 
 def sample_arguments(sut: SutDescriptor, config: SamplerConfig,
-                     rng: random.Random) -> list:
-    """Per-argument (value, domain) pairs; the domain feeds search truncation.
+                     rng: random.Random) -> tuple:
+    """One starting input, and the domain each argument was drawn from,
+    which feeds search truncation: (inputs, domains).
 
     Draws as ``sample_value`` does, after drawing each argument's domain
     the way ``rng.choice(compatible_types(...))`` would."""
     domains, n, k, specs = _plan(config.method, config.cts, config.big_int_bit_cap)
     getrandbits = rng.getrandbits
-    out = []
+    values, picked = [], []
     for _ in range(sut.arity):
         i = 0
         if n:
             i = getrandbits(k)
             while i >= n:
                 i = getrandbits(k)
-        out.append((_draw(getrandbits, specs[i]), domains[i]))
-    return out
-
-
-def sample_input(sut: SutDescriptor, config: SamplerConfig, rng: random.Random) -> InputTuple:
-    """Draw one starting input for the detection loop."""
-    return tuple(v for v, _ in sample_arguments(sut, config, rng))
+        values.append(_draw(getrandbits, specs[i]))
+        picked.append(domains[i])
+    return tuple(values), tuple(picked)

@@ -161,31 +161,28 @@ class FeatureSpace:
 
 
 def diversity_subset(candidates: Sequence[BoundaryCandidate], rng: random.Random,
-                     distances: TextDistances,
-                     block: int = DIVERSITY_BLOCK,
-                     window: int = DIVERSITY_WINDOW) -> tuple:
+                     distances: TextDistances) -> tuple:
     """Select a diverse working set for clustering; returns (subset, dropped)
     as arrays of positions into ``candidates``, whose table is ``distances``.
 
-    Groups within the window size pass through untouched.  Otherwise a random
-    window is scored by the sum of its feature attributes, the lowest `block`
-    are dropped (ties kept in insertion order) and replaced with unseen
-    candidates, until the unseen pool is exhausted.
+    Groups within ``DIVERSITY_WINDOW`` candidates pass through untouched.
+    Otherwise a random window of that size is scored by the sum of its
+    feature attributes, the lowest ``DIVERSITY_BLOCK`` are dropped (ties
+    kept in insertion order) and replaced with unseen candidates, until the
+    unseen pool is exhausted.
     """
-    if block < 1:
-        raise ValueError(f"block={block} must be at least 1")
     n = len(candidates)
-    if n <= window:
+    if n <= DIVERSITY_WINDOW:
         return np.arange(n), np.arange(0)
-    working = np.array(sorted(rng.sample(range(n), window)), dtype=np.intp)
+    working = np.array(sorted(rng.sample(range(n), DIVERSITY_WINDOW)), dtype=np.intp)
     pool = np.setdiff1d(np.arange(n), working)
     dropped = []
     while len(pool):
         scores = FeatureSpace(distances, working).matrix.sum(axis=0)
-        cut = np.sort(np.argsort(scores, kind="stable")[:block])
+        cut = np.sort(np.argsort(scores, kind="stable")[:DIVERSITY_BLOCK])
         dropped.append(working[cut])
-        working = np.concatenate([np.delete(working, cut), pool[:block]])
-        pool = pool[block:]
+        working = np.concatenate([np.delete(working, cut), pool[:DIVERSITY_BLOCK]])
+        pool = pool[DIVERSITY_BLOCK:]
     return working, np.concatenate(dropped)
 
 
@@ -299,15 +296,18 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
 
     ``memo`` carries work across partitions of one matrix and
     ``distances``.  A cluster's key is its member indices, ascending, as
-    bytes; it maps to each point's summed distance to those members.  A
-    partition's key is the frozenset of its cluster keys; it maps to the
-    partition's score, which does not depend on the labels, since ``b`` is
-    a minimum.  A partition already scored returns at once, and only the
-    clusters the memo lacks are gathered and summed, over the same slices,
-    so every score keeps its bits.  The memo holds one float64 row of the
-    matrix's width per distinct cluster: on the bench's seed-0 ``date`` EE
-    group (950 points) that is 1.6, 2.5 and 3.9 MiB at 100, 300 and 1000
-    restarts.  Each distinct partition's key adds up to 8 bytes per point.
+    bytes of the narrowest unsigned type that holds the point count
+    (``np.min_scalar_type``: one byte per member below 256 points, two
+    below 65536); it maps to each point's summed distance to those
+    members.  A partition's key is the frozenset of its cluster keys; it
+    maps to the partition's score, which does not depend on the labels,
+    since ``b`` is a minimum.  A partition already scored returns at once,
+    and only the clusters the memo lacks are gathered and summed, over the
+    same slices, so every score keeps its bits.  The memo holds one float64
+    row of the matrix's width per distinct cluster: on the bench's seed-0
+    ``date`` EE group (950 points) that is 1.6, 2.5 and 3.9 MiB at 100, 300
+    and 1000 restarts.  Each distinct partition's key holds its own copies
+    of its cluster keys, which add up to that type's size per point.
     """
     labels, sizes = np.unique(assignment, return_counts=True)
     if len(labels) < 2:
@@ -316,7 +316,8 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
     order = np.argsort(assignment, kind="stable")
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    keys = [order[start:end].tobytes() for start, end in zip(starts, ends)]
+    narrow = order.astype(np.min_scalar_type(len(order)))
+    keys = [narrow[start:end].tobytes() for start, end in zip(starts, ends)]
     partition = frozenset(keys)
     if partition in memo:
         return memo[partition]
@@ -435,14 +436,14 @@ def _strategy_counts(members: Sequence[BoundaryCandidate], strategies: dict) -> 
 
 
 def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
-             restarts: int, block: int, window: int) -> tuple:
+             restarts: int) -> tuple:
     """(member lists, silhouette) of a group of three or more candidates.
 
     Everything built here, from the group's feature table to its memo and
     pairwise distances, is freed on return, before the next group starts.
     """
     distances = TextDistances(group)
-    subset, dropped = diversity_subset(group, rng, distances, block, window)
+    subset, dropped = diversity_subset(group, rng, distances)
     space = FeatureSpace(distances, subset)
     pairwise = point_distances(space.matrix)
     ks = list(range(2, min(K_MAX, len(subset)) + 1))
@@ -460,8 +461,7 @@ def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
 
 
 def summarize(archive: Archive, rng: random.Random,
-              restarts: int = KMEANS_RESTARTS, block: int = DIVERSITY_BLOCK,
-              window: int = DIVERSITY_WINDOW) -> ClusterReport:
+              restarts: int = KMEANS_RESTARTS) -> ClusterReport:
     """Cluster an archive per validity group and return the report.
 
     Groups with fewer than three candidates become a single cluster; larger
@@ -481,7 +481,7 @@ def summarize(archive: Archive, rng: random.Random,
         if len(group) < 3:
             member_lists, score = [group], None
         else:
-            member_lists, score = _cluster(group, rng, restarts, block, window)
+            member_lists, score = _cluster(group, rng, restarts)
         picked = sorted(((ms, _pick_representative(ms)) for ms in member_lists if ms),
                         key=lambda pair: (-len(pair[0]), pair[1].key))
         clusters = [

@@ -349,8 +349,12 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
     own session: on a timeout, or once it writes more than
     ``MAX_OUTPUT_BYTES`` to stdout or stderr, its whole process group is
     killed, so nothing it started outlives the outcome.  A command with no
-    program word (blank, or an empty quoted word first) is a ``UsageError``.
+    program word (blank, or an empty quoted word first) is a ``UsageError``;
+    a timeout that is not finite and above 0, as ``--timeout`` refuses, is a
+    ``ValueError``.
     """
+    if not 0 < timeout < math.inf:   # NaN fails both comparisons
+        raise ValueError(f"timeout must be finite and above 0, got {timeout}")
     # imported here: only external programs need them
     import shlex
     import signal

@@ -15,7 +15,7 @@ import pytest
 from autobva.archive_io import CSV_HEADER, read_archive_csv, read_archive_json
 from autobva.cli import main
 from autobva.detection import DetectionConfig
-from autobva.sampling import SamplerConfig, sample_input
+from autobva.sampling import SamplerConfig, sample_arguments
 from autobva.suts import get_sut
 from autobva.values import render_value
 
@@ -586,7 +586,7 @@ esac
 @pytest.mark.parametrize("strategy", ["lns", "bcs"])
 def test_external_detect_is_identical_at_any_jobs(tmp_path, strategy):
     seed = 3
-    first = sample_input(get_sut("bytecount"), SamplerConfig(seed=seed), Random(seed))
+    first, _ = sample_arguments(get_sut("bytecount"), SamplerConfig(seed=seed), Random(seed))
     script = tmp_path / "sut.sh"
     script.write_text(CONCURRENT_SUT.format(slow=render_value(first[0])))
     script.chmod(script.stat().st_mode | stat.S_IEXEC)

@@ -58,8 +58,9 @@ def parity(arity):
 
 
 def first_pair(inputs, step):
-    """The one-step pair a BCS search starts from, with no expansion."""
-    found = bcs_search(Runner(parity(len(inputs))), STRLEN, inputs, step, max_doublings=0)
+    """The one-step pair a BCS search starts from: parity's output changes
+    on every step, so no search expands."""
+    found = bcs_search(Runner(parity(len(inputs))), STRLEN, inputs, step)
     return [(c.input1, c.input2) for c in found]
 
 
@@ -176,13 +177,15 @@ def test_archive_merge_unions_strategies():
 @pytest.mark.parametrize("bad", ["", "x;y"])
 def test_archive_add_rejects_names_the_formats_cannot_carry(bad):
     """An empty name or one with ';' would not survive a CSV or JSON round
-    trip, so no archive takes it, and a rejected add changes nothing."""
+    trip, so no archive takes it; one string in place of a collection would
+    tag a candidate with its letters.  A rejected add changes nothing."""
     archive = Archive()
     kept, fresh = scored(1, 1), scored(1, 3)
     assert archive.add(kept, ("lns",))
     for candidate in (kept, fresh):
-        with pytest.raises(ValueError, match="strategy name"):
-            archive.add(candidate, ("bcs", bad))
+        for strategies in (("bcs", bad), "bcs"):
+            with pytest.raises(ValueError, match="strategy name"):
+                archive.add(candidate, strategies)
     assert [c.key for c in archive] == [kept.key]
     assert archive.strategies == {kept.key: {"lns"}}
 
@@ -287,13 +290,13 @@ def test_bcs_squeezes_to_first_length_change():
     assert hits > 5
 
 
-def test_bcs_no_crossing_returns_nothing():
+def test_bcs_no_crossing_returns_nothing(monkeypatch):
     # a flat plateau: uniform huge negative, nothing reachable in 2^k steps;
     # the start, its first step and all 8 expansion probes are executed
+    monkeypatch.setattr(detection, "MAX_DOUBLINGS", 8)
     rng = Random(3)
     runner = Runner(BC)
-    found = bcs_search(runner, STRLEN, (-(10**30) + 10**9,), bcs_first_step(rng, 1),
-                       max_doublings=8)
+    found = bcs_search(runner, STRLEN, (-(10**30) + 10**9,), bcs_first_step(rng, 1))
     assert found == []
     assert runner.executions == 2 + 8
 
@@ -358,8 +361,7 @@ def _reference_lns_search(runner, inputs, output_distance=STRLEN):
             for neighbor in neighbors]
 
 
-def _reference_bcs_search(runner, output_distance, inputs, step, domains=None,
-                          max_doublings=96):
+def _reference_bcs_search(runner, output_distance, inputs, step, domains=None):
     """BCS that returns its initial pair, scored, when that pair already
     crosses or when no crossing is reachable."""
     run = runner.run
@@ -384,7 +386,7 @@ def _reference_bcs_search(runner, output_distance, inputs, step, domains=None,
     base_text = base_outcome.text
 
     crossing = None
-    for k in range(1, max_doublings + 1):
+    for k in range(1, detection.MAX_DOUBLINGS + 1):
         value = start + delta * (1 << k)
         if not lowest <= value <= highest:
             break
@@ -421,8 +423,7 @@ def test_searches_return_the_reference_pairs_that_score_above_zero(sut, distance
     desc, rng = get_sut(sut), Random(17)
     kept = dropped = with_booleans = 0
     for _ in range(400):
-        pairs = sample_arguments(desc, SamplerConfig(seed=17), rng)
-        inputs, domains = tuple(v for v, _ in pairs), tuple(d for _, d in pairs)
+        inputs, domains = sample_arguments(desc, SamplerConfig(seed=17), rng)
         with_booleans += any(isinstance(v, bool) for v in inputs)
         step = bcs_first_step(rng, desc.arity)
         searches = [(lns_search, _reference_lns_search, (inputs, distance)),
@@ -468,8 +469,7 @@ def test_searches_compute_each_output_distance_once(sut, distance):
 
     returned = bisected = 0
     for _ in range(300):
-        pairs = sample_arguments(desc, SamplerConfig(seed=23), rng)
-        inputs, domains = tuple(v for v, _ in pairs), tuple(d for _, d in pairs)
+        inputs, domains = sample_arguments(desc, SamplerConfig(seed=23), rng)
         runner = Runner(desc)
         found = lns_search(runner, inputs, counted)
         returned += len(found)

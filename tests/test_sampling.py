@@ -11,7 +11,6 @@ from autobva.sampling import (
     TypeDomain,
     compatible_types,
     sample_arguments,
-    sample_input,
     sample_value,
 )
 from autobva.suts import get_sut
@@ -40,6 +39,26 @@ def test_sampler_config_validation():
         SamplerConfig(method="gaussian")
     with pytest.raises(ValueError):
         SamplerConfig(big_int_bit_cap=32)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.5, "seed must be an integer, got float 1.5"),
+    ("seed", True, "seed must be an integer, got bool True"),
+    ("seed", None, "seed must be an integer, got NoneType None"),
+    ("cts", 0, "sampling.cts must be a bool, got int 0"),
+    ("cts", "on", "sampling.cts must be a bool, got str 'on'"),
+    ("big_int_bit_cap", 100.0, "sampling.big_int_bit_cap must be an integer, got float 100.0"),
+    ("big_int_bit_cap", False, "sampling.big_int_bit_cap must be an integer, got bool False"),
+    # the type check comes before the range checks
+    ("big_int_bit_cap", 32.0, "sampling.big_int_bit_cap must be an integer, got float 32.0"),
+    ("method", 1, "sampling.method must be a string, got int 1"),
+], ids=["seed-float", "seed-bool", "seed-None", "cts-int", "cts-str", "cap-float", "cap-bool",
+        "cap-float-below-64", "method-int"])
+def test_sampler_config_refuses_a_field_of_another_type(field, value, message):
+    # construction only: a config-file setting is refused with the same words
+    with pytest.raises(ValueError) as err:
+        SamplerConfig(**{field: value})
+    assert str(err.value) == message
 
 
 def test_boolean_domain_yields_booleans():
@@ -87,7 +106,7 @@ def test_cts_picks_each_domain_uniformly():
     cfg = SamplerConfig(cts=True)
     sut = get_sut("bytecount")
     n = 100_000
-    counts = Counter(sample_arguments(sut, cfg, rng)[0][1].name for _ in range(n))
+    counts = Counter(sample_arguments(sut, cfg, rng)[1][0].name for _ in range(n))
     p = 1 / 12
     sigma = math.sqrt(n * p * (1 - p))
     assert set(counts) == {d.name for d in compatible_types()}
@@ -100,7 +119,7 @@ def test_cts_off_uses_big_domain():
     cfg = SamplerConfig(cts=False, method="uniform")
     sut = get_sut("bytecount")
     for _ in range(200):
-        (value, domain), = sample_arguments(sut, cfg, rng)
+        (value,), (domain,) = sample_arguments(sut, cfg, rng)
         assert domain.name == "BigInt"
         assert -(2**127) <= value <= 2**127 - 1
 
@@ -108,16 +127,17 @@ def test_cts_off_uses_big_domain():
 def test_sample_input_matches_arity():
     rng = Random(6)
     cfg = SamplerConfig()
-    assert len(sample_input(get_sut("date"), cfg, rng)) == 3
-    assert len(sample_input(get_sut("bmi"), cfg, rng)) == 2
+    for sut, arity in (("date", 3), ("bmi", 2)):
+        inputs, domains = sample_arguments(get_sut(sut), cfg, rng)
+        assert len(inputs) == len(domains) == arity
 
 
 def test_fixed_seed_reproduces_stream():
     cfg = SamplerConfig(seed=77)
     sut = get_sut("date")
     rng1, rng2 = Random(77), Random(77)
-    s1 = [sample_input(sut, cfg, rng1) for _ in range(200)]
-    s2 = [sample_input(sut, cfg, rng2) for _ in range(200)]
+    s1 = [sample_arguments(sut, cfg, rng1)[0] for _ in range(200)]
+    s2 = [sample_arguments(sut, cfg, rng2)[0] for _ in range(200)]
     assert s1 == s2
 
 
@@ -137,14 +157,15 @@ def _reference_sample_value(domain, config, rng):
 
 def _reference_sample_arguments(sut, config, rng):
     """``sample_arguments`` as written with ``choice``."""
-    out = []
+    values, domains = [], []
     for _ in range(sut.arity):
         if config.cts:
             domain = rng.choice(compatible_types(config.big_int_bit_cap))
         else:
             domain = TypeDomain("BigInt", "big", config.big_int_bit_cap)
-        out.append((_reference_sample_value(domain, config, rng), domain))
-    return out
+        values.append(_reference_sample_value(domain, config, rng))
+        domains.append(domain)
+    return tuple(values), tuple(domains)
 
 
 def test_randbelow_is_the_getrandbits_loop():
@@ -168,7 +189,7 @@ def test_sample_arguments_equals_randrange_reference(method, cts, sut):
             got = sample_arguments(desc, cfg, rng)
             want = _reference_sample_arguments(desc, cfg, ref)
             assert got == want, cap
-            assert [type(v) for v, _ in got] == [type(v) for v, _ in want]
+            assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
         assert rng.getstate() == ref.getstate(), cap
 
 

@@ -195,8 +195,7 @@ def test_diversity_below_window_is_identity():
 
 def test_diversity_single_cycle_at_1100():
     group = _many(1100)
-    subset, dropped = diversity_subset(group, Random(0), TextDistances(group),
-                                       block=100, window=1000)
+    subset, dropped = diversity_subset(group, Random(0), TextDistances(group))
     assert len(subset) == 1000
     assert len(dropped) == 100
     assert sorted([*subset, *dropped]) == list(range(1100))
@@ -205,32 +204,10 @@ def test_diversity_single_cycle_at_1100():
 def test_diversity_exhausts_pool():
     # 1350 -> four cycles; the last refill only has 50 unseen left
     group = _many(1350)
-    subset, dropped = diversity_subset(group, Random(1), TextDistances(group),
-                                       block=100, window=1000)
+    subset, dropped = diversity_subset(group, Random(1), TextDistances(group))
     assert len(subset) + len(dropped) == 1350
     assert len(subset) == 950
     assert len(dropped) == 400
-
-
-@pytest.mark.parametrize("block", [0, -1])
-def test_diversity_block_below_one_is_refused(monkeypatch, block):
-    # such a block never empties the pool; rounds are counted so that a
-    # diversity loop fails here instead of running forever
-    archive = Archive()
-    for c in _many(30):
-        archive.add(c)
-    rounds = []
-    space = summarization.FeatureSpace
-
-    def counted(*args):
-        rounds.append(1)
-        if len(rounds) > 50:
-            raise RuntimeError("the diversity pool never empties")
-        return space(*args)
-
-    monkeypatch.setattr(summarization, "FeatureSpace", counted)
-    with pytest.raises(ValueError, match="must be at least 1"):
-        summarize(archive, Random(0), restarts=2, block=block, window=20)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +590,8 @@ def test_silhouette_memo_answers_a_relabelled_partition(monkeypatch):
     first = silhouette(matrix, assignment, point_distances(matrix), memo)
     held = dict(memo)
     assert _partition_keys(memo) == 1
+    # below 256 points a cluster key holds one byte per member
+    assert sorted(b"".join(key for key in memo if isinstance(key, bytes))) == list(range(90))
 
     def recomputed(matrix):
         raise AssertionError("a scored partition was recomputed")
@@ -728,11 +707,17 @@ def _date_lns_archive():
     return detect(DATE, cfg).archive
 
 
-# window 20 / block 6 runs diversity rounds on both VE (28) and EE (143) of
-# the small archive; the default window keeps 1000 of the bench-scale EE
-# group, whose clusters grow past 128 members, and attaches the other 831
-_GOLDEN_SMALL = dict(archive=_date_archive, restarts=20, block=6, window=20)
-_GOLDEN_BENCH = dict(archive=_date_lns_archive, restarts=20)
+def _small_window(monkeypatch):
+    """A diversity window of 20 and block of 6, which run diversity rounds
+    on both VE (28) and EE (143) of the small archive."""
+    monkeypatch.setattr(summarization, "DIVERSITY_WINDOW", 20)
+    monkeypatch.setattr(summarization, "DIVERSITY_BLOCK", 6)
+
+
+# the default window keeps 1000 of the bench-scale EE group, whose clusters
+# grow past 128 members, and attaches the other 831
+_GOLDEN_SMALL = dict(archive=_date_archive, small_window=True)
+_GOLDEN_BENCH = dict(archive=_date_lns_archive, small_window=False)
 
 
 @pytest.mark.parametrize("seed, digest, options", [
@@ -743,11 +728,12 @@ _GOLDEN_BENCH = dict(archive=_date_lns_archive, restarts=20)
     pytest.param(0, "76fc420713afe94f6638fe82e5028f27bbe56faa0d88154851bda11b6d279016",
                  _GOLDEN_BENCH, id="window1000-0"),
 ])
-def test_summarize_golden_report(tmp_path, seed, digest, options):
+def test_summarize_golden_report(tmp_path, monkeypatch, seed, digest, options):
     # the digests pin report.json bytes; they were computed before the
     # clustering core moved to bincount centroids and sorted silhouette slices
-    options = dict(options)
-    report = summarize(options.pop("archive")(), Random(seed), **options)
+    if options["small_window"]:
+        _small_window(monkeypatch)
+    report = summarize(options["archive"](), Random(seed), restarts=20)
     path = tmp_path / "report.json"
     write_report_json(path, report)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -821,8 +807,9 @@ def test_summarize_sums_each_distinct_cluster_once_per_group(monkeypatch):
         group = id(memo)
         counted = memos.setdefault(group, (memo, _CountingMemo()))[1]
         model = clustering(matrix, k, rng, memo=counted, **kwargs)
+        narrow = np.min_scalar_type(len(model.assignment))
         member_sets.setdefault(group, set()).update(
-            np.flatnonzero(model.assignment == label).tobytes()
+            np.flatnonzero(model.assignment == label).astype(narrow).tobytes()
             for label in np.unique(model.assignment))
         return model
 
@@ -830,7 +817,8 @@ def test_summarize_sums_each_distinct_cluster_once_per_group(monkeypatch):
     summarize(_date_archive(), Random(0), restarts=100)
     assert len(memos) == 2     # VE and EE; VV is too small to cluster
     for group, (_, memo) in memos.items():
-        # keyed by ascending member indices, each inserted once
+        # keyed by ascending member indices, in the narrowest type that
+        # holds the point count, each inserted once
         assert {key for key in memo if isinstance(key, bytes)} == member_sets[group]
         assert memo.inserts == len(memo)
 
@@ -851,7 +839,8 @@ def test_summarize_computes_candidate_features_once_per_group(monkeypatch):
 
     monkeypatch.setattr(summarization, "strlendist", counted_strlendist)
     monkeypatch.setattr(summarization, "TextDistances", CountedTextDistances)
-    summarize(_date_archive(), Random(0), restarts=20, block=6, window=20)
+    _small_window(monkeypatch)
+    summarize(_date_archive(), Random(0), restarts=20)
     assert calls == {"strlendist": 28 + 143, "TextDistances": 2}
 
 

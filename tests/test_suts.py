@@ -486,6 +486,15 @@ def test_external_sut_needs_a_program_word(command):
         make_external_sut(command)
 
 
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, 0.0, -1])
+def test_external_sut_refuses_a_timeout_the_cli_refuses(timeout):
+    # construction only: NaN and inf made every run an uncaught error, and
+    # 0 or below made every run a timeout
+    with pytest.raises(ValueError, match="timeout must be finite and above 0"):
+        make_external_sut("/bin/echo", timeout=timeout)
+    assert make_external_sut("/bin/echo", timeout=1e-3).name == "external:/bin/echo"
+
+
 def test_get_sut_rejects_unknown():
     with pytest.raises(UsageError):
         get_sut("quicksort")
