@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from .detection import Archive, BoundaryCandidate, DetectionResult
 from .sampling import SamplerConfig
 from .suts import MAX_OUTPUT_BYTES
-from .values import ExecutionOutcome, parse_tuple, display_tuple
+from .values import ExecutionOutcome, display_tuple, parse_tuple, typed
 
 if TYPE_CHECKING:   # summarization loads numpy, which reading and writing archives never use
     from .summarization import ClusterReport
@@ -37,6 +38,9 @@ if TYPE_CHECKING:   # summarization loads numpy, which reading and writing archi
 CSV_FIELD_LIMIT = 4 * MAX_OUTPUT_BYTES
 CSV_HEADER = ["input1", "input2", "output1", "output2", "validity", "score_num", "score_den",
               "error_kind1", "error_kind2", "strategies"]
+# what ends a line in Markdown; a report.md table cell holds none, so each
+# cluster stays one table row
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 class DataError(Exception):
@@ -60,11 +64,11 @@ class RunManifest:
     strategy: str
     seed: int
     budget: dict                     # {"seconds": x}, {"iterations": n} or {"executions": n}
-    sampling: dict = field(default_factory=dict)
-    distance: str = "strlen"
-    threshold: str = "0"
-    counts: dict = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
+    sampling: dict
+    distance: str
+    threshold: str
+    counts: dict
+    elapsed_seconds: float
 
     @classmethod
     def from_result(cls, sut_name, config, result: DetectionResult) -> "RunManifest":
@@ -246,23 +250,13 @@ def _decode(records, path, locate) -> Archive:
     return archive
 
 
-_TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "a JSON object"}
-
-
-def _typed(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind``, so a bool is no integer."""
-    if type(value) is not kind:
-        raise ValueError(f"{what} must be {_TYPE_NAMES[kind]}, got {type(value).__name__} {value!r}")
-    return value
-
-
 def _outcome_from_record(data: dict, side: str) -> ExecutionOutcome:
     status = data["status"]
     kind = data.get("error_kind")
     if status not in ("valid", "error"):
         raise ValueError(f"{side}.status must be 'valid' or 'error', got {status!r}")
     if kind is not None:
-        _typed(kind, str, f"{side}.error_kind")
+        typed(kind, str, f"{side}.error_kind")
     if (status == "error") != bool(kind):
         raise ValueError(f"{side}: an error outcome needs an error_kind and a valid one has "
                          f"none, got status {status!r} with error_kind {kind!r}")
@@ -271,8 +265,8 @@ def _outcome_from_record(data: dict, side: str) -> ExecutionOutcome:
         # the writer stores a payload only on an error side, as an object
         if kind is None:
             raise ValueError(f"{side}: only an error outcome has a payload, got {payload!r}")
-        _typed(payload, dict, f"{side}.payload")
-    return ExecutionOutcome(_typed(data["text"], str, f"{side}.text"), kind, payload)
+        typed(payload, dict, f"{side}.payload")
+    return ExecutionOutcome(typed(data["text"], str, f"{side}.text"), kind, payload)
 
 
 def _candidate_from_record(record: dict) -> tuple:
@@ -280,8 +274,8 @@ def _candidate_from_record(record: dict) -> tuple:
     stored candidates but the form of strategy names, which ``Archive.add``
     checks."""
     score = record["score"]
-    input1 = parse_tuple(_typed(record["input1"], str, "input1"))
-    input2 = parse_tuple(_typed(record["input2"], str, "input2"))
+    input1 = parse_tuple(typed(record["input1"], str, "input1"))
+    input2 = parse_tuple(typed(record["input2"], str, "input2"))
     # equal tuples include ones equal as numbers, such as 1 and true
     if not input1 or len(input1) != len(input2) or input1 == input2:
         raise ValueError(f"inputs must be distinct and non-empty, with one arity, "
@@ -289,14 +283,14 @@ def _candidate_from_record(record: dict) -> tuple:
     candidate = BoundaryCandidate(
         input1, _outcome_from_record(record["output1"], "output1"),
         input2, _outcome_from_record(record["output2"], "output2"),
-        Fraction(_typed(score["num"], int, "score.num"), _typed(score["den"], int, "score.den")))
+        Fraction(typed(score["num"], int, "score.num"), typed(score["den"], int, "score.den")))
     if candidate.score < 0:
         raise ValueError(f"score must not be negative, got {candidate.score}")
     if record["validity"] != candidate.validity:
         raise ValueError(f"validity {record['validity']!r}, but the outcomes make {candidate.validity}")
-    tags = _typed(record["strategies"], list, "strategies")
+    tags = typed(record["strategies"], list, "strategies")
     for tag in tags:
-        _typed(tag, str, "strategy name")
+        typed(tag, str, "strategy name")
     return candidate, tags
 
 
@@ -362,14 +356,28 @@ def write_report_json(path, report: ClusterReport) -> None:
 
 def read_cluster_labels(path) -> dict:
     """Member key -> the label ``"<validity>/<cluster id>"`` of its cluster
-    in the report.json at ``path``."""
+    in the report.json at ``path``.  Each member, a list of two strings,
+    is in one cluster only; a validity is a string, a cluster id an integer."""
     doc = load_json(path)
+    labels, where = {}, ""
     try:
-        return {tuple(key): f"{group['validity']}/{cluster['id']}"
-                for group in doc["groups"] for cluster in group["clusters"]
-                for key in cluster["members"]}
+        for g, group in enumerate(doc["groups"]):
+            where = f"group #{g}: "
+            for c, cluster in enumerate(group["clusters"]):
+                where = f"group #{g} cluster #{c}: "
+                label = f"{typed(group['validity'], str, 'validity')}/{typed(cluster['id'], int, 'id')}"
+                for member in cluster["members"]:
+                    if type(member) is not list or list(map(type, member)) != [str, str]:
+                        raise ValueError(f"a member must be a list of two strings, got {member!r}")
+                    key = tuple(member)
+                    if key in labels:
+                        raise ValueError(f"member {member!r} is in cluster {labels[key]} too")
+                    labels[key] = label
     except (KeyError, TypeError) as exc:
-        raise DataError(f"not a cluster report ({type(exc).__name__}: {exc})", path) from exc
+        raise DataError(f"{where}not a cluster report ({type(exc).__name__}: {exc})", path) from exc
+    except ValueError as exc:
+        raise DataError(f"{where}{exc}", path) from exc
+    return labels
 
 
 def report_to_markdown(report: ClusterReport) -> str:
@@ -391,7 +399,8 @@ def report_to_markdown(report: ClusterReport) -> str:
                    display_tuple(rep.input2), rep.output2.text,
                    str(c.size)]
             row += [str(c.strategy_counts.get(s, 0)) for s in strategies]
-            lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |")
+            lines.append("| " + " | ".join(_LINE_BREAK.sub("<br>", cell.replace("|", "\\|"))
+                                           for cell in row) + " |")
         lines.append("")
     return "\n".join(lines)
 

@@ -38,7 +38,7 @@ from .detection import STRATEGIES, Archive, DetectionConfig, detect
 from .distances import parse_distance, pdq
 from .oracle import scan_adjacent
 from .sampling import SamplerConfig
-from .suts import UsageError, get_sut
+from .suts import get_sut
 from .values import parse_value
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ JOBS_PER_CPU = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _effective_seed(value: int) -> int:
@@ -62,7 +62,7 @@ def _effective_seed(value: int) -> int:
     try:
         return int(env)
     except ValueError:
-        raise UsageError(f"AUTOBVA_SEED from the environment must be an integer, "
+        raise ValueError(f"AUTOBVA_SEED from the environment must be an integer, "
                          f"got {env!r}") from None
 
 
@@ -129,9 +129,20 @@ class _Budget(argparse.Action):
         setattr(namespace, self.dest, {self.option_strings[0][2:]: values})
 
 
-def _add_detect_flags(p):
+def _add_sut_flags(p):
     p.add_argument("--sut", required=True,
                    help="bytecount | bmi | bmi-class | date | external:<cmd>")
+    p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
+    p.add_argument("--timeout", type=_positive_float, default=5.0, help="external SUT timeout (s)")
+
+
+def _add_restarts_flag(p):
+    # summarization.KMEANS_RESTARTS, which cannot be imported here without numpy
+    p.add_argument("--restarts", type=_positive_int, default=100, help="k-means restarts")
+
+
+def _add_detect_flags(p):
+    _add_sut_flags(p)
     budget = p.add_mutually_exclusive_group()
     budget.add_argument("--seconds", dest="budget", metavar="SECONDS", action=_Budget,
                         type=_positive_float)
@@ -141,18 +152,15 @@ def _add_detect_flags(p):
                         type=_non_negative_int,
                         help="stop drawing samples once the searches have made this "
                              "many SUT executions")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sampling", choices=["uniform", "bituniform"], default="bituniform")
-    p.add_argument("--cts", choices=["on", "off"], default="on")
-    p.add_argument("--big-int-bit-cap", type=int, default=128)
-    p.add_argument("--distance", default="strlen",
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    p.add_argument("--sampling", choices=["uniform", "bituniform"], default=SamplerConfig.method)
+    p.add_argument("--cts", choices=["on", "off"], default="on" if SamplerConfig.cts else "off")
+    p.add_argument("--big-int-bit-cap", type=int, default=SamplerConfig.big_int_bit_cap)
+    p.add_argument("--distance", default=DetectionConfig.output_distance.name,
                    help="strlen | jaccard1 | jaccard2 | levenshtein")
-    p.add_argument("--threshold", type=_non_negative_rational, default="0",
+    p.add_argument("--threshold", type=_non_negative_rational, default=DetectionConfig.threshold,
                    help="exact rational ≥ 0, e.g. 0 or 1/2; write a value starting with '-' "
                         "as --threshold=VALUE")
-    p.add_argument("--arity", type=_positive_int, default=1, help="arity of an external SUT")
-    p.add_argument("--timeout", type=_positive_float, default=5.0,
-                   help="external SUT timeout (s)")
     p.add_argument("--jobs", type=_positive_int, default=JOBS_PER_CPU * _usable_cpus(),
                    help=f"runs of an external SUT at once (default: {JOBS_PER_CPU} per "
                         "usable CPU; 1 runs one at a time)")
@@ -161,8 +169,7 @@ def _add_detect_flags(p):
 
 
 def cmd_detect(args) -> int:
-    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
-                  external_jobs=args.jobs)
+    sut = get_sut(args.sut, arity=args.arity, timeout=args.timeout, concurrency=args.jobs)
     config = _detection_config(args)
     result = detect(sut, config)
     out = Path(args.out)
@@ -219,7 +226,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout)
+    sut = get_sut(args.sut, arity=args.arity, timeout=args.timeout)
     fixed = None
     if args.fixed is not None:
         fixed = tuple(parse_value(part) for part in args.fixed.split(","))
@@ -236,8 +243,7 @@ def cmd_oracle(args) -> int:
 def cmd_experiment(args) -> int:
     from .experiment import run_experiment, write_experiment   # clusters, so loads numpy
 
-    sut = get_sut(args.sut, external_arity=args.arity, external_timeout=args.timeout,
-                  external_jobs=args.jobs)
+    sut = get_sut(args.sut, arity=args.arity, timeout=args.timeout, concurrency=args.jobs)
     config = _detection_config(args)
     strategies = [s.strip() for s in args.strategies.split(",")]
     result = run_experiment(sut, config, strategies=strategies,
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="cluster archives into a report")
     p.add_argument("archives", nargs="+", help="archive.csv / archive.json files")
-    p.add_argument("--restarts", type=_positive_int, default=100)
+    _add_restarts_flag(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_summarize)
@@ -279,16 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("oracle", help="exhaustive adjacent-pair boundary scan")
-    p.add_argument("--sut", required=True)
+    _add_sut_flags(p)
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--vary", type=int, default=0, help="argument index to sweep")
     p.add_argument("--fixed", default=None,
                    help="comma-separated full argument tuple, e.g. 2021,2,1")
-    p.add_argument("--distance", default="strlen")
+    p.add_argument("--distance", default=DetectionConfig.output_distance.name)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--arity", type=_positive_int, default=1)
-    p.add_argument("--timeout", type=_positive_float, default=5.0)
     p.add_argument("--out", default="boundaries.csv")
     p.set_defaults(func=cmd_oracle)
 
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detect_flags(p)
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--strategies", default=",".join(STRATEGIES))
-    p.add_argument("--restarts", type=_positive_int, default=100)
+    _add_restarts_flag(p)
     # an iterations budget keeps repetitions deterministic
     p.set_defaults(func=cmd_experiment, strategy=DetectionConfig.strategy,
                    budget={"iterations": 1000})
@@ -311,7 +315,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

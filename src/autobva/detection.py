@@ -303,9 +303,9 @@ class DetectionConfig:
 @dataclass
 class DetectionResult:
     archive: Archive
-    samples: int = 0
-    executions: int = 0
-    elapsed: float = 0.0
+    samples: int
+    executions: int
+    elapsed: float
 
 
 def detect(sut: SutDescriptor, config: DetectionConfig,

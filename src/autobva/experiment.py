@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detection import STRATEGIES, Archive, DetectionConfig, detect
-from .summarization import ClusterReport, summarize
+from .summarization import KMEANS_RESTARTS, ClusterReport, summarize
 from .suts import SutDescriptor
 
 
@@ -96,7 +96,7 @@ def write_experiment(out, result: ExperimentResult) -> None:
 def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
                    strategies: Sequence[str] = STRATEGIES,
                    repetitions: int = 3,
-                   summarize_restarts: int = 100) -> ExperimentResult:
+                   summarize_restarts: int = KMEANS_RESTARTS) -> ExperimentResult:
     """Run repetitions x strategies with distinct seeds and aggregate.
 
     Every run gets its own seed: the base config's sampler seed plus the

@@ -10,7 +10,7 @@ The generator is a ``random.Random``.  Every draw below a bound n calls its
 ``getrandbits`` directly and runs the loop ``Random._randbelow`` runs, inline,
 so values and generator state equal those of ``randrange`` and ``choice``.
 Each configuration's domains and per-domain draw specs are computed once and
-cached (``_plan``), as ``compatible_types`` is.
+cached (``_plan``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .suts import SutDescriptor
-from .values import Value
+from .values import Value, typed
 
 DEFAULT_BIG_INT_BIT_CAP = 128
 
@@ -48,12 +48,10 @@ class TypeDomain:
         return (-half, half - 1)
 
 
-@lru_cache(maxsize=None)
 def _big(cap: int) -> TypeDomain:
     return TypeDomain("BigInt", "big", cap)
 
 
-@lru_cache(maxsize=None)
 def compatible_types(big_int_bit_cap: int = DEFAULT_BIG_INT_BIT_CAP) -> tuple:
     """Concrete domains compatible with an integer argument, in fixed order."""
     return (
@@ -72,12 +70,12 @@ def compatible_types(big_int_bit_cap: int = DEFAULT_BIG_INT_BIT_CAP) -> tuple:
     )
 
 
-# setting name in manifests and config files -> (field, JSON type, its name)
+# setting name in manifests and config files -> (field, JSON type)
 _SETTINGS = {
-    "sampling.method": ("method", str, "a string"),
-    "sampling.cts": ("cts", bool, "a bool"),
-    "sampling.big_int_bit_cap": ("big_int_bit_cap", int, "an integer"),
-    "seed": ("seed", int, "an integer"),
+    "sampling.method": ("method", str),
+    "sampling.cts": ("cts", bool),
+    "sampling.big_int_bit_cap": ("big_int_bit_cap", int),
+    "seed": ("seed", int),
 }
 
 
@@ -90,10 +88,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         # the JSON type each setting has in manifests; a bool is no integer
-        for name, (attr, kind, kind_name) in _SETTINGS.items():
-            value = getattr(self, attr)
-            if type(value) is not kind:
-                raise ValueError(f"{name} must be {kind_name}, got {type(value).__name__} {value!r}")
+        for name, (attr, kind) in _SETTINGS.items():
+            typed(getattr(self, attr), kind, name)
         if self.method not in ("uniform", "bituniform"):
             raise ValueError(f"sampling.method must be 'uniform' or 'bituniform', got {self.method!r}")
         if self.big_int_bit_cap < 64:
@@ -111,7 +107,7 @@ class SamplerConfig:
 
     def settings(self) -> dict:
         """The configuration under the setting names manifests record."""
-        return {name: getattr(self, attr) for name, (attr, _, _) in _SETTINGS.items()}
+        return {name: getattr(self, attr) for name, (attr, _) in _SETTINGS.items()}
 
     def with_settings(self, settings: dict) -> "SamplerConfig":
         """A copy with ``settings``, keyed as ``settings()`` keys them, laid over."""
@@ -126,7 +122,6 @@ class SamplerConfig:
 _BOOL, _UNIFORM, _BITUNIFORM = 0, 1, 2
 
 
-@lru_cache(maxsize=None)
 def _spec(domain: TypeDomain, method: str) -> tuple:
     """The draw spec of ``domain`` under a sampling method."""
     if domain.signedness == "boolean":

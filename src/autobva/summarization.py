@@ -14,7 +14,7 @@ yields clusters, each summarized by its shortest member.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -375,7 +375,7 @@ class ClusterSummary:
     cluster_id: int
     members: list
     representative: BoundaryCandidate
-    strategy_counts: dict = field(default_factory=dict)
+    strategy_counts: dict
 
     @property
     def size(self) -> int:
@@ -386,7 +386,7 @@ class ClusterSummary:
 class GroupSummary:
     validity: str
     clusters: list
-    silhouette: Optional[float] = None   # None for small groups clustered trivially
+    silhouette: Optional[float]   # None for small groups clustered trivially
 
     @property
     def size(self) -> int:

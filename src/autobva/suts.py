@@ -13,6 +13,7 @@ bytes ``error_outcome`` would give, which costs about twice as much.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import math
 import os
 import time
@@ -284,10 +285,6 @@ def date_ctor(inputs: InputTuple) -> ExecutionOutcome:
 # external commands
 
 
-class UsageError(Exception):
-    """A request the command line cannot carry out as given."""
-
-
 # Bytes an external run may write to each of stdout and stderr; a run that
 # writes more is stopped, so a flood cannot exhaust memory before its timeout.
 MAX_OUTPUT_BYTES = 1 << 20
@@ -349,9 +346,8 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
     own session: on a timeout, or once it writes more than
     ``MAX_OUTPUT_BYTES`` to stdout or stderr, its whole process group is
     killed, so nothing it started outlives the outcome.  A command with no
-    program word (blank, or an empty quoted word first) is a ``UsageError``;
-    a timeout that is not finite and above 0, as ``--timeout`` refuses, is a
-    ``ValueError``.
+    program word (blank, or an empty quoted word first), or a timeout that
+    is not finite and above 0, as ``--timeout`` refuses, is a ``ValueError``.
     """
     if not 0 < timeout < math.inf:   # NaN fails both comparisons
         raise ValueError(f"timeout must be finite and above 0, got {timeout}")
@@ -362,7 +358,7 @@ def make_external_sut(command: str, arity: int = 1, timeout: float = 5.0,
 
     argv_prefix = shlex.split(command)
     if not argv_prefix or not argv_prefix[0]:   # Popen would run the first input
-        raise UsageError("external SUT needs a command: external:<cmd>")
+        raise ValueError("external SUT needs a command: external:<cmd>")
 
     def invoke(inputs: InputTuple) -> ExecutionOutcome:
         argv = argv_prefix + [render_value(v) for v in inputs]
@@ -408,13 +404,14 @@ BUILTIN_SUTS = {
 }
 
 
-def get_sut(name: str, external_arity: int = 1, external_timeout: float = 5.0,
-            external_jobs: int = 1) -> SutDescriptor:
+def get_sut(name: str, **external) -> SutDescriptor:
     """Look up a built-in by name, or build an ``external:<cmd>`` adapter
-    that runs up to ``external_jobs`` copies of the program at once."""
+    with ``make_external_sut``'s keywords (``arity``, ``timeout``,
+    ``concurrency``).  A built-in ignores their values, but an unknown
+    keyword is a ``TypeError`` for either."""
     if name in BUILTIN_SUTS:
+        inspect.signature(make_external_sut).bind(name, **external)
         return BUILTIN_SUTS[name]
     if name.startswith("external:"):
-        return make_external_sut(name[len("external:"):], arity=external_arity,
-                                 timeout=external_timeout, concurrency=external_jobs)
-    raise UsageError(f"unknown SUT {name!r} (expected one of {sorted(BUILTIN_SUTS)} or external:<cmd>)")
+        return make_external_sut(name[len("external:"):], **external)
+    raise ValueError(f"unknown SUT {name!r} (expected one of {sorted(BUILTIN_SUTS)} or external:<cmd>)")

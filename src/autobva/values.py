@@ -18,11 +18,21 @@ BOUNDS_ERROR = "bounds_error"
 ARGUMENT_ERROR = "argument_error"
 DOMAIN_ERROR = "domain_error"
 
+_JSON_TYPES = {str: "a string", int: "an integer", bool: "a bool", list: "a list", dict: "a JSON object"}
+
 _ERROR_LABELS = {
     BOUNDS_ERROR: "BoundsError",
     ARGUMENT_ERROR: "ArgumentError",
     DOMAIN_ERROR: "DomainError",
 }
+
+
+def typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, so a bool is no integer;
+    else a ValueError naming ``what`` and the JSON type it must have."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__} {value!r}")
+    return value
 
 
 def render_value(v: Value) -> str:

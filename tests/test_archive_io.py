@@ -361,6 +361,34 @@ def test_report_files(tmp_path):
             assert len(cluster["members"]) == cluster["size"]
 
 
+def test_report_markdown_keeps_each_cluster_on_one_table_line(tmp_path):
+    """An external program's stderr can span lines (a traceback, say); each
+    line break in a cell is written as <br>, so no table row splits."""
+    from autobva.detection import BoundaryCandidate
+    from autobva.values import ExecutionOutcome
+    texts = ["Traceback (most recent call last):\n  File \"x\"\nValueError: -1",
+             "first\r\nsecond", "left\rright | more", "one line"]
+    archive = Archive()
+    for n, text in enumerate(texts):
+        archive.add(BoundaryCandidate((n,), ExecutionOutcome(f"{n} ok"), (n + 10,),
+                                      ExecutionOutcome(text, "argument_error"), Fraction(1)))
+    report = summarize(archive, Random(0), restarts=10)
+    md = tmp_path / "report.md"
+    write_report_markdown(md, report)
+    text = md.read_bytes().decode("utf-8")
+    assert "\r" not in text
+    table = [line for line in text.split("\n") if line.startswith("|")]
+    assert all(line.endswith("|") for line in table)
+    # a head and a rule per group, then one line per cluster
+    assert len(table) == sum(2 + len(g.clusters) for g in report.groups)
+    rep_texts = {c.representative.output2.text for g in report.groups for c in g.clusters}
+    rendered = {"one line": "one line", "first\r\nsecond": "first<br>second",
+                "left\rright | more": "left<br>right \\| more",
+                texts[0]: "Traceback (most recent call last):<br>  File \"x\"<br>ValueError: -1"}
+    for rep in rep_texts:
+        assert f" {rendered[rep]} |" in text
+
+
 # ---------------------------------------------------------------------------
 # write_archive_json against the json module
 
@@ -446,7 +474,8 @@ def json_cases():
             Fraction(n + 1, 3)), ("lns",) if n % 2 else ())
     odd.add(next(iter(odd)), ("zé", "a\"b", "lns"))
     cases["escapes"] = (odd, RunManifest(sut="external:echo é \"x\"", strategy="bcs", seed=-1,
-                                         budget={"seconds": 0.5}, elapsed_seconds=1e-7))
+                                         budget={"seconds": 0.5}, sampling={}, distance="strlen",
+                                         threshold="0", counts={}, elapsed_seconds=1e-7))
     return cases
 
 

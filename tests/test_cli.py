@@ -352,6 +352,32 @@ def test_rank_malformed_report_is_data_error(tmp_path, capsys):
     assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
                    "--out", str(tmp_path / "ranked.csv")) == 2
     assert capsys.readouterr().err.startswith(f"data error: {report}: not a cluster report")
+    # each member is a list of two strings in one cluster, each validity a
+    # string and each cluster id an integer; a refusal names group and cluster
+    good = {"id": 1, "members": [["999", "1000"]]}
+    for clusters, message in [
+        ([good, {"id": 2, "members": ["ab"]}],
+         "group #0 cluster #1: a member must be a list of two strings, got 'ab'"),
+        ([{"id": 1, "members": [["999"]]}],
+         "group #0 cluster #0: a member must be a list of two strings, got ['999']"),
+        ([{"id": 1, "members": [["999", 1000]]}],
+         "group #0 cluster #0: a member must be a list of two strings, got ['999', 1000]"),
+        ([good, {"id": 2, "members": [["5", "6"], ["999", "1000"]]}],
+         "group #0 cluster #1: member ['999', '1000'] is in cluster VE/1 too"),
+        ([{"id": "1", "members": []}], "group #0 cluster #0: id must be an integer, got str '1'"),
+        ([{"id": True, "members": []}], "group #0 cluster #0: id must be an integer, got bool True"),
+        ([good, {"members": []}], "group #0 cluster #1: not a cluster report (KeyError: 'id')"),
+    ]:
+        report.write_text(json.dumps({"groups": [{"validity": "VE", "clusters": clusters}]}))
+        assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
+                       "--out", str(tmp_path / "ranked.csv")) == 2
+        assert capsys.readouterr().err == f"data error: {report}: {message}\n"
+    report.write_text(json.dumps({"groups": [{"validity": "VE", "clusters": [good]},
+                                             {"validity": 3, "clusters": [good]}]}))
+    assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
+                   "--out", str(tmp_path / "ranked.csv")) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {report}: group #1 cluster #0: validity must be a string, got int 3\n")
 
 
 def test_rank_report_labelling_no_candidate_is_data_error(tmp_path, capsys):
@@ -359,7 +385,7 @@ def test_rank_report_labelling_no_candidate_is_data_error(tmp_path, capsys):
     run_cli("detect", "--sut", "bytecount", "--iterations", "50", "--out", str(out))
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"groups": [{"validity": "VV", "clusters": [
-        {"id": 1, "members": [[1, 2]]}]}]}))
+        {"id": 1, "members": [["1", "2"]]}]}]}))
     ranked = tmp_path / "ranked.csv"
     assert run_cli("rank", str(out / "archive.json"), "--report", str(report),
                    "--top", "1", "--out", str(ranked)) == 2
@@ -672,6 +698,46 @@ def test_default_budgets(monkeypatch, tmp_path, command, budget):
     with pytest.raises(Captured):
         run_cli(command, "--sut", "bytecount", "--out", str(tmp_path / "out"))
     assert [config.budget for config in configs] == [budget]
+
+
+def test_flags_default_to_the_library_defaults(monkeypatch):
+    """Each run setting's default is stated once: the library's, or the one
+    flag definition pinned here to the library's."""
+    import inspect
+
+    from autobva import cli
+    from autobva.experiment import run_experiment
+    from autobva.summarization import KMEANS_RESTARTS
+    from autobva.suts import make_external_sut
+
+    monkeypatch.delenv("AUTOBVA_SEED", raising=False)
+    parser = cli.build_parser()
+    args = parser.parse_args(["detect", "--sut", "date"])
+    assert cli._detection_config(args) == DetectionConfig(budget={"seconds": 30.0})
+    external = inspect.signature(make_external_sut).parameters
+    for argv in (["detect"], ["experiment"], ["oracle", "--from", "0", "--to", "1"]):
+        args = parser.parse_args([*argv, "--sut", "date"])
+        assert (args.arity, args.timeout) == (external["arity"].default,
+                                              external["timeout"].default)
+    for argv in (["summarize", "archive.csv"], ["experiment", "--sut", "date"]):
+        assert parser.parse_args(argv).restarts == KMEANS_RESTARTS
+    restarts = inspect.signature(run_experiment).parameters["summarize_restarts"]
+    assert restarts.default == KMEANS_RESTARTS
+
+
+def _option_help(command, option, capsys) -> str:
+    """The help ``command --help`` shows for ``option``, whitespace folded."""
+    with pytest.raises(SystemExit):
+        run_cli(command, "--help")
+    text = capsys.readouterr().out
+    return " ".join(re.search(rf"^  {option} .*?(?=^  -)", text, re.M | re.S).group().split())
+
+
+@pytest.mark.parametrize("option", ["--sut", "--arity", "--timeout"])
+def test_oracle_takes_the_sut_flags_of_detect(option, capsys):
+    shown = {command: _option_help(command, option, capsys)
+             for command in ("detect", "experiment", "oracle")}
+    assert len(set(shown.values())) == 1 and len(shown["detect"]) > len(option) + 10, shown
 
 
 def test_detect_executions_below_zero_is_usage_error(capsys):

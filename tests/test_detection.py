@@ -840,7 +840,7 @@ def test_concurrent_detect_raises_a_search_error(monkeypatch):
 def test_concurrency_is_at_least_one():
     with pytest.raises(ValueError):
         dataclasses.replace(BC, concurrency=0)
-    assert get_sut("external:/bin/echo", external_jobs=3).concurrency == 3
+    assert get_sut("external:/bin/echo", concurrency=3).concurrency == 3
     assert BC.concurrency == 1
 
 

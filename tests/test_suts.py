@@ -15,7 +15,6 @@ import pytest
 
 from autobva.suts import (
     MAX_OUTPUT_BYTES,
-    UsageError,
     civil_from_rata_die,
     days_in_month,
     execute,
@@ -482,7 +481,7 @@ def test_external_flood_ends_at_the_cap_well_before_its_timeout():
 @pytest.mark.parametrize("command", ["", " ", '""', "'' -n"])
 def test_external_sut_needs_a_program_word(command):
     # Popen would otherwise run the first rendered input as the program
-    with pytest.raises(UsageError, match="external SUT needs a command"):
+    with pytest.raises(ValueError, match="external SUT needs a command"):
         make_external_sut(command)
 
 
@@ -495,8 +494,17 @@ def test_external_sut_refuses_a_timeout_the_cli_refuses(timeout):
     assert make_external_sut("/bin/echo", timeout=1e-3).name == "external:/bin/echo"
 
 
+def test_get_sut_passes_make_external_sut_keywords_on():
+    sut = get_sut("external:/bin/echo", arity=2, timeout=1.5, concurrency=3)
+    assert (sut.arity, sut.concurrency) == (2, 3)
+    assert get_sut("bytecount", arity=2, timeout=1.5, concurrency=3) is BC
+    for name in ("external:/bin/echo", "bytecount"):
+        with pytest.raises(TypeError, match="jobs"):
+            get_sut(name, jobs=3)
+
+
 def test_get_sut_rejects_unknown():
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         get_sut("quicksort")
-    with pytest.raises(UsageError):
+    with pytest.raises(ValueError):
         get_sut("external:")
