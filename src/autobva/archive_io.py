@@ -17,13 +17,12 @@ import csv
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .detection import Archive, BoundaryCandidate, DetectionResult
+from .detection import Archive, BoundaryCandidate, DetectionConfig, DetectionResult
 from .sampling import SamplerConfig
 from .suts import MAX_OUTPUT_BYTES
 from .values import ExecutionOutcome, display_tuple, parse_tuple, typed
@@ -46,47 +45,31 @@ _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 class DataError(Exception):
     """Malformed archive content; carries the offending file and line."""
 
-    def __init__(self, message: str, path=None, line: Optional[int] = None):
-        if path is None:
-            where = ""
-        elif line is None:
-            where = f"{path}: "
-        else:
-            where = f"{path}:{line}: "
+    def __init__(self, message: str, path, line: Optional[int] = None):
+        where = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")
         self.path = path
         self.line = line
 
 
-@dataclass
-class RunManifest:
-    sut: str
-    strategy: str
-    seed: int
-    budget: dict                     # {"seconds": x}, {"iterations": n} or {"executions": n}
-    sampling: dict
-    distance: str
-    threshold: str
-    counts: dict
-    elapsed_seconds: float
-
-    @classmethod
-    def from_result(cls, sut_name, config, result: DetectionResult) -> "RunManifest":
-        return cls(
-            sut=sut_name,
-            strategy=config.strategy,
-            seed=config.sampler.seed,
-            budget=config.budget,
-            sampling=config.sampler.settings(),
-            distance=config.output_distance.name,
-            threshold=str(config.threshold),
-            counts={
-                "executions": result.executions,
-                "samples": result.samples,
-                "candidates": len(result.archive),
-            },
-            elapsed_seconds=round(result.elapsed, 6),
-        )
+def run_manifest(sut_name: str, config: DetectionConfig, result: DetectionResult) -> dict:
+    """How a detection run was made and what it did, as manifest.json and
+    archive.json store it."""
+    return {
+        "sut": sut_name,
+        "strategy": config.strategy,
+        "seed": config.sampler.seed,
+        "budget": config.budget,     # {"seconds": x}, {"iterations": n} or {"executions": n}
+        "sampling": config.sampler.settings(),
+        "distance": config.output_distance.name,
+        "threshold": str(config.threshold),
+        "counts": {
+            "executions": result.executions,
+            "samples": result.samples,
+            "candidates": len(result.archive),
+        },
+        "elapsed_seconds": round(result.elapsed, 6),
+    }
 
 
 @contextmanager
@@ -210,7 +193,7 @@ def _candidate_json(c: BoundaryCandidate, strategies: dict) -> str:
             f'\n   "strategies": {tags_json}\n  }}')
 
 
-def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] = None) -> None:
+def write_archive_json(path, archive: Archive, manifest: Optional[dict] = None) -> None:
     """Write the bytes ``json.dumps(doc, indent=1)`` writes for the document
     ``{"manifest": ..., "candidates": [...]}``.
 
@@ -222,7 +205,7 @@ def write_archive_json(path, archive: Archive, manifest: Optional[RunManifest] =
     strategies = archive.strategies
     entries = [_candidate_json(c, strategies) for c in archive]
     candidates = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
-    manifest_json = _indented_json(asdict(manifest) if manifest else None, " ")
+    manifest_json = _indented_json(manifest, " ")
     Path(path).write_text(f'{{\n "manifest": {manifest_json},\n "candidates": {candidates}\n}}',
                           encoding="utf-8")
 
@@ -313,8 +296,8 @@ def _read_archive(path: Path) -> Archive:
     return reader(path)
 
 
-def write_manifest(path, manifest: RunManifest) -> None:
-    Path(path).write_text(json.dumps(asdict(manifest), indent=1), encoding="utf-8")
+def write_manifest(path, manifest: dict) -> None:
+    Path(path).write_text(json.dumps(manifest, indent=1), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

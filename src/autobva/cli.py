@@ -23,10 +23,10 @@ from pathlib import Path
 
 from .archive_io import (
     DataError,
-    RunManifest,
     load_archives,
     read_cluster_labels,
     read_sampler_config,
+    run_manifest,
     write_archive_csv,
     write_archive_json,
     write_manifest,
@@ -122,6 +122,17 @@ def _non_negative_rational(text: str) -> Fraction:
     return value
 
 
+def _value_tuple(text: str) -> tuple:
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(parse_value(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} in {text!r} is not an integer, true or false") from None
+    return tuple(values)
+
+
 class _Budget(argparse.Action):
     """Stores ``--KIND AMOUNT`` as the budget ``{KIND: AMOUNT}``."""
 
@@ -174,7 +185,7 @@ def cmd_detect(args) -> int:
     result = detect(sut, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.from_result(sut.name, config, result)
+    manifest = run_manifest(sut.name, config, result)
     write_archive_csv(out / "archive.csv", result.archive)
     write_archive_json(out / "archive.json", result.archive, manifest)
     write_manifest(out / "manifest.json", manifest)
@@ -227,13 +238,10 @@ def cmd_rank(args) -> int:
 
 def cmd_oracle(args) -> int:
     sut = get_sut(args.sut, arity=args.arity, timeout=args.timeout)
-    fixed = None
-    if args.fixed is not None:
-        fixed = tuple(parse_value(part) for part in args.fixed.split(","))
     distance = parse_distance(args.distance)
     found = Archive()
     for candidate in scan_adjacent(sut, args.start, args.stop, distance,
-                                   vary=args.vary, fixed=fixed, force=args.force):
+                                   vary=args.vary, fixed=args.fixed, force=args.force):
         found.add(candidate)
     write_archive_csv(args.out, found)
     print(f"{len(found)} boundary pairs in [{args.start}, {args.stop}] -> {args.out}")
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="stop", type=int, required=True)
     p.add_argument("--vary", type=int, default=0, help="argument index to sweep")
-    p.add_argument("--fixed", default=None,
+    p.add_argument("--fixed", type=_value_tuple, default=None,
                    help="comma-separated full argument tuple, e.g. 2021,2,1")
     p.add_argument("--distance", default=DetectionConfig.output_distance.name)
     p.add_argument("--force", action="store_true")

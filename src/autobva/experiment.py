@@ -102,14 +102,16 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
     Every run gets its own seed: the base config's sampler seed plus the
     run's index across the grid.  Coverage is measured against the summary
     of the union of all runs, clustered with a generator seeded the same.
-    Strategy names (each named once) and repetitions (at least one) are
-    checked before the first run.
+    Strategy names (each named once), repetitions and summarize_restarts
+    (each at least one) are checked before the first run.
     """
     configs = [replace(base_config, strategy=strategy) for strategy in strategies]
     if len(set(strategies)) < len(strategies):
         raise ValueError(f"each strategy must be named once, got {list(strategies)}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    if summarize_restarts < 1:
+        raise ValueError(f"summarize_restarts must be at least 1, got {summarize_restarts}")
     merged = Archive()
     keys = {}
     base_seed = seed = base_config.sampler.seed

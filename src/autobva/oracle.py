@@ -31,7 +31,8 @@ def scan_adjacent(sut: SutDescriptor, start: int, stop: int,
     10^8 evaluations unless forced.
     """
     if stop < start:
-        raise ValueError("empty or negative window: stop must be >= start")
+        raise ValueError(f"empty or negative window: stop must be >= start, "
+                         f"got start {start} and stop {stop}")
     evaluations = stop - start + 1
     if evaluations > MAX_UNFORCED_EVALUATIONS and not force:
         raise ValueError(
@@ -42,9 +43,9 @@ def scan_adjacent(sut: SutDescriptor, start: int, stop: int,
             raise ValueError(f"{sut.name} has arity {sut.arity}; fixed values are required")
         fixed = (0,)
     if len(fixed) != sut.arity:
-        raise ValueError("fixed tuple arity mismatch")
+        raise ValueError(f"fixed tuple has {len(fixed)} values; {sut.name} has arity {sut.arity}")
     if not 0 <= vary < sut.arity:
-        raise ValueError("vary index out of range")
+        raise ValueError(f"vary index must be in 0..{sut.arity - 1} for {sut.name}, got {vary}")
 
     def at(x: int) -> InputTuple:
         return fixed[:vary] + (x,) + fixed[vary + 1:]

@@ -423,10 +423,6 @@ def _candidate_brevity(c: BoundaryCandidate) -> tuple:
     return (sum(len(f) for f in fields), fields)
 
 
-def _pick_representative(members: Sequence[BoundaryCandidate]) -> BoundaryCandidate:
-    return min(members, key=_candidate_brevity)
-
-
 def _strategy_counts(members: Sequence[BoundaryCandidate], strategies: dict) -> dict:
     counts: dict = {}
     for member in members:
@@ -473,6 +469,8 @@ def summarize(archive: Archive, rng: random.Random,
     cluster among those partitions is summed once; the memo lives only
     while that group is clustered.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     groups = []
     for validity in ("VV", "VE", "EE"):
         group = [c for c in archive if c.validity == validity]
@@ -482,7 +480,7 @@ def summarize(archive: Archive, rng: random.Random,
             member_lists, score = [group], None
         else:
             member_lists, score = _cluster(group, rng, restarts)
-        picked = sorted(((ms, _pick_representative(ms)) for ms in member_lists if ms),
+        picked = sorted(((ms, min(ms, key=_candidate_brevity)) for ms in member_lists if ms),
                         key=lambda pair: (-len(pair[0]), pair[1].key))
         clusters = [
             ClusterSummary(i + 1, members, representative,

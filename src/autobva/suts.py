@@ -135,8 +135,6 @@ def bytecount(inputs: InputTuple) -> ExecutionOutcome:
     num = format(f / (1000.0 ** exp), ".1f")
     if float(num) >= 1000.0 and exp < len(_BYTE_UNITS):
         exp += 1
-        if exp > len(_BYTE_UNITS):
-            return bounds_error(_BYTE_UNITS, exp)
         num = format(f / (1000.0 ** exp), ".1f")
     return ExecutionOutcome(f"{num} {_BYTE_UNITS[exp - 1]}B")
 

@@ -9,13 +9,13 @@ import pytest
 from autobva.archive_io import (
     CSV_HEADER,
     DataError,
-    RunManifest,
     load_archives,
     load_json,
     read_archive_csv,
     read_archive_json,
     read_cluster_labels,
     read_sampler_config,
+    run_manifest,
     write_archive_csv,
     write_archive_json,
     write_manifest,
@@ -176,7 +176,7 @@ def test_error_without_kind_is_data_error_in_both_formats(tmp_path):
 
 def test_json_round_trip_with_manifest(tmp_path):
     cfg, result = _run(seed=5)
-    manifest = RunManifest.from_result("bytecount", cfg, result)
+    manifest = run_manifest("bytecount", cfg, result)
     path = tmp_path / "archive.json"
     write_archive_json(path, result.archive, manifest)
     loaded = read_archive_json(path)
@@ -334,7 +334,7 @@ def test_load_archives_of_one_file_is_the_read_archive(tmp_path, monkeypatch):
 
 def test_manifest_file(tmp_path):
     cfg, result = _run(seed=3, iterations=200)
-    manifest = RunManifest.from_result("bytecount", cfg, result)
+    manifest = run_manifest("bytecount", cfg, result)
     path = tmp_path / "manifest.json"
     write_manifest(path, manifest)
     doc = json.loads(path.read_text())
@@ -396,8 +396,6 @@ def test_report_markdown_keeps_each_cluster_on_one_table_line(tmp_path):
 def _reference_archive_json(archive, manifest=None) -> str:
     """The document ``write_archive_json`` must reproduce byte for byte,
     built as a dict and encoded by ``json.dumps(doc, indent=1)``."""
-    from dataclasses import asdict
-
     from autobva.values import render_tuple
 
     def outcome(o):
@@ -409,7 +407,7 @@ def _reference_archive_json(archive, manifest=None) -> str:
         return data
 
     doc = {
-        "manifest": asdict(manifest) if manifest else None,
+        "manifest": manifest,
         "candidates": [
             {
                 "input1": render_tuple(c.input1),
@@ -447,7 +445,7 @@ def json_cases():
     cases["error payloads"] = (errors, None)
 
     cfg, result = _run(seed=5, strategy="lns")
-    manifest = RunManifest.from_result("bytecount", cfg, result)
+    manifest = run_manifest("bytecount", cfg, result)
     merged = Archive()
     merged.merge(result.archive)
     _, bcs = _run(seed=5)
@@ -473,9 +471,9 @@ def json_cases():
             (n + 1, True), ExecutionOutcome(text, "argument_error", payloads[n % 3](text)),
             Fraction(n + 1, 3)), ("lns",) if n % 2 else ())
     odd.add(next(iter(odd)), ("zé", "a\"b", "lns"))
-    cases["escapes"] = (odd, RunManifest(sut="external:echo é \"x\"", strategy="bcs", seed=-1,
-                                         budget={"seconds": 0.5}, sampling={}, distance="strlen",
-                                         threshold="0", counts={}, elapsed_seconds=1e-7))
+    cases["escapes"] = (odd, {"sut": "external:echo é \"x\"", "strategy": "bcs", "seed": -1,
+                              "budget": {"seconds": 0.5}, "sampling": {}, "distance": "strlen",
+                              "threshold": "0", "counts": {}, "elapsed_seconds": 1e-7})
     return cases
 
 

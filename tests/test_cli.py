@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import sys
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -41,6 +42,28 @@ def test_detect_writes_archive_and_manifest(tmp_path):
                        "error_kind1", "error_kind2", "strategies"]
     assert {row[9] for row in rows[1:]} == {"bcs"}
     assert manifest["counts"]["candidates"] == len(rows) - 1 > 0
+
+
+def test_detect_threshold_keeps_only_candidates_scoring_above_it(tmp_path):
+    """A threshold leaves the search alone and keeps the candidates scoring
+    above it, in the order the run found them."""
+    def run(*threshold):
+        out = tmp_path / (threshold[-1].replace("/", "-") if threshold else "0")
+        assert run_cli("detect", "--sut", "date", "--strategy", "lns", "--iterations", "500",
+                       "--seed", "0", *threshold, "--out", str(out)) == 0
+        return json.loads((out / "archive.json").read_text())["candidates"], \
+            json.loads((out / "manifest.json").read_text())
+
+    def score(entry):
+        return Fraction(entry["score"]["num"], entry["score"]["den"])
+
+    everything, manifest = run()
+    assert manifest["threshold"] == "0"
+    kept, manifest = run("--threshold", "3/2")
+    assert manifest["threshold"] == "3/2"
+    assert len(everything) == 152 and sum(score(e) == 1 for e in everything) == 62
+    assert kept == [e for e in everything if score(e) > Fraction(3, 2)]
+    assert kept and all(score(e) > Fraction(3, 2) for e in kept)
 
 
 def test_detect_zero_iterations_is_ok(tmp_path):
@@ -445,6 +468,19 @@ def spoiled_archive_is_data_error(tmp_path, capsys, command, keys, value, messag
 
 
 @pytest.mark.parametrize("command", ["summarize", "rank"])
+@pytest.mark.parametrize("doc", [[ARCHIVE_ENTRY], {"manifest": None},
+                                 {"candidates": {"0": ARCHIVE_ENTRY}}],
+                         ids=["list", "no candidates", "candidates object"])
+def test_archive_json_not_an_object_with_a_candidates_list_is_data_error(
+        tmp_path, capsys, command, doc):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"manifest": None, "candidates": [ARCHIVE_ENTRY]}))
+    bad.write_text(json.dumps(doc))
+    bad_archive_is_data_error(tmp_path, capsys, command, good, bad, "",
+                              "expected a JSON object with a candidates list")
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
 @pytest.mark.parametrize("case", SPOILED_ENTRIES)
 def test_archive_json_with_non_string_field_is_data_error(tmp_path, capsys, command, case):
     spoiled_archive_is_data_error(tmp_path, capsys, command, *SPOILED_ENTRIES[case])
@@ -539,6 +575,28 @@ def test_oracle_refuses_huge_window(tmp_path):
                    "--to", str(2 * 10**8), "--out", str(tmp_path / "x.csv")) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--sut", "date", "--fixed", "2021,x,1"],
+     "argument --fixed: 'x' in '2021,x,1' is not an integer, true or false"),
+    (["--sut", "date", "--fixed", "2021,,1"],
+     "argument --fixed: '' in '2021,,1' is not an integer, true or false"),
+    (["--sut", "date"], "date has arity 3; fixed values are required"),
+    (["--sut", "date", "--fixed", "2021,2"], "fixed tuple has 2 values; date has arity 3"),
+    (["--sut", "date", "--fixed", "2021,2,1", "--vary", "3"],
+     "vary index must be in 0..2 for date, got 3"),
+    (["--sut", "date", "--fixed", "2021,2,1", "--vary=-1"],
+     "vary index must be in 0..2 for date, got -1"),
+    (["--sut", "bytecount", "--vary", "1"], "vary index must be in 0..0 for bytecount, got 1"),
+    (["--sut", "bytecount", "--from", "5", "--to", "4"],
+     "empty or negative window: stop must be >= start, got start 5 and stop 4"),
+])
+def test_oracle_refusal_names_what_it_got(tmp_path, capsys, argv, message):
+    out = tmp_path / "boundaries.csv"
+    assert run_cli("oracle", "--from", "0", "--to", "3", *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_oracle_empty_window(tmp_path):
     out = tmp_path / "none.csv"
     assert run_cli("oracle", "--sut", "bytecount", "--from", "5", "--to", "5",
@@ -575,6 +633,17 @@ def test_run_experiment_refuses_fewer_than_one_repetition(monkeypatch, repetitio
     with pytest.raises(ValueError, match=f"repetitions must be at least 1, got {repetitions}"):
         experiment.run_experiment(get_sut("bytecount"), DetectionConfig(budget={"iterations": 10}),
                                   repetitions=repetitions)
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_run_experiment_refuses_fewer_than_one_restart(monkeypatch, restarts):
+    import autobva.experiment as experiment
+
+    for name in ("detect", "summarize"):
+        monkeypatch.setattr(experiment, name, lambda *args, **kwargs: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=f"summarize_restarts must be at least 1, got {restarts}"):
+        experiment.run_experiment(get_sut("bytecount"), DetectionConfig(budget={"iterations": 10}),
+                                  summarize_restarts=restarts)
 
 
 def test_external_sut_through_cli(tmp_path):

@@ -19,7 +19,7 @@ import autobva.cli as cli
 import autobva.detection as detection
 import autobva.summarization as summarization
 import autobva.suts as suts
-from autobva.archive_io import RunManifest, write_archive_csv, write_archive_json
+from autobva.archive_io import run_manifest, write_archive_csv, write_archive_json
 from autobva.detection import (
     Archive,
     BoundaryCandidate,
@@ -743,7 +743,7 @@ def test_detect_golden_archive(tmp_path, sut, strategy, distance, threshold, ite
     assert hashlib.sha256(seven.getvalue().encode("utf-8")).hexdigest() == digest
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         GOLDEN_ARCHIVE_CSV[(sut, strategy, distance)]
-    manifest = RunManifest.from_result(sut, cfg, dataclasses.replace(result, elapsed=0.0))
+    manifest = run_manifest(sut, cfg, dataclasses.replace(result, elapsed=0.0))
     path = tmp_path / "archive.json"
     write_archive_json(path, result.archive, manifest)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \

@@ -672,6 +672,17 @@ def test_summarize_small_group_is_single_cluster():
     assert group.clusters[0].strategy_counts == {"bcs": 1}
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+@pytest.mark.parametrize("pairs", [1, 3], ids=["small group", "clustered group"])
+def test_summarize_refuses_fewer_than_one_restart(restarts, pairs):
+    """Refused on entry, whether or not a group is large enough to cluster."""
+    archive = Archive()
+    for digits in range(1, pairs + 1):
+        archive.add(bc_cand(10 ** digits - 1, 10 ** digits))
+    with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
+        summarize(archive, Random(0), restarts=restarts)
+
+
 def test_summarize_bytecount_archive():
     archive = _seeded_archive()
     report = summarize(archive, Random(0), restarts=60)
