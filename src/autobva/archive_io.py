@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from .detection import Archive, BoundaryCandidate, DetectionConfig, DetectionResult
 from .sampling import SamplerConfig
 from .suts import MAX_OUTPUT_BYTES
-from .values import ExecutionOutcome, display_tuple, parse_tuple, typed
+from .values import ExecutionOutcome, display_tuple, parse_int, parse_tuple, typed
 
 if TYPE_CHECKING:   # summarization loads numpy, which reading and writing archives never use
     from .summarization import ClusterReport
@@ -130,7 +130,7 @@ def _record_from_row(row: list) -> dict:
     return {"input1": i1, "input2": i2,
             "output1": {"status": "error" if kind1 else "valid", "text": text1, "error_kind": kind1 or None},
             "output2": {"status": "error" if kind2 else "valid", "text": text2, "error_kind": kind2 or None},
-            "validity": validity, "score": {"num": int(num), "den": int(den)},
+            "validity": validity, "score": {"num": parse_int(num), "den": parse_int(den)},
             "strategies": tags.split(";") if tags else []}
 
 

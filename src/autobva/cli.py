@@ -249,20 +249,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .experiment import run_experiment, write_experiment   # clusters, so loads numpy
+    from .experiment import experiment_markdown, run_experiment, write_experiment   # loads numpy
 
     sut = get_sut(args.sut, arity=args.arity, timeout=args.timeout, concurrency=args.jobs)
     config = _detection_config(args)
     strategies = [s.strip() for s in args.strategies.split(",")]
-    result = run_experiment(sut, config, strategies=strategies,
-                            repetitions=args.reps,
-                            summarize_restarts=args.restarts)
+    document, report = run_experiment(sut, config, strategies=strategies,
+                                      repetitions=args.reps,
+                                      summarize_restarts=args.restarts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_experiment(out, result)
-    write_report_markdown(out / "report.md", result.report)
-    write_report_json(out / "report.json", result.report)
-    print(result.to_markdown())
+    write_experiment(out, document)
+    write_report_markdown(out / "report.md", report)
+    write_report_json(out / "report.json", report)
+    print(experiment_markdown(document))
     return EXIT_OK
 
 
@@ -308,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="repeated seeded runs with statistics",
                        allow_abbrev=False)
     _add_detect_flags(p)
+    # experiment.run_experiment's repetitions, which cannot be imported here without numpy
     p.add_argument("--reps", type=_positive_int, default=3)
     p.add_argument("--strategies", default=",".join(STRATEGIES))
     _add_restarts_flag(p)

@@ -7,11 +7,10 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .detection import STRATEGIES, Archive, DetectionConfig, detect
-from .summarization import KMEANS_RESTARTS, ClusterReport, summarize
+from .summarization import KMEANS_RESTARTS, summarize
 from .suts import SutDescriptor
 
 
@@ -43,69 +42,45 @@ def _table(title: str, total_head: str, total: int, counted: str, rows: list) ->
     return lines
 
 
-@dataclass
-class ExperimentResult:
-    sut: str
-    repetitions: int
-    budget: dict
-    keys: dict                        # strategy -> per-run candidate key sets, in run order
-    covered: dict                     # strategy -> per-run sets of (validity, cluster id)
-    report: ClusterReport             # the summary of every run's candidates, merged
-
-    def to_json(self) -> dict:
-        """The experiment.json document; "unique" counts the candidates, and
-        "unique_clusters" lists the clusters, no other strategy found.  Each
-        merged candidate falls in one validity group of the report, so
-        "union_total" is the report's candidate count."""
-        unique_keys, unique_clusters = _exclusive(self.keys), _exclusive(self.covered)
-        return {
-            "sut": self.sut, "repetitions": self.repetitions, "budget": self.budget,
-            "union_total": self.report.total_candidates,
-            "total_clusters": sum(len(g.clusters) for g in self.report.groups),
-            "strategies": {
-                name: {
-                    "found": [len(keys) for keys in runs],
-                    "unique": len(unique_keys[name]),
-                    "covered": [sorted(map(list, c)) for c in self.covered[name]],
-                    "unique_clusters": sorted(map(list, unique_clusters[name])),
-                } for name, runs in self.keys.items()
-            },
-        }
-
-    def to_markdown(self) -> str:
-        """The experiment.md tables, drawn from the experiment.json document."""
-        doc = self.to_json()
-        strategies = doc["strategies"].items()
-        return "\n".join([
-            f"# Experiment: {self.sut}", "",
-            f"{self.repetitions} repetitions per strategy, budget {self.budget}",
-            *_table("Candidates", "Total", doc["union_total"], "found",
-                    [(name, s["found"], s["unique"]) for name, s in strategies]),
-            *_table("Cluster coverage", "Total clusters", doc["total_clusters"], "covered",
-                    [(name, list(map(len, s["covered"])), len(s["unique_clusters"]))
-                     for name, s in strategies]),
-            ""])
+def experiment_markdown(document: dict) -> str:
+    """The experiment.md tables, drawn from the experiment.json document."""
+    strategies = document["strategies"].items()
+    return "\n".join([
+        f"# Experiment: {document['sut']}", "",
+        f"{document['repetitions']} repetitions per strategy, budget {document['budget']}",
+        *_table("Candidates", "Total", document["union_total"], "found",
+                [(name, s["found"], s["unique"]) for name, s in strategies]),
+        *_table("Cluster coverage", "Total clusters", document["total_clusters"], "covered",
+                [(name, list(map(len, s["covered"])), len(s["unique_clusters"]))
+                 for name, s in strategies]),
+        ""])
 
 
-def write_experiment(out, result: ExperimentResult) -> None:
+def write_experiment(out, document: dict) -> None:
     """experiment.md and experiment.json in the directory ``out``, a Path."""
-    (out / "experiment.md").write_text(result.to_markdown(), encoding="utf-8")
-    (out / "experiment.json").write_text(json.dumps(result.to_json(), indent=1), encoding="utf-8")
+    (out / "experiment.md").write_text(experiment_markdown(document), encoding="utf-8")
+    (out / "experiment.json").write_text(json.dumps(document, indent=1), encoding="utf-8")
 
 
 def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
                    strategies: Sequence[str] = STRATEGIES,
                    repetitions: int = 3,
-                   summarize_restarts: int = KMEANS_RESTARTS) -> ExperimentResult:
-    """Run repetitions x strategies with distinct seeds and aggregate.
+                   summarize_restarts: int = KMEANS_RESTARTS) -> tuple:
+    """Run repetitions x strategies with distinct seeds; return the
+    experiment.json document and the summary of every run's candidates,
+    merged.
 
     Every run gets its own seed: the base config's sampler seed plus the
     run's index across the grid.  Coverage is measured against the summary
     of the union of all runs, clustered with a generator seeded the same.
-    Strategy names (each named once), repetitions and summarize_restarts
-    (each at least one) are checked before the first run.
+    In the document, "unique" counts the candidates, and "unique_clusters"
+    lists the clusters, no other strategy found.  Each merged candidate
+    falls in one validity group of the summary, so "union_total" is its
+    candidate count.  Strategy names (each named once), repetitions and
+    summarize_restarts (each at least one) are checked before the first run.
     """
-    configs = [replace(base_config, strategy=strategy) for strategy in strategies]
+    configs = [DetectionConfig(**{**vars(base_config), "strategy": strategy})
+               for strategy in strategies]
     if len(set(strategies)) < len(strategies):
         raise ValueError(f"each strategy must be named once, got {list(strategies)}")
     if repetitions < 1:
@@ -113,14 +88,14 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
     if summarize_restarts < 1:
         raise ValueError(f"summarize_restarts must be at least 1, got {summarize_restarts}")
     merged = Archive()
-    keys = {}
+    keys = {}                 # strategy -> per-run candidate key sets, in run order
     base_seed = seed = base_config.sampler.seed
     for strategy_config in configs:
         runs = keys[strategy_config.strategy] = []
         for _ in range(repetitions):
-            config = replace(strategy_config, sampler=replace(base_config.sampler, seed=seed))
+            sampler = base_config.sampler.with_settings({"seed": seed})
             seed += 1
-            result = detect(sut, config)
+            result = detect(sut, DetectionConfig(**{**vars(strategy_config), "sampler": sampler}))
             runs.append({c.key for c in result.archive})
             merged.merge(result.archive)
 
@@ -128,6 +103,18 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
     cluster_ids = report.cluster_of()
     covered = {name: [{cluster_ids[k] for k in run if k in cluster_ids} for run in runs]
                for name, runs in keys.items()}
-    return ExperimentResult(
-        sut=sut.name, repetitions=repetitions, budget=base_config.budget, keys=keys,
-        covered=covered, report=report)
+    unique_keys, unique_clusters = _exclusive(keys), _exclusive(covered)
+    document = {
+        "sut": sut.name, "repetitions": repetitions, "budget": base_config.budget,
+        "union_total": report.total_candidates,
+        "total_clusters": sum(len(g.clusters) for g in report.groups),
+        "strategies": {
+            name: {
+                "found": [len(run) for run in runs],
+                "unique": len(unique_keys[name]),
+                "covered": [sorted(map(list, c)) for c in covered[name]],
+                "unique_clusters": sorted(map(list, unique_clusters[name])),
+            } for name, runs in keys.items()
+        },
+    }
+    return document, report

@@ -46,12 +46,21 @@ def render_value(v: Value) -> str:
     return str(v)
 
 
+def parse_int(text: str) -> int:
+    """The integer in ``text``, which must be written as ``str`` writes it:
+    no ``+``, spaces, underscores or leading zeros, and no ``-0``."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"non-canonical integer {text!r}, expected {str(value)!r}")
+    return value
+
+
 def parse_value(text: str) -> Value:
     if text == "true":
         return True
     if text == "false":
         return False
-    return int(text)
+    return parse_int(text)
 
 
 def render_tuple(values: InputTuple) -> str:

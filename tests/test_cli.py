@@ -340,6 +340,38 @@ def test_summarize_malformed_csv_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"data error: {bad}:2: invalid literal for int()")
 
 
+# integers as a writer never writes them: an input or score is read only
+# as written, so no two stored spellings of one input merge
+NON_CANONICAL_INTEGERS = ["1_0", "+9", " 10 ", "-0", "010"]
+
+
+@pytest.mark.parametrize("command", ["summarize", "rank"])
+@pytest.mark.parametrize("fmt, field", [("csv", "input2"), ("csv", "score_num"),
+                                        ("csv", "score_den"), ("json", "input2")])
+@pytest.mark.parametrize("spelling", NON_CANONICAL_INTEGERS)
+def test_archive_integer_not_written_as_writers_write_it_is_data_error(
+        tmp_path, capsys, command, fmt, field, spelling):
+    """An input or CSV score cell of the second stored candidate, spelled
+    otherwise than the writers write it, is refused at its line or index."""
+    cells = {"input2": "2", "score_num": "1", "score_den": "1", field: spelling}
+    path = tmp_path / f"archive.{fmt}"
+    if fmt == "csv":
+        path.write_text(",".join(CSV_HEADER) + "\n1,2,a,b,VV,1,1,,,bcs\n"
+                        "3,{input2},a,b,VV,{score_num},{score_den},,,bcs\n".format(**cells))
+        where = f"{path}:3: "
+    else:
+        path.write_text(json.dumps({"candidates": [{
+            "input1": input1, "input2": input2,
+            "output1": {"status": "valid", "text": "a"}, "output2": {"status": "valid", "text": "b"},
+            "validity": "VV", "score": {"num": 1, "den": 1}, "strategies": ["bcs"]}
+            for input1, input2 in (("1", "2"), ("3", spelling))]}))
+        where = f"{path}: candidate #1: "
+    assert run_cli(command, str(path), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (f"data error: {where}non-canonical integer {spelling!r}, "
+                                       f"expected {str(int(spelling))!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["summarize", "rank"])
 def test_old_csv_header_is_data_error(tmp_path, capsys, command):
     old = tmp_path / "old.csv"
@@ -589,6 +621,9 @@ def test_oracle_refuses_huge_window(tmp_path):
     (["--sut", "bytecount", "--vary", "1"], "vary index must be in 0..0 for bytecount, got 1"),
     (["--sut", "bytecount", "--from", "5", "--to", "4"],
      "empty or negative window: stop must be >= start, got start 5 and stop 4"),
+    *((["--sut", "date", "--fixed", f"2021,{part},1"],
+       f"argument --fixed: {part!r} in '2021,{part},1' is not an integer, true or false")
+      for part in NON_CANONICAL_INTEGERS),
 ])
 def test_oracle_refusal_names_what_it_got(tmp_path, capsys, argv, message):
     out = tmp_path / "boundaries.csv"
@@ -792,6 +827,8 @@ def test_flags_default_to_the_library_defaults(monkeypatch):
         assert parser.parse_args(argv).restarts == KMEANS_RESTARTS
     restarts = inspect.signature(run_experiment).parameters["summarize_restarts"]
     assert restarts.default == KMEANS_RESTARTS
+    repetitions = inspect.signature(run_experiment).parameters["repetitions"]
+    assert parser.parse_args(["experiment", "--sut", "date"]).reps == repetitions.default
 
 
 def _option_help(command, option, capsys) -> str:

@@ -941,3 +941,13 @@ def test_oracle_scan_runs_and_scores_once_per_input(monkeypatch):
     executed.clear()
     assert is_boundary_pair(BC, (999,), (1000,))
     assert executed == [(999,), (1000,)]
+
+
+def test_is_boundary_pair_refuses_inputs_that_are_not_adjacent():
+    """Only inputs one apart in exactly one argument make a boundary pair,
+    whatever their outputs; adjacent ones do in either order."""
+    assert not is_boundary_pair(BC, (999,), (1001,))
+    assert not is_boundary_pair(BC, (999,), (999,))
+    assert not is_boundary_pair(DATE, (2021, 1, 31), (2021, 2, 32))
+    assert is_boundary_pair(BC, (999,), (1000,))
+    assert is_boundary_pair(BC, (1000,), (999,))

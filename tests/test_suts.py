@@ -429,6 +429,21 @@ def test_external_missing_command_is_an_outcome():
     assert "not found" in o.text
 
 
+@pytest.mark.parametrize("kind", ["file without execute bit", "directory"])
+def test_external_program_that_cannot_run_is_an_outcome(tmp_path, kind):
+    """A program that exists but cannot be executed is an argument error
+    naming why, for root too: execve needs an execute bit."""
+    path = tmp_path
+    if kind != "directory":
+        path = tmp_path / "script.sh"
+        path.write_text("#!/bin/sh\necho ran\n")
+        path.chmod(0o644)
+    o = execute(make_external_sut(str(path)), (1,))
+    assert (o.text, o.error_kind, o.payload) == (
+        f"ArgumentError(\"cannot execute: [Errno 13] Permission denied: '{path}'\")",
+        "argument_error", {})
+
+
 def test_external_timeout(tmp_path):
     sut = make_external_sut(_script(tmp_path, "sleeper", "sleep 30"), timeout=0.2)
     o = execute(sut, (1,))
