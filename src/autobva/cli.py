@@ -34,7 +34,7 @@ from .archive_io import (
     write_report_json,
     write_report_markdown,
 )
-from .detection import STRATEGIES, Archive, DetectionConfig, detect
+from .detection import STRATEGIES, Archive, DetectionConfig, detect, usable_cpus
 from .distances import parse_distance, pdq
 from .oracle import scan_adjacent
 from .sampling import SamplerConfig
@@ -80,13 +80,6 @@ def _detection_config(args) -> DetectionConfig:
         output_distance=parse_distance(args.distance),
         sampler=replace(sampler, seed=_effective_seed(sampler.seed)),
     )
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
 
 
 def _int_at_least(least: int, text: str) -> int:
@@ -172,7 +165,7 @@ def _add_detect_flags(p):
     p.add_argument("--threshold", type=_non_negative_rational, default=DetectionConfig.threshold,
                    help="exact rational ≥ 0, e.g. 0 or 1/2; write a value starting with '-' "
                         "as --threshold=VALUE")
-    p.add_argument("--jobs", type=_positive_int, default=JOBS_PER_CPU * _usable_cpus(),
+    p.add_argument("--jobs", type=_positive_int, default=JOBS_PER_CPU * usable_cpus(),
                    help=f"runs of an external SUT at once (default: {JOBS_PER_CPU} per "
                         "usable CPU; 1 runs one at a time)")
     p.add_argument("--config", default=None, help="JSON file with sampling.* / seed keys")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import time
 from collections import deque
@@ -237,6 +238,15 @@ def bcs_search(runner: Runner, output_distance: OutputDistance,
     i2 = head + (start + delta * high,) + tail
     o1, o2 = run(i1), run(i2)
     return [make_candidate(i1, o1, i2, o2, output_distance.function(o1.text, o2.text))]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which
+    ``taskset`` sets, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def _ordered_map(fn, items: Iterable, width: int) -> Iterator:

@@ -13,13 +13,15 @@ yields clusters, each summarized by its shortest member.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import Archive, BoundaryCandidate
+from .detection import Archive, BoundaryCandidate, usable_cpus
 from .distances import ngrams, strlendist
 from .values import display_tuple
 
@@ -30,6 +32,7 @@ KMEANS_RESTARTS = 100
 K_MAX = 10
 SILHOUETTE_ROWS = 128   # a 128 x 1000 block of distances is 1 MiB
 TEXT_ROWS = 256         # texts per Jaccard block: 2 MiB against a 1000-text reference
+SPLIT_MIN_WORK = 6000   # restarts x subset points below which a fork costs more than it saves
 
 
 def _jaccard(inter: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.ndarray:
@@ -295,19 +298,21 @@ def silhouette(matrix: np.ndarray, assignment: np.ndarray,
     in cache.  The per-point scores then add left to right.
 
     ``memo`` carries work across partitions of one matrix and
-    ``distances``.  A cluster's key is its member indices, ascending, as
-    bytes of the narrowest unsigned type that holds the point count
-    (``np.min_scalar_type``: one byte per member below 256 points, two
-    below 65536); it maps to each point's summed distance to those
-    members.  A partition's key is the frozenset of its cluster keys; it
-    maps to the partition's score, which does not depend on the labels,
-    since ``b`` is a minimum.  A partition already scored returns at once,
-    and only the clusters the memo lacks are gathered and summed, over the
-    same slices, so every score keeps its bits.  The memo holds one float64
-    row of the matrix's width per distinct cluster: on the bench's seed-0
-    ``date`` EE group (950 points) that is 1.6, 2.5 and 3.9 MiB at 100, 300
-    and 1000 restarts.  Each distinct partition's key holds its own copies
-    of its cluster keys, which add up to that type's size per point.
+    ``distances``; ``summarize`` keeps one per share of a group's restarts
+    (see ``_fit_restarts``), not one per group.  A cluster's key is its
+    member indices, ascending, as bytes of the narrowest unsigned type
+    that holds the point count (``np.min_scalar_type``: one byte per member
+    below 256 points, two below 65536); it maps to each point's summed
+    distance to those members.  A partition's key is the frozenset of its
+    cluster keys; it maps to the partition's score, which does not depend
+    on the labels, since ``b`` is a minimum.  A partition already scored
+    returns at once, and only the clusters the memo lacks are gathered and
+    summed, over the same slices, so every score keeps its bits.  The memo
+    holds one float64 row of the matrix's width per distinct cluster: on
+    the bench's seed-0 ``date`` EE group (950 points) that is 1.6, 2.5 and
+    3.9 MiB at 100, 300 and 1000 restarts in one memo.  Each distinct
+    partition's key holds its own copies of its cluster keys, which add
+    up to that type's size per point.
     """
     labels, sizes = np.unique(assignment, return_counts=True)
     if len(labels) < 2:
@@ -431,23 +436,106 @@ def _strategy_counts(members: Sequence[BoundaryCandidate], strategies: dict) -> 
     return dict(sorted(counts.items()))
 
 
+def _fit_share(matrix: np.ndarray, pairwise: np.ndarray, jobs: list) -> list:
+    """The k-means models of one share's restarts, given as (k, seed) pairs,
+    over one silhouette memo."""
+    memo: dict = {}
+    return [kmeans(matrix, k, random.Random(seed), distances=pairwise, memo=memo)
+            for k, seed in jobs]
+
+
+def _share_worker(send, name: str, matrix: np.ndarray, pairwise: np.ndarray,
+                  jobs: list) -> None:
+    """A forked process's share: its models, or why it has none and the
+    traceback, down the pipe ``send``.  An interrupt is left to the parent,
+    which ends its workers itself."""
+    import signal
+    import traceback
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        send.send((True, _fit_share(matrix, pairwise, jobs)))
+    except Exception as exc:
+        send.send((False, f"{name} failed in process {os.getpid()}: "
+                          f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
+
+
+def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: list) -> list:
+    """The k-means model of each restart, in restart order; restart ``i``
+    runs at ``k = ks[i % len(ks)]`` from ``seeds[i]``.
+
+    The restarts are split by k into up to ``usable_cpus()`` shares: share
+    ``j`` takes the ks at positions ``j``, ``j + shares``, ... of ``ks``,
+    and has its own silhouette memo, so every partition of one k is met in
+    one share.  The parent forks one process for each share but the last,
+    which has the fewest ks, and runs that one itself; a worker sends its
+    models back through a pipe, and a worker that fails makes this raise.
+    Every worker is ended and reaped before this returns or raises.
+    Restart work (restarts times points) below ``SPLIT_MIN_WORK``, one
+    usable CPU, or a platform other than Linux (where forking a process
+    that loaded numpy is safe) runs every restart in this process.
+    """
+    jobs = [(ks[i % len(ks)], seed) for i, seed in enumerate(seeds)]
+    count = min(usable_cpus(), len(ks), len(seeds))
+    if count == 1 or len(jobs) * matrix.shape[1] < SPLIT_MIN_WORK or sys.platform != "linux":
+        return _fit_share(matrix, pairwise, jobs)
+    shares = [[i for i in range(len(jobs)) if i % len(ks) % count == j] for j in range(count)]
+    names = [f"k-means share {j} of {count} (k = {', '.join(map(str, ks[j:len(jobs):count]))})"
+             for j in range(count)]
+    from multiprocessing import get_context
+    context = get_context("fork")
+    workers = []
+    try:
+        for share, name in zip(shares[:-1], names):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_share_worker, name=name, args=(
+                send, name, matrix, pairwise, [jobs[i] for i in share]))
+            process.start()
+            workers.append((process, receive))
+            send.close()
+        own = _fit_share(matrix, pairwise, [jobs[i] for i in shares[-1]])
+        results = []
+        for (process, receive), name in zip(workers, names):
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"{name} ended with exit code {process.exitcode} "
+                                   "before sending its models") from None
+            if not ok:
+                raise RuntimeError(result)
+            results.append(result)
+        results.append(own)
+    finally:
+        for process, receive in workers:
+            receive.close()
+            if process.exitcode is None:
+                process.terminate()
+            process.join()
+    models = [None] * len(jobs)
+    for share, result in zip(shares, results):
+        for i, model in zip(share, result):
+            models[i] = model
+    return models
+
+
 def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
              restarts: int) -> tuple:
     """(member lists, silhouette) of a group of three or more candidates.
 
-    Everything built here, from the group's feature table to its memo and
-    pairwise distances, is freed on return, before the next group starts.
+    Every restart's seed is drawn before the first runs, so ``rng``
+    advances as it would for restarts run one after another, and the
+    report does not depend on how many CPUs run them (see
+    ``_fit_restarts``).  Everything built here, from the group's feature
+    table to its memos and pairwise distances, is freed on return, before
+    the next group starts.
     """
     distances = TextDistances(group)
     subset, dropped = diversity_subset(group, rng, distances)
     space = FeatureSpace(distances, subset)
     pairwise = point_distances(space.matrix)
     ks = list(range(2, min(K_MAX, len(subset)) + 1))
-    memo: dict = {}
-    models = [kmeans(space.matrix, ks[i % len(ks)], random.Random(rng.getrandbits(64)),
-                     distances=pairwise, memo=memo)
-              for i in range(restarts)]
-    best = select_model(models)
+    seeds = [rng.getrandbits(64) for _ in range(restarts)]
+    best = select_model(_fit_restarts(space.matrix, pairwise, ks, seeds))
     nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
     member_lists = [[] for _ in range(best.k)]
     for position, cluster in zip(np.concatenate([subset, dropped]),
@@ -464,10 +552,13 @@ def summarize(archive: Archive, rng: random.Random,
     groups go through diversity subsetting, `restarts` k-means runs cycling
     k over 2..min(K_MAX, subset size), silhouette model selection, and
     nearest-centroid attachment of the diversity-dropped candidates.
-    A group's restarts share one silhouette memo (see ``silhouette``), so
-    each distinct partition of its subset is scored once and each distinct
-    cluster among those partitions is summed once; the memo lives only
-    while that group is clustered.
+    A group's restarts run in shares split by k, one share per usable CPU
+    (``taskset`` limits them; see ``_fit_restarts``), and the report does
+    not depend on how many there are.  The restarts of one share share one
+    silhouette memo (see ``silhouette``), so each distinct partition of the
+    subset is scored once and each distinct cluster among a share's
+    partitions is summed once in that share; the memos live only while
+    that group is clustered.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")

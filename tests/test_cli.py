@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -915,6 +916,35 @@ def test_experiment_golden_outputs(tmp_path):
     assert {name: _sha256(out / name) for name in GOLDEN_EXPERIMENT} == GOLDEN_EXPERIMENT
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="restarts fork workers on Linux only")
+def test_experiment_forks_no_worker_while_other_threads_run(tmp_path, monkeypatch):
+    """The search threads of an external SUT are gone before summarize
+    forks its k-means workers; Python 3.12 and later warn on a fork while
+    other threads run."""
+    import threading
+    from multiprocessing.context import ForkProcess
+
+    from autobva import summarization
+
+    monkeypatch.setattr(summarization, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(summarization, "SPLIT_MIN_WORK", 0)
+    threads_at_fork = []
+    start = ForkProcess.start
+
+    def counted_start(process):
+        threads_at_fork.append(threading.active_count())
+        start(process)
+
+    monkeypatch.setattr(ForkProcess, "start", counted_start)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("experiment", "--sut", "external:/bin/echo", "--reps", "1",
+                       "--iterations", "10", "--restarts", "10", "--jobs", "4",
+                       "--out", str(tmp_path / "exp")) == 0
+    assert threads_at_fork and set(threads_at_fork) == {1}
+    assert not [w for w in caught if "fork" in str(w.message)]
+
+
 # sha256 of ranked CSVs of one seeded bytecount BCS archive, under its flags
 GOLDEN_RANKED = {
     "plain": "5339cc0296a65508b9d8f57ec9dcb24da207f3f9bacd884fe0075910815e9656",
@@ -968,8 +998,8 @@ assert cli.main(["detect", "--sut", "bytecount", "--iterations", "300", "--seed"
 assert cli.main(["rank", archive, "--out", str(out / "ranked.csv")]) == 0
 assert cli.main(["oracle", "--sut", "bytecount", "--from", "0", "--to", "2000",
                  "--out", str(out / "boundaries.csv")]) == 0
-loaded = [name for name in ("numpy", "autobva.summarization", "subprocess")
-          if name in sys.modules]
+loaded = [name for name in ("numpy", "autobva.summarization", "subprocess",
+                           "multiprocessing") if name in sys.modules]
 assert not loaded, f"loaded {loaded}"
 assert cli.main(["summarize", archive, "--restarts", "5", "--out", str(out / "report")]) == 0
 import autobva
@@ -980,8 +1010,9 @@ print("ok")
 
 
 def test_detect_rank_and_oracle_load_no_numpy_or_subprocess(tmp_path):
-    """Only clustering loads numpy and summarization, and only an external
-    SUT loads subprocess; summarize still works in the same process."""
+    """Only clustering loads numpy, summarization and multiprocessing, and
+    only an external SUT loads subprocess; summarize still works in the
+    same process."""
     import subprocess
 
     import autobva

@@ -2,6 +2,9 @@
 selection, and the full summarize pipeline."""
 
 import hashlib
+import multiprocessing
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -718,6 +721,14 @@ def _date_lns_archive():
     return detect(DATE, cfg).archive
 
 
+def _workers(monkeypatch, count):
+    """Split the restarts of every clustered group, however small, into
+    ``count`` shares; 1 runs them all in this process, so a patched
+    ``kmeans`` sees every restart."""
+    monkeypatch.setattr(summarization, "usable_cpus", lambda: count)
+    monkeypatch.setattr(summarization, "SPLIT_MIN_WORK", 0)
+
+
 def _small_window(monkeypatch):
     """A diversity window of 20 and block of 6, which run diversity rounds
     on both VE (28) and EE (143) of the small archive."""
@@ -751,6 +762,7 @@ def test_summarize_golden_report(tmp_path, monkeypatch, seed, digest, options):
 
 
 def test_summarize_memo_selects_what_scoring_every_restart_selects(tmp_path, monkeypatch):
+    _workers(monkeypatch, 1)
     archive = _date_archive()
     clustering = summarization.kmeans
     memos = {}
@@ -782,6 +794,7 @@ class _ClusterSumsOnly(dict):
 
 
 def test_summarize_cluster_memo_changes_no_report(tmp_path, monkeypatch):
+    _workers(monkeypatch, 1)
     archive = _date_archive()
 
     def report_bytes(name):
@@ -810,6 +823,7 @@ class _CountingMemo(dict):
 
 
 def test_summarize_sums_each_distinct_cluster_once_per_group(monkeypatch):
+    _workers(monkeypatch, 1)
     memos, member_sets = {}, {}
     clustering = summarization.kmeans
 
@@ -855,9 +869,11 @@ def test_summarize_computes_candidate_features_once_per_group(monkeypatch):
     assert calls == {"strlendist": 28 + 143, "TextDistances": 2}
 
 
-def test_summarize_memory_is_bounded_by_the_window():
+def test_summarize_memory_is_bounded_by_the_window(monkeypatch):
     # 2000 candidates with 4000 distinct texts: one text-by-text float64
-    # array is 122 MiB, while the window's (1000, 1000) distances are 8 MiB
+    # array is 122 MiB, while the window's (1000, 1000) distances are 8 MiB;
+    # tracemalloc sees this process alone, so every restart runs in it
+    _workers(monkeypatch, 1)
     archive = Archive()
     for i in range(2000):
         archive.add(text_cand(2 * i, str(i * 7919), 2 * i + 1, f"{i * 104729}x"))
@@ -879,3 +895,119 @@ def test_summarize_fixed_seed_reproducible():
                           for c in g.clusters]) for g in a.groups] == \
            [(g.validity, [(c.cluster_id, c.size, c.representative.key)
                           for c in g.clusters]) for g in b.groups]
+
+
+# ---------------------------------------------------------------------------
+# restarts split over processes
+
+
+def _report_bytes(tmp_path, name, archive, seed, restarts):
+    path = tmp_path / name
+    write_report_json(path, summarize(archive, Random(seed), restarts=restarts))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("seed, digest, options", [
+    (0, "2779a2ee519e19a441c41c919e561b84eb02deb662fd7bcf6da2759adf2c102c", _GOLDEN_SMALL),
+    (1, "4858508e3cebe9bf78dcef82bb35aac0b8a2e7872bde41898ea7a3986737551b", _GOLDEN_SMALL),
+    (0, "76fc420713afe94f6638fe82e5028f27bbe56faa0d88154851bda11b6d279016", _GOLDEN_BENCH),
+], ids=["small-0", "small-1", "window1000-0"])
+def test_summarize_golden_report_at_any_worker_count(tmp_path, monkeypatch, workers, seed,
+                                                     digest, options):
+    _workers(monkeypatch, workers)
+    if options["small_window"]:
+        _small_window(monkeypatch)
+    report = _report_bytes(tmp_path, "report.json", options["archive"](), seed, 20)
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_summarize_report_is_the_same_at_any_worker_count(tmp_path, monkeypatch):
+    archive = _date_archive()
+    reports = []
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        reports.append(_report_bytes(tmp_path, f"{workers}.json", archive, 0, 100))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def _restart_inputs(restarts):
+    """The features of the small date archive's EE group (143 points), their
+    distances, ks and ``restarts`` seeds."""
+    group = [c for c in _date_archive() if c.validity == "EE"]
+    matrix = FeatureSpace(TextDistances(group), range(len(group))).matrix
+    rng = Random(5)
+    return (matrix, point_distances(matrix), list(range(2, summarization.K_MAX + 1)),
+            [rng.getrandbits(64) for _ in range(restarts)])
+
+
+def _model_bytes(model):
+    return (model.k, model.assignment.tobytes(), model.centroids.tobytes(),
+            model.silhouette.hex(), model.reseeded)
+
+
+@pytest.mark.parametrize("restarts", [100, 2, 1])
+def test_split_restarts_fit_the_models_of_the_serial_loop(monkeypatch, restarts):
+    matrix, pairwise, ks, seeds = _restart_inputs(restarts)
+    memo: dict = {}
+    serial = [kmeans(matrix, ks[i % len(ks)], Random(seed), distances=pairwise, memo=memo)
+              for i, seed in enumerate(seeds)]
+    for workers in (2, 3):
+        _workers(monkeypatch, workers)
+        split = summarization._fit_restarts(matrix, pairwise, ks, seeds)
+        assert list(map(_model_bytes, split)) == list(map(_model_bytes, serial))
+
+
+def _in_a_worker(action):
+    """``kmeans`` that does ``action`` in a forked worker instead of fitting."""
+    parent, clustering = os.getpid(), summarization.kmeans
+
+    def kmeans_(*args, **kwargs):
+        if os.getpid() != parent:
+            action()
+        return clustering(*args, **kwargs)
+    return kmeans_
+
+
+def _fault():
+    raise ArithmeticError("no model")
+
+
+def test_worker_that_ends_without_models_raises(monkeypatch):
+    matrix, pairwise, ks, seeds = _restart_inputs(20)
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(summarization, "kmeans", _in_a_worker(lambda: os._exit(7)))
+    with pytest.raises(RuntimeError, match=r"^k-means share 0 of 2 \(k = 2, 4, 6, 8, 10\) "
+                                           r"ended with exit code 7 before sending its models$"):
+        summarization._fit_restarts(matrix, pairwise, ks, seeds)
+    assert multiprocessing.active_children() == []
+
+
+def test_summarize_raises_when_a_worker_fails(monkeypatch):
+    _workers(monkeypatch, 3)
+    monkeypatch.setattr(summarization, "kmeans", _in_a_worker(_fault))
+    with pytest.raises(RuntimeError, match=r"^k-means share 0 of 3 \(k = 2, 5, 8\) failed "
+                                           r"in process \d+: ArithmeticError: no model\n"
+                                           r"Traceback ") as failed:
+        summarize(_date_archive(), Random(0), restarts=20)
+    # the worker's traceback, down to the fault
+    assert str(failed.value).endswith(', in _fault\n    raise ArithmeticError("no model")\n'
+                                      "ArithmeticError: no model\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_in_the_parent_ends_every_worker(monkeypatch):
+    matrix, pairwise, ks, seeds = _restart_inputs(20)
+    _workers(monkeypatch, 3)
+    parent = os.getpid()
+
+    def kmeans_(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)       # a worker that would outlast the test
+        raise KeyboardInterrupt
+    monkeypatch.setattr(summarization, "kmeans", kmeans_)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        summarization._fit_restarts(matrix, pairwise, ks, seeds)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
