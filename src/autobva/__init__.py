@@ -41,14 +41,14 @@ __all__ = [
     "JACCARD1", "JACCARD2", "LEVENSHTEIN", "STRLEN", "OutputDistance",
     "input_distance", "jaccard_ngram", "levenshtein", "parse_distance", "pdq",
     "strlendist", "SamplerConfig", "TypeDomain", "compatible_types",
-    "sample_arguments", "sample_value", "ClusterReport", "kmeans", "select_model",
+    "sample_arguments", "sample_value", "kmeans", "select_model",
     "silhouette", "summarize", "BUILTIN_SUTS", "SutDescriptor",
     "execute", "get_sut", "make_external_sut", "ExecutionOutcome", "render_value",
 ]
 
 # Clustering needs numpy, which detection, ranking and the oracle never use,
 # so these names import ``summarization`` on first access (PEP 562).
-_SUMMARIZATION_NAMES = ("ClusterReport", "kmeans", "select_model", "silhouette", "summarize")
+_SUMMARIZATION_NAMES = ("kmeans", "select_model", "silhouette", "summarize")
 
 
 def __getattr__(name):

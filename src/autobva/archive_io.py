@@ -20,15 +20,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .detection import Archive, BoundaryCandidate, DetectionConfig, DetectionResult
 from .sampling import SamplerConfig
 from .suts import MAX_OUTPUT_BYTES
-from .values import ExecutionOutcome, display_tuple, parse_int, parse_tuple, typed
-
-if TYPE_CHECKING:   # summarization loads numpy, which reading and writing archives never use
-    from .summarization import ClusterReport
+from .values import ExecutionOutcome, parse_int, parse_tuple, typed
 
 # An error kind is empty on a valid side; strategies are sorted names joined
 # by ";".  Error payloads are not stored in CSV.  The longest text an outcome
@@ -304,37 +301,10 @@ def write_manifest(path, manifest: dict) -> None:
 # cluster reports
 
 
-def report_to_json(report: ClusterReport) -> dict:
-    return {
-        "total_candidates": report.total_candidates,
-        "groups": [
-            {
-                "validity": g.validity,
-                "size": g.size,
-                "silhouette": g.silhouette,
-                "clusters": [
-                    {
-                        "id": c.cluster_id,
-                        "size": c.size,
-                        "strategy_counts": c.strategy_counts,
-                        "representative": {
-                            "input1": c.representative.key[0],
-                            "output1": c.representative.output1.text,
-                            "input2": c.representative.key[1],
-                            "output2": c.representative.output2.text,
-                        },
-                        "members": [list(m.key) for m in c.members],
-                    }
-                    for c in g.clusters
-                ],
-            }
-            for g in report.groups
-        ],
-    }
-
-
-def write_report_json(path, report: ClusterReport) -> None:
-    Path(path).write_text(json.dumps(report_to_json(report), indent=1), encoding="utf-8")
+def write_report_json(path, report: dict) -> None:
+    """Write ``report``, the report.json document ``summarization.summarize``
+    returns."""
+    Path(path).write_text(json.dumps(report, indent=1), encoding="utf-8")
 
 
 def read_cluster_labels(path) -> dict:
@@ -363,32 +333,38 @@ def read_cluster_labels(path) -> dict:
     return labels
 
 
-def report_to_markdown(report: ClusterReport) -> str:
+def _display_key(key: str) -> str:
+    """``display_tuple`` of the input whose ``render_tuple`` key is ``key``."""
+    return key if ";" not in key else "(" + key.replace(";", ",") + ")"
+
+
+def report_to_markdown(report: dict) -> str:
+    """The report.md tables, drawn from the report.json document."""
     lines = ["# Boundary candidate summary", ""]
-    strategies = sorted({tag for g in report.groups for c in g.clusters
-                         for tag in c.strategy_counts})
+    strategies = sorted({tag for g in report["groups"] for c in g["clusters"]
+                         for tag in c["strategy_counts"]})
     head = ["ID", "Validity", "Input 1", "Output 1", "Input 2", "Output 2", "Cluster size"]
     head += [f"{s} found" for s in strategies]
-    for g in report.groups:
-        title = f"## {g.validity} ({g.size} candidates"
-        title += f", silhouette {g.silhouette:.3f})" if g.silhouette is not None else ")"
+    for g in report["groups"]:
+        title = f"## {g['validity']} ({g['size']} candidates"
+        title += f", silhouette {g['silhouette']:.3f})" if g["silhouette"] is not None else ")"
         lines += [title, ""]
         lines.append("| " + " | ".join(head) + " |")
         lines.append("|" + "---|" * len(head))
-        for c in g.clusters:
-            rep = c.representative
-            row = [str(c.cluster_id), g.validity,
-                   display_tuple(rep.input1), rep.output1.text,
-                   display_tuple(rep.input2), rep.output2.text,
-                   str(c.size)]
-            row += [str(c.strategy_counts.get(s, 0)) for s in strategies]
+        for c in g["clusters"]:
+            rep = c["representative"]
+            row = [str(c["id"]), g["validity"],
+                   _display_key(rep["input1"]), rep["output1"],
+                   _display_key(rep["input2"]), rep["output2"],
+                   str(c["size"])]
+            row += [str(c["strategy_counts"].get(s, 0)) for s in strategies]
             lines.append("| " + " | ".join(_LINE_BREAK.sub("<br>", cell.replace("|", "\\|"))
                                            for cell in row) + " |")
         lines.append("")
     return "\n".join(lines)
 
 
-def write_report_markdown(path, report: ClusterReport) -> None:
+def write_report_markdown(path, report: dict) -> None:
     Path(path).write_text(report_to_markdown(report), encoding="utf-8")
 
 

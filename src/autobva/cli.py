@@ -203,9 +203,10 @@ def cmd_summarize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_report_markdown(out / "report.md", report)
     write_report_json(out / "report.json", report)
-    clusters = sum(len(g.clusters) for g in report.groups)
-    print(f"{report.total_candidates} candidates -> {clusters} clusters "
-          f"in {len(report.groups)} validity groups -> {out}")
+    groups = report["groups"]
+    clusters = sum(len(g["clusters"]) for g in groups)
+    print(f"{report['total_candidates']} candidates -> {clusters} clusters "
+          f"in {len(groups)} validity groups -> {out}")
     return EXIT_OK
 
 

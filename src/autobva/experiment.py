@@ -67,8 +67,8 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
                    repetitions: int = 3,
                    summarize_restarts: int = KMEANS_RESTARTS) -> tuple:
     """Run repetitions x strategies with distinct seeds; return the
-    experiment.json document and the summary of every run's candidates,
-    merged.
+    experiment.json document and the report.json document of every run's
+    candidates, merged.
 
     Every run gets its own seed: the base config's sampler seed plus the
     run's index across the grid.  Coverage is measured against the summary
@@ -100,14 +100,15 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
             merged.merge(result.archive)
 
     report = summarize(merged, random.Random(base_seed), restarts=summarize_restarts)
-    cluster_ids = report.cluster_of()
+    cluster_ids = {tuple(member): (g["validity"], c["id"])
+                   for g in report["groups"] for c in g["clusters"] for member in c["members"]}
     covered = {name: [{cluster_ids[k] for k in run if k in cluster_ids} for run in runs]
                for name, runs in keys.items()}
     unique_keys, unique_clusters = _exclusive(keys), _exclusive(covered)
     document = {
         "sut": sut.name, "repetitions": repetitions, "budget": base_config.budget,
-        "union_total": report.total_candidates,
-        "total_clusters": sum(len(g.clusters) for g in report.groups),
+        "union_total": report["total_candidates"],
+        "total_clusters": sum(len(g["clusters"]) for g in report["groups"]),
         "strategies": {
             name: {
                 "found": [len(run) for run in runs],

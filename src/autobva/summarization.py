@@ -30,7 +30,7 @@ DIVERSITY_WINDOW = 1000
 KMEANS_MAX_ITER = 200
 KMEANS_RESTARTS = 100
 K_MAX = 10
-SILHOUETTE_ROWS = 128   # a 128 x 1000 block of distances is 1 MiB
+SILHOUETTE_ROWS = 128   # rows per distance block: 128 x 1000 float64 is 1 MiB
 TEXT_ROWS = 256         # texts per Jaccard block: 2 MiB against a 1000-text reference
 SPLIT_MIN_WORK = 6000   # restarts x subset points below which a fork costs more than it saves
 
@@ -275,13 +275,23 @@ def kmeans(matrix: np.ndarray, k: int, rng: random.Random,
 
 
 def point_distances(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all pairs of feature matrix columns,
-    squared ``SILHOUETTE_ROWS`` rows at a time into one (n, n) array."""
+    """Euclidean distances between all pairs of feature matrix columns, as
+    one (n, n) array.  Each ``SILHOUETTE_ROWS`` rows are squared in place,
+    a feature at a time through one scratch block, in the order of
+    ``_squared_distances``, so every entry keeps its bits."""
     n = matrix.shape[1]
     sq = np.empty((n, n))
+    scratch = np.empty((min(n, SILHOUETTE_ROWS), n))
     for top in range(0, n, SILHOUETTE_ROWS):
         rows = slice(top, top + SILHOUETTE_ROWS)
-        sq[rows] = _squared_distances(matrix, matrix.T[rows])
+        out = sq[rows]
+        diff = scratch[:len(out)]
+        np.subtract(matrix[0, rows, None], matrix[0], out=out)
+        out *= out
+        for feature in matrix[1:]:
+            np.subtract(feature[rows, None], feature, out=diff)
+            diff *= diff
+            out += diff
     return np.sqrt(sq, out=sq)
 
 
@@ -375,53 +385,6 @@ def select_model(models: Sequence[ClusteringModel]) -> ClusteringModel:
     return max(eligible)[3]
 
 
-@dataclass
-class ClusterSummary:
-    cluster_id: int
-    members: list
-    representative: BoundaryCandidate
-    strategy_counts: dict
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass
-class GroupSummary:
-    validity: str
-    clusters: list
-    silhouette: Optional[float]   # None for small groups clustered trivially
-
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.clusters)
-
-
-@dataclass
-class ClusterReport:
-    groups: list
-
-    @property
-    def total_candidates(self) -> int:
-        return sum(g.size for g in self.groups)
-
-    def group(self, validity: str) -> Optional[GroupSummary]:
-        for g in self.groups:
-            if g.validity == validity:
-                return g
-        return None
-
-    def cluster_of(self) -> dict:
-        """Candidate identity key -> (validity, cluster_id), for coverage stats."""
-        mapping = {}
-        for g in self.groups:
-            for cluster in g.clusters:
-                for member in cluster.members:
-                    mapping[member.key] = (g.validity, cluster.cluster_id)
-        return mapping
-
-
 def _candidate_brevity(c: BoundaryCandidate) -> tuple:
     fields = (display_tuple(c.input1), c.output1.text,
               display_tuple(c.input2), c.output2.text)
@@ -463,12 +426,14 @@ def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: lis
     """The k-means model of each restart, in restart order; restart ``i``
     runs at ``k = ks[i % len(ks)]`` from ``seeds[i]``.
 
-    The restarts are split by k into up to ``usable_cpus()`` shares: share
-    ``j`` takes the ks at positions ``j``, ``j + shares``, ... of ``ks``,
-    and has its own silhouette memo, so every partition of one k is met in
-    one share.  The parent forks one process for each share but the last,
-    which has the fewest ks, and runs that one itself; a worker sends its
-    models back through a pipe, and a worker that fails makes this raise.
+    The restarts are split by k into up to ``usable_cpus()`` shares, each
+    with its own silhouette memo, so every partition of one k is met in
+    one share.  A restart at k costs about k + 1 units, so a k costs that
+    times its restart count; whole ks go, costliest first (the earlier in
+    ``ks`` on a tie), to the least-loaded share (the first on a tie).  The
+    parent forks one process for each share but the last and runs that one
+    itself; a worker sends its models back through a pipe, and a worker
+    that fails makes this raise.
     Every worker is ended and reaped before this returns or raises.
     Restart work (restarts times points) below ``SPLIT_MIN_WORK``, one
     usable CPU, or a platform other than Linux (where forking a process
@@ -478,9 +443,16 @@ def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: lis
     count = min(usable_cpus(), len(ks), len(seeds))
     if count == 1 or len(jobs) * matrix.shape[1] < SPLIT_MIN_WORK or sys.platform != "linux":
         return _fit_share(matrix, pairwise, jobs)
-    shares = [[i for i in range(len(jobs)) if i % len(ks) % count == j] for j in range(count)]
-    names = [f"k-means share {j} of {count} (k = {', '.join(map(str, ks[j:len(jobs):count]))})"
-             for j in range(count)]
+    positions = range(min(len(ks), len(jobs)))
+    costs = [(ks[p] + 1) * len(range(p, len(jobs), len(ks))) for p in positions]
+    loads, owned = [0] * count, [[] for _ in range(count)]
+    for p in sorted(positions, key=lambda p: -costs[p]):
+        j = loads.index(min(loads))
+        loads[j] += costs[p]
+        owned[j].append(p)
+    shares = [[i for i in range(len(jobs)) if i % len(ks) in own] for own in owned]
+    names = [f"k-means share {j} of {count} (k = {', '.join(str(ks[p]) for p in sorted(own))})"
+             for j, own in enumerate(owned)]
     from multiprocessing import get_context
     context = get_context("fork")
     workers = []
@@ -545,8 +517,13 @@ def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
 
 
 def summarize(archive: Archive, rng: random.Random,
-              restarts: int = KMEANS_RESTARTS) -> ClusterReport:
-    """Cluster an archive per validity group and return the report.
+              restarts: int = KMEANS_RESTARTS) -> dict:
+    """Cluster an archive per validity group and return the report.json
+    document: ``total_candidates`` and, per group, its ``validity``,
+    ``size``, ``silhouette`` (None for a group clustered trivially) and
+    ``clusters``, largest first.  A cluster holds its ``id``, ``size``,
+    ``strategy_counts``, ``representative`` (its shortest member's keys and
+    output texts) and ``members``, each a candidate's key as a list.
 
     Groups with fewer than three candidates become a single cluster; larger
     groups go through diversity subsetting, `restarts` k-means runs cycling
@@ -573,10 +550,13 @@ def summarize(archive: Archive, rng: random.Random,
             member_lists, score = _cluster(group, rng, restarts)
         picked = sorted(((ms, min(ms, key=_candidate_brevity)) for ms in member_lists if ms),
                         key=lambda pair: (-len(pair[0]), pair[1].key))
-        clusters = [
-            ClusterSummary(i + 1, members, representative,
-                           _strategy_counts(members, archive.strategies))
-            for i, (members, representative) in enumerate(picked)
-        ]
-        groups.append(GroupSummary(validity, clusters, silhouette=score))
-    return ClusterReport(groups)
+        groups.append({"validity": validity, "size": len(group), "silhouette": score,
+                       "clusters": [{
+                           "id": i,
+                           "size": len(members),
+                           "strategy_counts": _strategy_counts(members, archive.strategies),
+                           "representative": {"input1": rep.key[0], "output1": rep.output1.text,
+                                              "input2": rep.key[1], "output2": rep.output2.text},
+                           "members": [list(m.key) for m in members],
+                       } for i, (members, rep) in enumerate(picked, 1)]})
+    return {"total_candidates": sum(g["size"] for g in groups), "groups": groups}

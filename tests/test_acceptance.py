@@ -297,12 +297,13 @@ def test_criterion_6_summarization():
     with criterion("6 summarization", time_limit=120.0):
         merged = _merged_bcs_archives()
         report = summarize(merged, Random(0), restarts=100)
-        ve, ee, vv = report.group("VE"), report.group("EE"), report.group("VV")
-        assert ve is not None and len(ve.clusters) == 1
-        assert ee is not None and len(ee.clusters) == 1
+        groups = {g["validity"]: g for g in report["groups"]}
+        ve, ee, vv = groups.get("VE"), groups.get("EE"), groups.get("VV")
+        assert ve is not None and len(ve["clusters"]) == 1
+        assert ee is not None and len(ee["clusters"]) == 1
         assert vv is not None
-        assert 5 <= len(vv.clusters) <= 8, len(vv.clusters)
-        assert vv.silhouette is not None and vv.silhouette >= 0.90, vv.silhouette
+        assert 5 <= len(vv["clusters"]) <= 8, len(vv["clusters"])
+        assert vv["silhouette"] is not None and vv["silhouette"] >= 0.90, vv["silhouette"]
 
 
 def test_criterion_6_bool_pair_representative():
@@ -325,11 +326,13 @@ def test_criterion_6_bool_pair_representative():
     with criterion("6b boolean-pair representative"):
         merged = _merged_bcs_archives()
         report = summarize(merged, Random(0), restarts=100)
-        vv = report.group("VV")
-        bool_clusters = [c for c in vv.clusters
-                         if any(isinstance(m.input1[0], bool) for m in c.members)]
+        by_key = {c.key: c for c in merged}
+        (vv,) = [g for g in report["groups"] if g["validity"] == "VV"]
+        bool_clusters = [c for c in vv["clusters"]
+                         if any(isinstance(by_key[tuple(m)].input1[0], bool) for m in c["members"])]
         assert len(bool_clusters) == 1
-        rep = bool_clusters[0].representative
+        representative = bool_clusters[0]["representative"]
+        rep = by_key[representative["input1"], representative["input2"]]
         assert isinstance(rep.input1[0], bool), rep.key
 
 

@@ -27,6 +27,7 @@ from autobva.distances import STRLEN
 from autobva.sampling import SamplerConfig
 from autobva.summarization import summarize
 from autobva.suts import execute, get_sut
+from autobva.values import display_tuple
 
 BC = get_sut("bytecount")
 
@@ -259,8 +260,9 @@ def test_cluster_labels_of_a_written_report(tmp_path):
     path = tmp_path / "report.json"
     write_report_json(path, report)
     labels = read_cluster_labels(path)
-    assert labels == {key: f"{validity}/{cluster_id}"
-                      for key, (validity, cluster_id) in report.cluster_of().items()}
+    assert labels == {tuple(member): f"{group['validity']}/{cluster['id']}"
+                      for group in report["groups"] for cluster in group["clusters"]
+                      for member in cluster["members"]}
     assert len(labels) == len(result.archive)
 
 
@@ -354,7 +356,7 @@ def test_report_files(tmp_path):
     assert "| ID | Validity |" in text
     assert "bcs found" in text
     doc = json.loads(js.read_text())
-    assert doc["total_candidates"] == report.total_candidates
+    assert doc["total_candidates"] == report["total_candidates"] == len(result.archive)
     for group in doc["groups"]:
         assert sum(c["size"] for c in group["clusters"]) == group["size"]
         for cluster in group["clusters"]:
@@ -380,13 +382,41 @@ def test_report_markdown_keeps_each_cluster_on_one_table_line(tmp_path):
     table = [line for line in text.split("\n") if line.startswith("|")]
     assert all(line.endswith("|") for line in table)
     # a head and a rule per group, then one line per cluster
-    assert len(table) == sum(2 + len(g.clusters) for g in report.groups)
-    rep_texts = {c.representative.output2.text for g in report.groups for c in g.clusters}
+    assert len(table) == sum(2 + len(g["clusters"]) for g in report["groups"])
+    rep_texts = {c["representative"]["output2"] for g in report["groups"] for c in g["clusters"]}
     rendered = {"one line": "one line", "first\r\nsecond": "first<br>second",
                 "left\rright | more": "left<br>right \\| more",
                 texts[0]: "Traceback (most recent call last):<br>  File \"x\"<br>ValueError: -1"}
     for rep in rep_texts:
         assert f" {rendered[rep]} |" in text
+
+
+@pytest.mark.parametrize("sut", ["bytecount", "date"])
+def test_report_files_are_the_document_summarize_returns(tmp_path, sut):
+    """report.json reads back as the returned document, and each input cell
+    of report.md, drawn from a representative's keys, is ``display_tuple``
+    of that candidate's input: on date's three arguments too, some of them
+    booleans or negative."""
+    cfg = DetectionConfig(strategy="lns" if sut == "date" else "bcs",
+                          budget={"iterations": 300}, sampler=SamplerConfig(seed=4))
+    archive = detect(get_sut(sut), cfg).archive
+    report = summarize(archive, Random(0), restarts=10)
+    js, md = tmp_path / "report.json", tmp_path / "report.md"
+    write_report_json(js, report)
+    write_report_markdown(md, report)
+    assert json.loads(js.read_text(encoding="utf-8")) == report
+
+    by_key = {c.key: c for c in archive}
+    representatives = [by_key[c["representative"]["input1"], c["representative"]["input2"]]
+                       for g in report["groups"] for c in g["clusters"]]
+    rows = [line[2:-2].split(" | ") for line in md.read_text(encoding="utf-8").split("\n")
+            if line.startswith("| ") and not line.startswith("| ID |")]
+    assert [(row[2], row[4]) for row in rows] == \
+           [(display_tuple(c.input1), display_tuple(c.input2)) for c in representatives]
+    inputs = [v for c in representatives for v in c.input1 + c.input2]
+    if sut == "date":
+        assert any(isinstance(v, bool) for v in inputs)
+        assert any(not isinstance(v, bool) and v < 0 for v in inputs)
 
 
 # ---------------------------------------------------------------------------

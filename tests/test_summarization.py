@@ -451,7 +451,7 @@ def _broadcast_point_distances(matrix):
     return np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
 
 
-@pytest.mark.parametrize("n", [5, 100, 950])
+@pytest.mark.parametrize("n", [1, 5, 100, 128, 129, 950])
 def test_point_distances_equal_broadcast_formula_bit_for_bit(n):
     rng = np.random.RandomState(n)
     for matrix in (rng.rand(4, n), rng.rand(4, n) * 10.0 ** rng.randint(-3, 4, size=(4, 1)),
@@ -459,6 +459,19 @@ def test_point_distances_equal_broadcast_formula_bit_for_bit(n):
         got, expected = point_distances(matrix), _broadcast_point_distances(matrix)
         assert got.shape == (n, n)
         assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+
+
+def test_point_distances_need_one_block_beside_the_result():
+    n = 950
+    matrix = np.random.RandomState(0).rand(4, n)
+    tracemalloc.start()
+    try:
+        point_distances(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = summarization.SILHOUETTE_ROWS * n * 8
+    assert peak < n * n * 8 + 2 * block
 
 
 def _naive_silhouette(matrix, assignment):
@@ -660,19 +673,19 @@ def _seeded_archive(seeds=(0, 1), budget=1500):
 
 def test_summarize_empty_archive():
     report = summarize(Archive(), Random(0))
-    assert report.groups == [] and report.total_candidates == 0
+    assert report == {"total_candidates": 0, "groups": []}
 
 
 def test_summarize_small_group_is_single_cluster():
     archive = Archive()
     archive.add(bc_cand(999999999999994822656, 999999999999994822657), ("bcs",))
     report = summarize(archive, Random(0))
-    (group,) = report.groups
-    assert group.validity == "VE"
-    assert len(group.clusters) == 1
-    assert group.clusters[0].size == 1
-    assert group.silhouette is None
-    assert group.clusters[0].strategy_counts == {"bcs": 1}
+    (group,) = report["groups"]
+    assert group["validity"] == "VE"
+    assert len(group["clusters"]) == 1
+    assert group["clusters"][0]["size"] == 1
+    assert group["silhouette"] is None
+    assert group["clusters"][0]["strategy_counts"] == {"bcs": 1}
 
 
 @pytest.mark.parametrize("restarts", [0, -1])
@@ -689,15 +702,17 @@ def test_summarize_refuses_fewer_than_one_restart(restarts, pairs):
 def test_summarize_bytecount_archive():
     archive = _seeded_archive()
     report = summarize(archive, Random(0), restarts=60)
-    assert report.total_candidates == len(archive)
-    vv = report.group("VV")
-    assert vv is not None
-    sizes = [c.size for c in vv.clusters]
-    assert sum(sizes) == vv.size
+    assert report["total_candidates"] == len(archive)
+    groups = {g["validity"]: g for g in report["groups"]}
+    vv = groups["VV"]
+    sizes = [c["size"] for c in vv["clusters"]]
+    assert sum(sizes) == vv["size"]
     assert all(s > 0 for s in sizes)
-    assert vv.silhouette is not None and -1 <= vv.silhouette <= 1
-    mapping = report.cluster_of()
-    assert len(mapping) == report.total_candidates
+    assert vv["silhouette"] is not None and -1 <= vv["silhouette"] <= 1
+    mapping = {tuple(m): (g["validity"], c["id"])
+               for g in report["groups"] for c in g["clusters"] for m in c["members"]}
+    assert len(mapping) == report["total_candidates"]
+    assert set(mapping) == {c.key for c in archive}
 
 
 def test_summarize_representative_is_shortest():
@@ -708,11 +723,13 @@ def test_summarize_representative_is_shortest():
                 + len(c.output1.text) + len(c.output2.text))
 
     archive = _seeded_archive()
+    by_key = {c.key: c for c in archive}
     report = summarize(archive, Random(0), restarts=60)
-    for group in report.groups:
-        for cluster in group.clusters:
-            rep_len = total_len(cluster.representative)
-            assert all(total_len(m) >= rep_len for m in cluster.members)
+    for group in report["groups"]:
+        for cluster in group["clusters"]:
+            rep = cluster["representative"]
+            rep_len = total_len(by_key[rep["input1"], rep["input2"]])
+            assert all(total_len(by_key[tuple(m)]) >= rep_len for m in cluster["members"])
 
 
 def _date_lns_archive():
@@ -883,7 +900,7 @@ def test_summarize_memory_is_bounded_by_the_window(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.total_candidates == 2000
+    assert report["total_candidates"] == 2000
     assert peak < 32 * 2**20
 
 
@@ -891,10 +908,10 @@ def test_summarize_fixed_seed_reproducible():
     archive = _seeded_archive()
     a = summarize(archive, Random(42), restarts=40)
     b = summarize(archive, Random(42), restarts=40)
-    assert [(g.validity, [(c.cluster_id, c.size, c.representative.key)
-                          for c in g.clusters]) for g in a.groups] == \
-           [(g.validity, [(c.cluster_id, c.size, c.representative.key)
-                          for c in g.clusters]) for g in b.groups]
+    assert [(g["validity"], [(c["id"], c["size"], c["representative"])
+                             for c in g["clusters"]]) for g in a["groups"]] == \
+           [(g["validity"], [(c["id"], c["size"], c["representative"])
+                             for c in g["clusters"]]) for g in b["groups"]]
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +994,7 @@ def test_worker_that_ends_without_models_raises(monkeypatch):
     matrix, pairwise, ks, seeds = _restart_inputs(20)
     _workers(monkeypatch, 2)
     monkeypatch.setattr(summarization, "kmeans", _in_a_worker(lambda: os._exit(7)))
-    with pytest.raises(RuntimeError, match=r"^k-means share 0 of 2 \(k = 2, 4, 6, 8, 10\) "
+    with pytest.raises(RuntimeError, match=r"^k-means share 0 of 2 \(k = 2, 4, 6, 7, 10\) "
                                            r"ended with exit code 7 before sending its models$"):
         summarization._fit_restarts(matrix, pairwise, ks, seeds)
     assert multiprocessing.active_children() == []
@@ -986,7 +1003,7 @@ def test_worker_that_ends_without_models_raises(monkeypatch):
 def test_summarize_raises_when_a_worker_fails(monkeypatch):
     _workers(monkeypatch, 3)
     monkeypatch.setattr(summarization, "kmeans", _in_a_worker(_fault))
-    with pytest.raises(RuntimeError, match=r"^k-means share 0 of 3 \(k = 2, 5, 8\) failed "
+    with pytest.raises(RuntimeError, match=r"^k-means share 0 of 3 \(k = 3, 5, 10\) failed "
                                            r"in process \d+: ArithmeticError: no model\n"
                                            r"Traceback ") as failed:
         summarize(_date_archive(), Random(0), restarts=20)
