@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -163,21 +164,23 @@ class FeatureSpace:
         return self.vectors([position])[:, 0]
 
 
-def diversity_subset(candidates: Sequence[BoundaryCandidate], rng: random.Random,
+def diversity_subset(candidates: Sequence[BoundaryCandidate], window: Optional[Sequence[int]],
                      distances: TextDistances) -> tuple:
     """Select a diverse working set for clustering; returns (subset, dropped)
     as arrays of positions into ``candidates``, whose table is ``distances``.
 
-    Groups within ``DIVERSITY_WINDOW`` candidates pass through untouched.
-    Otherwise a random window of that size is scored by the sum of its
-    feature attributes, the lowest ``DIVERSITY_BLOCK`` are dropped (ties
-    kept in insertion order) and replaced with unseen candidates, until the
-    unseen pool is exhausted.
+    Groups within ``DIVERSITY_WINDOW`` candidates pass through untouched,
+    and ``window`` is not read.  Otherwise ``window`` holds the ascending
+    positions of the first working set, ``DIVERSITY_WINDOW`` of them drawn
+    at random (``summarize`` draws them before any group runs).  The working
+    set is scored by the sum of its feature attributes, the lowest
+    ``DIVERSITY_BLOCK`` are dropped (ties kept in insertion order) and
+    replaced with unseen candidates, until the unseen pool is exhausted.
     """
     n = len(candidates)
     if n <= DIVERSITY_WINDOW:
         return np.arange(n), np.arange(0)
-    working = np.array(sorted(rng.sample(range(n), DIVERSITY_WINDOW)), dtype=np.intp)
+    working = np.array(window, dtype=np.intp)
     pool = np.setdiff1d(np.arange(n), working)
     dropped = []
     while len(pool):
@@ -407,40 +410,83 @@ def _fit_share(matrix: np.ndarray, pairwise: np.ndarray, jobs: list) -> list:
             for k, seed in jobs]
 
 
-def _share_worker(send, name: str, matrix: np.ndarray, pairwise: np.ndarray,
-                  jobs: list) -> None:
-    """A forked process's share: its models, or why it has none and the
+def _worker(send, name: str, fn, args: tuple) -> None:
+    """A forked process's job: ``fn(*args)``, or why it has none and the
     traceback, down the pipe ``send``.  An interrupt is left to the parent,
     which ends its workers itself."""
     import signal
     import traceback
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        send.send((True, _fit_share(matrix, pairwise, jobs)))
+        send.send((True, fn(*args)))
     except Exception as exc:
         send.send((False, f"{name} failed in process {os.getpid()}: "
                           f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
 
 
-def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: list) -> list:
+def _run_forked(jobs: list, here, sends: str) -> list:
+    """``fn(*args)`` of each ``(name, fn, args)`` in ``jobs``, each in a
+    process forked from this one, then ``here()``, run in this process
+    meanwhile: the results in that order.
+
+    A worker sends its result back through a pipe.  A worker that fails,
+    or ends before sending its result (its ``sends``), makes this raise
+    ``RuntimeError`` naming it; a failure carries the worker's traceback.
+    Every worker is ended and reaped before this returns or raises.
+    ``multiprocessing`` is imported only when there is a job to fork.
+    """
+    if not jobs:
+        return [here()]
+    from multiprocessing import get_context
+    context = get_context("fork")
+    workers = []
+    try:
+        for name, fn, args in jobs:
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_worker, name=name, args=(send, name, fn, args))
+            process.start()
+            workers.append((process, receive))
+            send.close()
+        own = here()
+        results = []
+        for (process, receive), (name, _, _) in zip(workers, jobs):
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"{name} ended with exit code {process.exitcode} "
+                                   f"before sending its {sends}") from None
+            if not ok:
+                raise RuntimeError(result)
+            results.append(result)
+    finally:
+        for process, receive in workers:
+            receive.close()
+            if process.exitcode is None:
+                process.terminate()
+            process.join()
+    return results + [own]
+
+
+def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: list,
+                  cpus: Optional[int] = None) -> list:
     """The k-means model of each restart, in restart order; restart ``i``
     runs at ``k = ks[i % len(ks)]`` from ``seeds[i]``.
 
-    The restarts are split by k into up to ``usable_cpus()`` shares, each
-    with its own silhouette memo, so every partition of one k is met in
-    one share.  A restart at k costs about k + 1 units, so a k costs that
-    times its restart count; whole ks go, costliest first (the earlier in
-    ``ks`` on a tie), to the least-loaded share (the first on a tie).  The
-    parent forks one process for each share but the last and runs that one
-    itself; a worker sends its models back through a pipe, and a worker
-    that fails makes this raise.
-    Every worker is ended and reaped before this returns or raises.
-    Restart work (restarts times points) below ``SPLIT_MIN_WORK``, one
-    usable CPU, or a platform other than Linux (where forking a process
-    that loaded numpy is safe) runs every restart in this process.
+    The restarts are split by k into up to ``cpus`` shares (by default
+    ``usable_cpus()``), each with its own silhouette memo, so every
+    partition of one k is met in one share.  A restart at k costs about
+    k + 1 units, so a k costs that times its restart count; whole ks go,
+    costliest first (the earlier in ``ks`` on a tie), to the least-loaded
+    share (the first on a tie).  Every share but the last runs in a forked
+    process (see ``_run_forked``), and this process runs the last.
+    With one CPU (a group worker gets one, see ``summarize``), with
+    restart work (restarts times points) below ``SPLIT_MIN_WORK``, or on a
+    platform other than Linux (where forking a process that loaded numpy
+    is safe), every restart runs in this process.
     """
     jobs = [(ks[i % len(ks)], seed) for i, seed in enumerate(seeds)]
-    count = min(usable_cpus(), len(ks), len(seeds))
+    count = min(usable_cpus() if cpus is None else cpus, len(ks), len(seeds))
     if count == 1 or len(jobs) * matrix.shape[1] < SPLIT_MIN_WORK or sys.platform != "linux":
         return _fit_share(matrix, pairwise, jobs)
     positions = range(min(len(ks), len(jobs)))
@@ -451,38 +497,11 @@ def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: lis
         loads[j] += costs[p]
         owned[j].append(p)
     shares = [[i for i in range(len(jobs)) if i % len(ks) in own] for own in owned]
-    names = [f"k-means share {j} of {count} (k = {', '.join(str(ks[p]) for p in sorted(own))})"
-             for j, own in enumerate(owned)]
-    from multiprocessing import get_context
-    context = get_context("fork")
-    workers = []
-    try:
-        for share, name in zip(shares[:-1], names):
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_share_worker, name=name, args=(
-                send, name, matrix, pairwise, [jobs[i] for i in share]))
-            process.start()
-            workers.append((process, receive))
-            send.close()
-        own = _fit_share(matrix, pairwise, [jobs[i] for i in shares[-1]])
-        results = []
-        for (process, receive), name in zip(workers, names):
-            try:
-                ok, result = receive.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(f"{name} ended with exit code {process.exitcode} "
-                                   "before sending its models") from None
-            if not ok:
-                raise RuntimeError(result)
-            results.append(result)
-        results.append(own)
-    finally:
-        for process, receive in workers:
-            receive.close()
-            if process.exitcode is None:
-                process.terminate()
-            process.join()
+    forked = [(f"k-means share {j} of {count} (k = {', '.join(str(ks[p]) for p in sorted(own))})",
+               _fit_share, (matrix, pairwise, [jobs[i] for i in share]))
+              for j, (own, share) in enumerate(zip(owned, shares[:-1]))]
+    last = [jobs[i] for i in shares[-1]]
+    results = _run_forked(forked, lambda: _fit_share(matrix, pairwise, last), "models")
     models = [None] * len(jobs)
     for share, result in zip(shares, results):
         for i, model in zip(share, result):
@@ -490,30 +509,115 @@ def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: lis
     return models
 
 
-def _cluster(group: Sequence[BoundaryCandidate], rng: random.Random,
-             restarts: int) -> tuple:
-    """(member lists, silhouette) of a group of three or more candidates.
+def _cluster(group: Sequence[BoundaryCandidate], window: Optional[list], seeds: list,
+             cpus: int) -> tuple:
+    """(member lists, silhouette) of a group of three or more candidates,
+    from its diversity ``window`` (see ``diversity_subset``) and restart
+    ``seeds``, both drawn by ``summarize`` before any group runs.
 
-    Every restart's seed is drawn before the first runs, so ``rng``
-    advances as it would for restarts run one after another, and the
-    report does not depend on how many CPUs run them (see
-    ``_fit_restarts``).  Everything built here, from the group's feature
-    table to its memos and pairwise distances, is freed on return, before
-    the next group starts.
+    The result depends only on the group and those draws, so it is the
+    same in whichever process runs it, and the report does not depend on
+    how many CPUs run the restarts (``cpus``, see ``_fit_restarts``).
+    Everything built here, from the group's feature table to its memos and
+    pairwise distances, is freed on return, before this process clusters
+    another group.
     """
     distances = TextDistances(group)
-    subset, dropped = diversity_subset(group, rng, distances)
+    subset, dropped = diversity_subset(group, window, distances)
     space = FeatureSpace(distances, subset)
     pairwise = point_distances(space.matrix)
     ks = list(range(2, min(K_MAX, len(subset)) + 1))
-    seeds = [rng.getrandbits(64) for _ in range(restarts)]
-    best = select_model(_fit_restarts(space.matrix, pairwise, ks, seeds))
+    best = select_model(_fit_restarts(space.matrix, pairwise, ks, seeds, cpus))
     nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
     member_lists = [[] for _ in range(best.k)]
     for position, cluster in zip(np.concatenate([subset, dropped]),
                                  np.concatenate([best.assignment, nearest])):
         member_lists[cluster].append(group[position])
     return member_lists, best.silhouette
+
+
+def _draws(group: Sequence[BoundaryCandidate], rng: random.Random, restarts: int):
+    """(diversity window, restart seeds) of a group, drawn with the calls
+    and in the order that clustering it would draw them: the window's
+    positions for a group over ``DIVERSITY_WINDOW`` (None otherwise), then
+    one 64-bit seed per restart.  A group under three candidates draws
+    nothing and gets None."""
+    n = len(group)
+    if n < 3:
+        return None
+    window = sorted(rng.sample(range(n), DIVERSITY_WINDOW)) if n > DIVERSITY_WINDOW else None
+    return window, [rng.getrandbits(64) for _ in range(restarts)]
+
+
+def _group_entry(validity: str, group: Sequence[BoundaryCandidate], draws, strategies: dict,
+                 cpus: int) -> dict:
+    """The report.json entry of one validity group, from its ``_draws``,
+    with its restarts split over up to ``cpus`` processes."""
+    if draws is None:
+        member_lists, score = [group], None
+    else:
+        member_lists, score = _cluster(group, *draws, cpus)
+    picked = sorted(((ms, min(ms, key=_candidate_brevity)) for ms in member_lists if ms),
+                    key=lambda pair: (-len(pair[0]), pair[1].key))
+    return {"validity": validity, "size": len(group), "silhouette": score,
+            "clusters": [{
+                "id": i,
+                "size": len(members),
+                "strategy_counts": _strategy_counts(members, strategies),
+                "representative": {"input1": rep.key[0], "output1": rep.output1.text,
+                                   "input2": rep.key[1], "output2": rep.output2.text},
+                "members": [list(m.key) for m in members],
+            } for i, (members, rep) in enumerate(picked, 1)]}
+
+
+def _openblas() -> list:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this
+    process, found through ``/proc/self/maps``: numpy's wheel exports
+    ``scipy_openblas_*_num_threads64_``, a system OpenBLAS
+    ``openblas_*_num_threads``.  Empty where there is none (or no
+    ``/proc``)."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = {fields[5] for fields in (line.rstrip("\n").split(None, 5) for line in maps)
+                     if len(fields) == 6 and "openblas" in fields[5].lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(library, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS of this process (see ``_openblas``)
+    at one thread, and restore each one's count when it ends or raises.
+
+    ``TextDistances.block``'s products count shared grams of 0/1 matrices,
+    exact integers in float64, so no entry depends on the thread count;
+    a second BLAS thread only spins on a core that a group worker or a
+    restart share uses."""
+    libraries = _openblas()
+    counts = [get() for get, _ in libraries]
+    for _, set_ in libraries:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(libraries, counts):
+            set_(count)
 
 
 def summarize(archive: Archive, rng: random.Random,
@@ -529,34 +633,47 @@ def summarize(archive: Archive, rng: random.Random,
     groups go through diversity subsetting, `restarts` k-means runs cycling
     k over 2..min(K_MAX, subset size), silhouette model selection, and
     nearest-centroid attachment of the diversity-dropped candidates.
-    A group's restarts run in shares split by k, one share per usable CPU
-    (``taskset`` limits them; see ``_fit_restarts``), and the report does
-    not depend on how many there are.  The restarts of one share share one
-    silhouette memo (see ``silhouette``), so each distinct partition of the
-    subset is scored once and each distinct cluster among a share's
-    partitions is summed once in that share; the memos live only while
-    that group is clustered.
+    Every group's random choices (its diversity window and restart seeds,
+    see ``_draws``) are drawn first, in the order that clustering the
+    groups one after another would draw them, so ``rng`` ends where that
+    loop leaves it and each group's clustering depends only on the group
+    and its draws.  A group is heavy when its restart work (restarts
+    times its subset's size before the diversity rounds, ``min(size,
+    DIVERSITY_WINDOW)``) reaches ``SPLIT_MIN_WORK``.  On Linux, the
+    largest heavy group stays in this process and the next largest, up to
+    one fewer than the usable CPUs (``taskset`` limits them), are each
+    clustered in a forked worker, which sends back its report entry.  The
+    other groups run in this process too, and only this process splits a
+    group's restarts into shares, one per usable CPU (see
+    ``_fit_restarts``): a worker's group is no larger than the one this
+    process keeps, so the shares get its core back when it is done.  The
+    report does not depend on how many CPUs there are.  The restarts of
+    one share share one silhouette memo (see ``silhouette``), so each
+    distinct partition of the subset is scored once and each distinct
+    cluster among a share's partitions is summed once in that share; the
+    memos live only while that group is clustered.  While a group worker
+    runs, numpy's OpenBLAS runs one thread (see ``_one_blas_thread``);
+    without one it keeps its own count.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     groups = []
     for validity in ("VV", "VE", "EE"):
         group = [c for c in archive if c.validity == validity]
-        if not group:
-            continue
-        if len(group) < 3:
-            member_lists, score = [group], None
-        else:
-            member_lists, score = _cluster(group, rng, restarts)
-        picked = sorted(((ms, min(ms, key=_candidate_brevity)) for ms in member_lists if ms),
-                        key=lambda pair: (-len(pair[0]), pair[1].key))
-        groups.append({"validity": validity, "size": len(group), "silhouette": score,
-                       "clusters": [{
-                           "id": i,
-                           "size": len(members),
-                           "strategy_counts": _strategy_counts(members, archive.strategies),
-                           "representative": {"input1": rep.key[0], "output1": rep.output1.text,
-                                              "input2": rep.key[1], "output2": rep.output2.text},
-                           "members": [list(m.key) for m in members],
-                       } for i, (members, rep) in enumerate(picked, 1)]})
-    return {"total_candidates": sum(g["size"] for g in groups), "groups": groups}
+        if group:
+            groups.append((validity, group, _draws(group, rng, restarts)))
+    heavy = sorted((i for i, (_, group, draws) in enumerate(groups) if draws is not None and
+                    restarts * min(len(group), DIVERSITY_WINDOW) >= SPLIT_MIN_WORK),
+                   key=lambda i: -len(groups[i][1]))
+    cpus = usable_cpus()
+    forked = sorted(heavy[1:cpus]) if sys.platform == "linux" else []
+    here = [i for i in range(len(groups)) if i not in forked]
+    with _one_blas_thread() if forked else nullcontext():
+        results = _run_forked(
+            [(f"validity group {groups[i][0]}", _group_entry,
+              (*groups[i], archive.strategies, 1)) for i in forked],
+            lambda: [_group_entry(*groups[i], archive.strategies, cpus) for i in here],
+            "report entry")
+    by_index = dict(zip(forked + here, results[:-1] + results[-1]))
+    entries = [by_index[i] for i in range(len(groups))]
+    return {"total_candidates": sum(g["size"] for g in entries), "groups": entries}

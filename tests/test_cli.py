@@ -999,7 +999,7 @@ assert cli.main(["rank", archive, "--out", str(out / "ranked.csv")]) == 0
 assert cli.main(["oracle", "--sut", "bytecount", "--from", "0", "--to", "2000",
                  "--out", str(out / "boundaries.csv")]) == 0
 loaded = [name for name in ("numpy", "autobva.summarization", "subprocess",
-                           "multiprocessing") if name in sys.modules]
+                           "multiprocessing", "ctypes") if name in sys.modules]
 assert not loaded, f"loaded {loaded}"
 assert cli.main(["summarize", archive, "--restarts", "5", "--out", str(out / "report")]) == 0
 import autobva
@@ -1010,9 +1010,9 @@ print("ok")
 
 
 def test_detect_rank_and_oracle_load_no_numpy_or_subprocess(tmp_path):
-    """Only clustering loads numpy, summarization and multiprocessing, and
-    only an external SUT loads subprocess; summarize still works in the
-    same process."""
+    """Only clustering loads numpy, summarization, multiprocessing and
+    ctypes, and only an external SUT loads subprocess; summarize still
+    works in the same process."""
     import subprocess
 
     import autobva

@@ -18,6 +18,7 @@ from autobva.detection import Archive, BoundaryCandidate, DetectionConfig, detec
 from autobva.distances import STRLEN, jaccard_ngram, strlendist
 from autobva.sampling import SamplerConfig
 from autobva.summarization import (
+    DIVERSITY_WINDOW,
     KMEANS_MAX_ITER,
     ClusteringModel,
     FeatureSpace,
@@ -191,14 +192,16 @@ def _many(n):
 
 
 def test_diversity_below_window_is_identity():
+    # below the window summarize draws no window, so none is passed
     group = _many(500)
-    subset, dropped = diversity_subset(group, Random(0), TextDistances(group))
+    subset, dropped = diversity_subset(group, None, TextDistances(group))
     assert subset.tolist() == list(range(500)) and dropped.tolist() == []
 
 
 def test_diversity_single_cycle_at_1100():
     group = _many(1100)
-    subset, dropped = diversity_subset(group, Random(0), TextDistances(group))
+    window = sorted(Random(0).sample(range(len(group)), DIVERSITY_WINDOW))
+    subset, dropped = diversity_subset(group, window, TextDistances(group))
     assert len(subset) == 1000
     assert len(dropped) == 100
     assert sorted([*subset, *dropped]) == list(range(1100))
@@ -207,7 +210,8 @@ def test_diversity_single_cycle_at_1100():
 def test_diversity_exhausts_pool():
     # 1350 -> four cycles; the last refill only has 50 unseen left
     group = _many(1350)
-    subset, dropped = diversity_subset(group, Random(1), TextDistances(group))
+    window = sorted(Random(1).sample(range(len(group)), DIVERSITY_WINDOW))
+    subset, dropped = diversity_subset(group, window, TextDistances(group))
     assert len(subset) + len(dropped) == 1350
     assert len(subset) == 950
     assert len(dropped) == 400
@@ -918,6 +922,24 @@ def test_summarize_fixed_seed_reproducible():
 # restarts split over processes
 
 
+def _log_groups(monkeypatch, path):
+    """Append each clustered group's validity and process id to ``path``
+    as its feature table is built; a forked worker's lines reach the file."""
+    table = summarization.TextDistances
+
+    def logged(candidates):
+        with open(path, "a", encoding="utf-8") as log:
+            log.write(f"{candidates[0].validity} {os.getpid()}\n")
+        return table(candidates)
+    monkeypatch.setattr(summarization, "TextDistances", logged)
+
+
+def _forked_groups(path):
+    """The groups that ``_log_groups`` saw built in a process other than this one."""
+    lines = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+    return {validity for validity, pid in lines if int(pid) != os.getpid()}
+
+
 def _report_bytes(tmp_path, name, archive, seed, restarts):
     path = tmp_path / name
     write_report_json(path, summarize(archive, Random(seed), restarts=restarts))
@@ -935,8 +957,15 @@ def test_summarize_golden_report_at_any_worker_count(tmp_path, monkeypatch, work
     _workers(monkeypatch, workers)
     if options["small_window"]:
         _small_window(monkeypatch)
+    log = tmp_path / "groups.log"
+    _log_groups(monkeypatch, log)
     report = _report_bytes(tmp_path, "report.json", options["archive"](), seed, 20)
     assert hashlib.sha256(report).hexdigest() == digest
+    # EE, the largest, stays here and the next largest clustered groups, one
+    # fewer than the CPUs, go to group workers: VE, then the bench-scale
+    # archive's VV (17); the small archive's VV (2) is not clustered
+    clustered = ["VE", "VV"] if options is _GOLDEN_BENCH else ["VE"]
+    assert _forked_groups(log) == set(clustered[:workers - 1])
 
 
 def test_summarize_report_is_the_same_at_any_worker_count(tmp_path, monkeypatch):
@@ -975,15 +1004,16 @@ def test_split_restarts_fit_the_models_of_the_serial_loop(monkeypatch, restarts)
         assert list(map(_model_bytes, split)) == list(map(_model_bytes, serial))
 
 
-def _in_a_worker(action):
-    """``kmeans`` that does ``action`` in a forked worker instead of fitting."""
-    parent, clustering = os.getpid(), summarization.kmeans
+def _in_a_worker(action, original=summarization.kmeans):
+    """``original`` (``kmeans`` unless given) that does ``action`` in a
+    forked worker instead of its work."""
+    parent = os.getpid()
 
-    def kmeans_(*args, **kwargs):
+    def in_a_worker(*args, **kwargs):
         if os.getpid() != parent:
             action()
-        return clustering(*args, **kwargs)
-    return kmeans_
+        return original(*args, **kwargs)
+    return in_a_worker
 
 
 def _fault():
@@ -1028,3 +1058,108 @@ def test_interrupt_in_the_parent_ends_every_worker(monkeypatch):
         summarization._fit_restarts(matrix, pairwise, ks, seeds)
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
+# validity groups clustered side by side
+
+
+def test_group_worker_that_fails_raises_naming_its_group(monkeypatch):
+    # with two CPUs the small archive's VE (28) goes to a group worker and
+    # EE (143), the largest, stays in this process; VV (2) is not clustered
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(summarization, "TextDistances",
+                        _in_a_worker(_fault, summarization.TextDistances))
+    with pytest.raises(RuntimeError, match=r"^validity group VE failed in process \d+: "
+                                           r"ArithmeticError: no model\nTraceback ") as failed:
+        summarize(_date_archive(), Random(0), restarts=20)
+    assert str(failed.value).endswith(', in _fault\n    raise ArithmeticError("no model")\n'
+                                      "ArithmeticError: no model\n")
+    assert multiprocessing.active_children() == []
+
+
+def test_group_worker_that_ends_without_its_entry_raises(monkeypatch):
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(summarization, "TextDistances",
+                        _in_a_worker(lambda: os._exit(7), summarization.TextDistances))
+    with pytest.raises(RuntimeError, match=r"^validity group VE ended with exit code 7 "
+                                           r"before sending its report entry$"):
+        summarize(_date_archive(), Random(0), restarts=20)
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_in_the_parent_ends_every_group_worker(monkeypatch):
+    _workers(monkeypatch, 2)
+    parent = os.getpid()
+
+    def text_distances(candidates):
+        if os.getpid() != parent:
+            time.sleep(60)       # a group worker that would outlast the test
+        raise KeyboardInterrupt
+    monkeypatch.setattr(summarization, "TextDistances", text_distances)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        summarize(_date_archive(), Random(0), restarts=20)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_summarize_leaves_rng_where_the_serial_draws_leave_it(monkeypatch, workers):
+    # the small window draws a window for VE (28) and EE (143); VV (2)
+    # is not clustered and draws nothing
+    _workers(monkeypatch, workers)
+    _small_window(monkeypatch)
+    archive = _date_archive()
+    rng, serial = Random(7), Random(7)
+    summarize(archive, rng, restarts=9)
+    for validity in ("VV", "VE", "EE"):
+        n = sum(c.validity == validity for c in archive)
+        if n >= 3:
+            if n > summarization.DIVERSITY_WINDOW:
+                sorted(serial.sample(range(n), summarization.DIVERSITY_WINDOW))
+            for _ in range(9):
+                serial.getrandbits(64)
+    assert rng.getstate() == serial.getstate()
+
+
+def test_summarize_runs_one_blas_thread_beside_group_workers(monkeypatch):
+    libraries = summarization._openblas()
+    if not libraries:
+        pytest.skip("no OpenBLAS is mapped into this process")
+    archive, table, parent, seen = _date_archive(), summarization.TextDistances, os.getpid(), []
+
+    def counting(fail):
+        """Record this process's BLAS thread counts as each of its groups'
+        feature table is built, and fail there if ``fail``."""
+        def text_distances(candidates):
+            if os.getpid() == parent:
+                seen.append(tuple(get() for get, _ in libraries))
+                if fail:
+                    _fault()
+            return table(candidates)
+        return text_distances
+
+    before = [get() for get, _ in libraries]
+    try:
+        for _, set_ in libraries:
+            set_(2)
+        # one CPU: no group worker, so BLAS keeps its count for VE and EE
+        _workers(monkeypatch, 1)
+        monkeypatch.setattr(summarization, "TextDistances", counting(False))
+        summarize(archive, Random(0), restarts=4)
+        assert seen == [(2,) * len(libraries)] * 2
+        # two CPUs: VE goes to a group worker and EE runs here at one thread
+        _workers(monkeypatch, 2)
+        summarize(archive, Random(0), restarts=4)
+        assert seen[2:] == [(1,) * len(libraries)]
+        assert [get() for get, _ in libraries] == [2] * len(libraries)
+        monkeypatch.setattr(summarization, "TextDistances", counting(True))
+        with pytest.raises(ArithmeticError):
+            summarize(archive, Random(0), restarts=4)
+        assert seen[3:] == [(1,) * len(libraries)]
+        assert [get() for get, _ in libraries] == [2] * len(libraries)
+        assert multiprocessing.active_children() == []
+    finally:
+        for (_, set_), count in zip(libraries, before):
+            set_(count)
