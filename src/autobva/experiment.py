@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from typing import Sequence
 
 from .detection import STRATEGIES, Archive, DetectionConfig, detect
@@ -79,8 +80,7 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
     candidate count.  Strategy names (each named once), repetitions and
     summarize_restarts (each at least one) are checked before the first run.
     """
-    configs = [DetectionConfig(**{**vars(base_config), "strategy": strategy})
-               for strategy in strategies]
+    configs = [replace(base_config, strategy=strategy) for strategy in strategies]
     if len(set(strategies)) < len(strategies):
         raise ValueError(f"each strategy must be named once, got {list(strategies)}")
     if repetitions < 1:
@@ -95,7 +95,7 @@ def run_experiment(sut: SutDescriptor, base_config: DetectionConfig,
         for _ in range(repetitions):
             sampler = base_config.sampler.with_settings({"seed": seed})
             seed += 1
-            result = detect(sut, DetectionConfig(**{**vars(strategy_config), "sampler": sampler}))
+            result = detect(sut, replace(strategy_config, sampler=sampler))
             runs.append({c.key for c in result.archive})
             merged.merge(result.archive)
 

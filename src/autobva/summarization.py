@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import random
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +33,7 @@ KMEANS_RESTARTS = 100
 K_MAX = 10
 SILHOUETTE_ROWS = 128   # rows per distance block: 128 x 1000 float64 is 1 MiB
 TEXT_ROWS = 256         # texts per Jaccard block: 2 MiB against a 1000-text reference
-SPLIT_MIN_WORK = 6000   # restarts x subset points below which a fork costs more than it saves
+SPLIT_MIN_WORK = 6000   # restarts x min(size, window) below which a fork costs more than it saves
 
 
 def _jaccard(inter: np.ndarray, sizes1: np.ndarray, sizes2: np.ndarray) -> np.ndarray:
@@ -427,7 +427,9 @@ def _worker(send, name: str, fn, args: tuple) -> None:
 def _run_forked(jobs: list, here, sends: str) -> list:
     """``fn(*args)`` of each ``(name, fn, args)`` in ``jobs``, each in a
     process forked from this one, then ``here()``, run in this process
-    meanwhile: the results in that order.
+    meanwhile: the results in that order.  While any worker runs, this
+    process and every worker, which inherits it, run each OpenBLAS at one
+    thread (see ``_one_blas_thread``); without a job, nothing is changed.
 
     A worker sends its result back through a pipe.  A worker that fails,
     or ends before sending its result (its ``sends``), makes this raise
@@ -440,54 +442,52 @@ def _run_forked(jobs: list, here, sends: str) -> list:
     from multiprocessing import get_context
     context = get_context("fork")
     workers = []
-    try:
-        for name, fn, args in jobs:
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_worker, name=name, args=(send, name, fn, args))
-            process.start()
-            workers.append((process, receive))
-            send.close()
-        own = here()
-        results = []
-        for (process, receive), (name, _, _) in zip(workers, jobs):
-            try:
-                ok, result = receive.recv()
-            except EOFError:
+    with _one_blas_thread():
+        try:
+            for name, fn, args in jobs:
+                receive, send = context.Pipe(duplex=False)
+                process = context.Process(target=_worker, name=name, args=(send, name, fn, args))
+                process.start()
+                workers.append((process, receive))
+                send.close()
+            own = here()
+            results = []
+            for (process, receive), (name, _, _) in zip(workers, jobs):
+                try:
+                    ok, result = receive.recv()
+                except EOFError:
+                    process.join()
+                    raise RuntimeError(f"{name} ended with exit code {process.exitcode} "
+                                       f"before sending its {sends}") from None
+                if not ok:
+                    raise RuntimeError(result)
+                results.append(result)
+        finally:
+            for process, receive in workers:
+                receive.close()
+                if process.exitcode is None:
+                    process.terminate()
                 process.join()
-                raise RuntimeError(f"{name} ended with exit code {process.exitcode} "
-                                   f"before sending its {sends}") from None
-            if not ok:
-                raise RuntimeError(result)
-            results.append(result)
-    finally:
-        for process, receive in workers:
-            receive.close()
-            if process.exitcode is None:
-                process.terminate()
-            process.join()
     return results + [own]
 
 
 def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: list,
-                  cpus: Optional[int] = None) -> list:
+                  shares: int) -> list:
     """The k-means model of each restart, in restart order; restart ``i``
     runs at ``k = ks[i % len(ks)]`` from ``seeds[i]``.
 
-    The restarts are split by k into up to ``cpus`` shares (by default
-    ``usable_cpus()``), each with its own silhouette memo, so every
-    partition of one k is met in one share.  A restart at k costs about
-    k + 1 units, so a k costs that times its restart count; whole ks go,
-    costliest first (the earlier in ``ks`` on a tie), to the least-loaded
-    share (the first on a tie).  Every share but the last runs in a forked
-    process (see ``_run_forked``), and this process runs the last.
-    With one CPU (a group worker gets one, see ``summarize``), with
-    restart work (restarts times points) below ``SPLIT_MIN_WORK``, or on a
-    platform other than Linux (where forking a process that loaded numpy
-    is safe), every restart runs in this process.
+    The restarts are split by k into ``min(shares, len(ks), len(seeds))``
+    shares, each with its own silhouette memo, so every partition of one k
+    is met in one share.  A restart at k costs about k + 1 units, so a k
+    costs that times its restart count; whole ks go, costliest first (the
+    earlier in ``ks`` on a tie), to the least-loaded share (the first on a
+    tie).  Every share but the last runs in a forked process (see
+    ``_run_forked``), and this process runs the last; with one share,
+    every restart runs in this process.
     """
     jobs = [(ks[i % len(ks)], seed) for i, seed in enumerate(seeds)]
-    count = min(usable_cpus() if cpus is None else cpus, len(ks), len(seeds))
-    if count == 1 or len(jobs) * matrix.shape[1] < SPLIT_MIN_WORK or sys.platform != "linux":
+    count = min(shares, len(ks), len(seeds))
+    if count == 1:
         return _fit_share(matrix, pairwise, jobs)
     positions = range(min(len(ks), len(jobs)))
     costs = [(ks[p] + 1) * len(range(p, len(jobs), len(ks))) for p in positions]
@@ -510,14 +510,14 @@ def _fit_restarts(matrix: np.ndarray, pairwise: np.ndarray, ks: list, seeds: lis
 
 
 def _cluster(group: Sequence[BoundaryCandidate], window: Optional[list], seeds: list,
-             cpus: int) -> tuple:
+             shares: int) -> tuple:
     """(member lists, silhouette) of a group of three or more candidates,
     from its diversity ``window`` (see ``diversity_subset``) and restart
     ``seeds``, both drawn by ``summarize`` before any group runs.
 
     The result depends only on the group and those draws, so it is the
     same in whichever process runs it, and the report does not depend on
-    how many CPUs run the restarts (``cpus``, see ``_fit_restarts``).
+    how many processes run the restarts (``shares``, see ``_fit_restarts``).
     Everything built here, from the group's feature table to its memos and
     pairwise distances, is freed on return, before this process clusters
     another group.
@@ -527,7 +527,7 @@ def _cluster(group: Sequence[BoundaryCandidate], window: Optional[list], seeds: 
     space = FeatureSpace(distances, subset)
     pairwise = point_distances(space.matrix)
     ks = list(range(2, min(K_MAX, len(subset)) + 1))
-    best = select_model(_fit_restarts(space.matrix, pairwise, ks, seeds, cpus))
+    best = select_model(_fit_restarts(space.matrix, pairwise, ks, seeds, shares))
     nearest = _squared_distances(space.vectors(dropped), best.centroids).argmin(axis=0)
     member_lists = [[] for _ in range(best.k)]
     for position, cluster in zip(np.concatenate([subset, dropped]),
@@ -550,13 +550,13 @@ def _draws(group: Sequence[BoundaryCandidate], rng: random.Random, restarts: int
 
 
 def _group_entry(validity: str, group: Sequence[BoundaryCandidate], draws, strategies: dict,
-                 cpus: int) -> dict:
+                 shares: int) -> dict:
     """The report.json entry of one validity group, from its ``_draws``,
-    with its restarts split over up to ``cpus`` processes."""
+    with its restarts split into up to ``shares`` processes."""
     if draws is None:
         member_lists, score = [group], None
     else:
-        member_lists, score = _cluster(group, *draws, cpus)
+        member_lists, score = _cluster(group, *draws, shares)
     picked = sorted(((ms, min(ms, key=_candidate_brevity)) for ms in member_lists if ms),
                     key=lambda pair: (-len(pair[0]), pair[1].key))
     return {"validity": validity, "size": len(group), "silhouette": score,
@@ -633,27 +633,24 @@ def summarize(archive: Archive, rng: random.Random,
     groups go through diversity subsetting, `restarts` k-means runs cycling
     k over 2..min(K_MAX, subset size), silhouette model selection, and
     nearest-centroid attachment of the diversity-dropped candidates.
-    Every group's random choices (its diversity window and restart seeds,
-    see ``_draws``) are drawn first, in the order that clustering the
-    groups one after another would draw them, so ``rng`` ends where that
-    loop leaves it and each group's clustering depends only on the group
-    and its draws.  A group is heavy when its restart work (restarts
-    times its subset's size before the diversity rounds, ``min(size,
-    DIVERSITY_WINDOW)``) reaches ``SPLIT_MIN_WORK``.  On Linux, the
-    largest heavy group stays in this process and the next largest, up to
-    one fewer than the usable CPUs (``taskset`` limits them), are each
-    clustered in a forked worker, which sends back its report entry.  The
-    other groups run in this process too, and only this process splits a
-    group's restarts into shares, one per usable CPU (see
-    ``_fit_restarts``): a worker's group is no larger than the one this
-    process keeps, so the shares get its core back when it is done.  The
-    report does not depend on how many CPUs there are.  The restarts of
-    one share share one silhouette memo (see ``silhouette``), so each
-    distinct partition of the subset is scored once and each distinct
-    cluster among a share's partitions is summed once in that share; the
-    memos live only while that group is clustered.  While a group worker
-    runs, numpy's OpenBLAS runs one thread (see ``_one_blas_thread``);
-    without one it keeps its own count.
+    Every group's random choices (its diversity window and restart seeds, see
+    ``_draws``) are drawn first, in the order that clustering the groups one
+    after another would draw them, so ``rng`` ends where that loop leaves it
+    and each group's clustering depends only on the group and its draws.  The
+    CPUs are the usable ones (``taskset`` limits them) on Linux, where forking
+    a process that loaded numpy is safe, and one elsewhere.  A group is heavy
+    when its restart work (restarts times ``min(size, DIVERSITY_WINDOW)``)
+    reaches ``SPLIT_MIN_WORK``.  The largest heavy group stays in this process
+    and the next largest, up to one fewer than the CPUs, are each clustered in
+    a forked worker with one share, which sends back its report entry.  A
+    heavy group this process keeps splits its restarts into one share per CPU
+    (see ``_fit_restarts``): a worker's group is no larger, so the shares get
+    its core back when it is done.  A light group runs in this process in one
+    share.  The report does not depend on how many CPUs there are.  The
+    restarts of one share share one silhouette memo (see ``silhouette``), so
+    each distinct partition of the subset is scored once and each distinct
+    cluster among a share's partitions is summed once in that share; the memos
+    live only while that group is clustered.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -665,15 +662,15 @@ def summarize(archive: Archive, rng: random.Random,
     heavy = sorted((i for i, (_, group, draws) in enumerate(groups) if draws is not None and
                     restarts * min(len(group), DIVERSITY_WINDOW) >= SPLIT_MIN_WORK),
                    key=lambda i: -len(groups[i][1]))
-    cpus = usable_cpus()
-    forked = sorted(heavy[1:cpus]) if sys.platform == "linux" else []
+    cpus = usable_cpus() if sys.platform == "linux" else 1
+    forked = sorted(heavy[1:cpus])
     here = [i for i in range(len(groups)) if i not in forked]
-    with _one_blas_thread() if forked else nullcontext():
-        results = _run_forked(
-            [(f"validity group {groups[i][0]}", _group_entry,
-              (*groups[i], archive.strategies, 1)) for i in forked],
-            lambda: [_group_entry(*groups[i], archive.strategies, cpus) for i in here],
-            "report entry")
+    shares = [cpus if i in heavy and i in here else 1 for i in range(len(groups))]
+    results = _run_forked(
+        [(f"validity group {groups[i][0]}", _group_entry,
+          (*groups[i], archive.strategies, shares[i])) for i in forked],
+        lambda: [_group_entry(*groups[i], archive.strategies, shares[i]) for i in here],
+        "report entry")
     by_index = dict(zip(forked + here, results[:-1] + results[-1]))
     entries = [by_index[i] for i in range(len(groups))]
     return {"total_candidates": sum(g["size"] for g in entries), "groups": entries}

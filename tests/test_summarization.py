@@ -743,9 +743,9 @@ def _date_lns_archive():
 
 
 def _workers(monkeypatch, count):
-    """Split the restarts of every clustered group, however small, into
-    ``count`` shares; 1 runs them all in this process, so a patched
-    ``kmeans`` sees every restart."""
+    """Give ``summarize`` ``count`` CPUs and make every clustered group,
+    however small, heavy; 1 runs every restart in this process, so a
+    patched ``kmeans`` sees every restart."""
     monkeypatch.setattr(summarization, "usable_cpus", lambda: count)
     monkeypatch.setattr(summarization, "SPLIT_MIN_WORK", 0)
 
@@ -992,16 +992,31 @@ def _model_bytes(model):
             model.silhouette.hex(), model.reseeded)
 
 
+def _started(monkeypatch):
+    """The names of the processes started from here on, in start order."""
+    from multiprocessing.context import ForkProcess
+    names, start = [], ForkProcess.start
+
+    def counted_start(process):
+        names.append(process.name)
+        start(process)
+    monkeypatch.setattr(ForkProcess, "start", counted_start)
+    return names
+
+
 @pytest.mark.parametrize("restarts", [100, 2, 1])
 def test_split_restarts_fit_the_models_of_the_serial_loop(monkeypatch, restarts):
     matrix, pairwise, ks, seeds = _restart_inputs(restarts)
     memo: dict = {}
     serial = [kmeans(matrix, ks[i % len(ks)], Random(seed), distances=pairwise, memo=memo)
               for i, seed in enumerate(seeds)]
-    for workers in (2, 3):
-        _workers(monkeypatch, workers)
-        split = summarization._fit_restarts(matrix, pairwise, ks, seeds)
+    started = _started(monkeypatch)
+    for shares in (1, 2, 3):
+        del started[:]
+        split = summarization._fit_restarts(matrix, pairwise, ks, seeds, shares)
         assert list(map(_model_bytes, split)) == list(map(_model_bytes, serial))
+        # every share but the last is a child process; one share starts none
+        assert len(started) == min(shares, len(ks), restarts) - 1
 
 
 def _in_a_worker(action, original=summarization.kmeans):
@@ -1022,11 +1037,10 @@ def _fault():
 
 def test_worker_that_ends_without_models_raises(monkeypatch):
     matrix, pairwise, ks, seeds = _restart_inputs(20)
-    _workers(monkeypatch, 2)
     monkeypatch.setattr(summarization, "kmeans", _in_a_worker(lambda: os._exit(7)))
     with pytest.raises(RuntimeError, match=r"^k-means share 0 of 2 \(k = 2, 4, 6, 7, 10\) "
                                            r"ended with exit code 7 before sending its models$"):
-        summarization._fit_restarts(matrix, pairwise, ks, seeds)
+        summarization._fit_restarts(matrix, pairwise, ks, seeds, 2)
     assert multiprocessing.active_children() == []
 
 
@@ -1045,7 +1059,6 @@ def test_summarize_raises_when_a_worker_fails(monkeypatch):
 
 def test_interrupt_in_the_parent_ends_every_worker(monkeypatch):
     matrix, pairwise, ks, seeds = _restart_inputs(20)
-    _workers(monkeypatch, 3)
     parent = os.getpid()
 
     def kmeans_(*args, **kwargs):
@@ -1055,7 +1068,7 @@ def test_interrupt_in_the_parent_ends_every_worker(monkeypatch):
     monkeypatch.setattr(summarization, "kmeans", kmeans_)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        summarization._fit_restarts(matrix, pairwise, ks, seeds)
+        summarization._fit_restarts(matrix, pairwise, ks, seeds, 3)
     assert time.monotonic() - start < 30
     assert multiprocessing.active_children() == []
 
@@ -1104,6 +1117,59 @@ def test_interrupt_in_the_parent_ends_every_group_worker(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _log_shares(monkeypatch, path):
+    """Append the validity, process id and share count of each
+    ``_fit_restarts`` call to ``path``; a forked worker's lines reach the file."""
+    entry, fit, validity = summarization._group_entry, summarization._fit_restarts, []
+
+    def group_entry(*args):
+        validity[:] = args[:1]
+        return entry(*args)
+
+    def fit_restarts(*args):
+        with open(path, "a", encoding="utf-8") as log:
+            log.write(f"{validity[0]} {os.getpid()} {args[-1]}\n")
+        return fit(*args)
+    monkeypatch.setattr(summarization, "_group_entry", group_entry)
+    monkeypatch.setattr(summarization, "_fit_restarts", fit_restarts)
+
+
+def _taken_shares(path):
+    """(validity, ran in this process, shares) of each line ``_log_shares``
+    wrote, sorted; the log is emptied for the next run."""
+    lines = [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+    path.unlink()
+    return sorted((v, int(pid) == os.getpid(), int(shares)) for v, pid, shares in lines)
+
+
+def test_summarize_plans_one_share_per_cpu_for_each_group_it_keeps(tmp_path, monkeypatch):
+    # the bench-scale archive: EE 1831 (a 931-point subset), VE 569, VV 17
+    archive, ee, threshold = _date_lns_archive(), Archive(), summarization.SPLIT_MIN_WORK
+    for candidate in archive:
+        if candidate.validity == "EE":
+            ee.add(candidate)
+    log, started = tmp_path / "shares.log", _started(monkeypatch)
+    _log_shares(monkeypatch, log)
+    _workers(monkeypatch, 2)
+    # every group heavy: VE, the second largest, goes to a group worker
+    # with one share, and EE and VV split into a share per CPU here
+    summarize(archive, Random(0), restarts=4)
+    assert _taken_shares(log) == [("EE", True, 2), ("VE", False, 1), ("VV", True, 2)]
+    assert [name for name in started if name.startswith("validity")] == ["validity group VE"]
+    # one heavy group forks no group worker and splits into two shares
+    del started[:]
+    summarize(ee, Random(0), restarts=4)
+    assert _taken_shares(log) == [("EE", True, 2)]
+    assert started == ["k-means share 0 of 2 (k = 2, 5)"]
+    # at the real threshold, 6 restarts of 1000 points make EE heavy, and
+    # it splits though its subset is 931 points
+    monkeypatch.setattr(summarization, "SPLIT_MIN_WORK", threshold)
+    del started[:]
+    summarize(ee, Random(0), restarts=6)
+    assert _taken_shares(log) == [("EE", True, 2)]
+    assert started == ["k-means share 0 of 2 (k = 3, 4, 7)"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_summarize_leaves_rng_where_the_serial_draws_leave_it(monkeypatch, workers):
     # the small window draws a window for VE (28) and EE (143); VV (2)
@@ -1123,18 +1189,28 @@ def test_summarize_leaves_rng_where_the_serial_draws_leave_it(monkeypatch, worke
     assert rng.getstate() == serial.getstate()
 
 
-def test_summarize_runs_one_blas_thread_beside_group_workers(monkeypatch):
+def test_summarize_runs_one_blas_thread_beside_group_workers(tmp_path, monkeypatch):
     libraries = summarization._openblas()
     if not libraries:
         pytest.skip("no OpenBLAS is mapped into this process")
     archive, table, parent, seen = _date_archive(), summarization.TextDistances, os.getpid(), []
+    threshold, share, log = summarization.SPLIT_MIN_WORK, summarization._fit_share, tmp_path / "log"
+
+    def counts():
+        return tuple(get() for get, _ in libraries)
+
+    def fit_share(*args):
+        """Log whether a share runs in this process, and at what BLAS counts."""
+        with open(log, "a", encoding="utf-8") as shares:
+            shares.write(f"{os.getpid() == parent} {counts()}\n")
+        return share(*args)
 
     def counting(fail):
         """Record this process's BLAS thread counts as each of its groups'
         feature table is built, and fail there if ``fail``."""
         def text_distances(candidates):
             if os.getpid() == parent:
-                seen.append(tuple(get() for get, _ in libraries))
+                seen.append(counts())
                 if fail:
                     _fault()
             return table(candidates)
@@ -1148,17 +1224,33 @@ def test_summarize_runs_one_blas_thread_beside_group_workers(monkeypatch):
         _workers(monkeypatch, 1)
         monkeypatch.setattr(summarization, "TextDistances", counting(False))
         summarize(archive, Random(0), restarts=4)
-        assert seen == [(2,) * len(libraries)] * 2
+        own, one = (2,) * len(libraries), (1,) * len(libraries)
+        assert seen == [own] * 2
+        # two CPUs and, at the real threshold, one heavy group (EE): no group
+        # worker, so every feature runs at BLAS's own count, as does VE's one
+        # share, and EE's two restart shares, here and forked, at one thread
+        monkeypatch.setattr(summarization, "SPLIT_MIN_WORK", threshold)
+        monkeypatch.setattr(summarization, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(summarization, "_fit_share", fit_share)
+        del seen[:]
+        summarize(archive, Random(0), restarts=50)
+        assert seen == [own] * 2
+        assert sorted(log.read_text(encoding="utf-8").splitlines()) == \
+            [f"False {one}", f"True {one}", f"True {own}"]
+        assert counts() == own
+        assert summarization._run_forked([], counts, "counts") == [own]
         # two CPUs: VE goes to a group worker and EE runs here at one thread
         _workers(monkeypatch, 2)
+        del seen[:]
         summarize(archive, Random(0), restarts=4)
-        assert seen[2:] == [(1,) * len(libraries)]
-        assert [get() for get, _ in libraries] == [2] * len(libraries)
+        assert seen == [one]
+        assert counts() == own
         monkeypatch.setattr(summarization, "TextDistances", counting(True))
+        del seen[:]
         with pytest.raises(ArithmeticError):
             summarize(archive, Random(0), restarts=4)
-        assert seen[3:] == [(1,) * len(libraries)]
-        assert [get() for get, _ in libraries] == [2] * len(libraries)
+        assert seen == [one]
+        assert counts() == own
         assert multiprocessing.active_children() == []
     finally:
         for (_, set_), count in zip(libraries, before):
